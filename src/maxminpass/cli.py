@@ -6,18 +6,17 @@ Grammar::
                [--lambda <x>] [--out <dir>] [--q <q>] [--d <d>]
 
 Exit codes: 0 success, 2 validation error, 3 convergence failure,
-4 I/O error.  ``TOOL_THREADS`` caps parallelism of cold-start sweeps.
+4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +55,8 @@ MAXMIN_SUMMARY_SCHEMA = {
         "c_maxmin",
         "paper_lambda_bar",
         "derived_lambda_bar",
+        "unconverged",
+        "config_sha256",
     ],
     "properties": {
         "lambda_star": {"type": "number"},
@@ -65,15 +66,18 @@ MAXMIN_SUMMARY_SCHEMA = {
         "paper_lambda_bar": {"type": "number"},
         "derived_lambda_bar": {"type": "number"},
         "i_1": {"type": "number"},
+        "unconverged": {"type": "integer", "minimum": 0},
+        "config_sha256": {"type": "string"},
     },
 }
 MPA_SUMMARY_SCHEMA = {
     "type": "object",
-    "required": ["c_mpa", "sweeps", "converged"],
+    "required": ["c_mpa", "sweeps", "converged", "config_sha256"],
     "properties": {
         "c_mpa": {"type": "number"},
         "sweeps": {"type": "integer"},
         "converged": {"type": "boolean"},
+        "config_sha256": {"type": "string"},
     },
 }
 COMPARISON_SCHEMA = {
@@ -125,6 +129,12 @@ def _mpa_options(cfg: dict) -> MpaOptions:
     return MpaOptions(**block)
 
 
+def _config_sha256(cfg: dict) -> str:
+    """Hash of the config without ``output_dir``, identifying the run's inputs."""
+    body = {k: v for k, v in cfg.items() if k != "output_dir"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
 def _out_dir(cfg: dict, override: str | None) -> Path:
     out = Path(override or cfg.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -139,6 +149,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _sweep_lambdas(cfg: dict) -> np.ndarray:
     block = cfg.get("sweep", {})
+    if "warm_start" in block:
+        raise ValidationError(
+            "sweep.warm_start is no longer supported: sweeps always warm-start"
+        )
     lo = float(block.get("lambda_min", 0.1))
     hi = float(block.get("lambda_max", 10.0))
     count = int(block.get("count", 40))
@@ -158,21 +172,13 @@ def _write_sweep_csv(path: Path, results) -> None:
 
 
 def _run_sweep(spec: ProblemSpec, cfg: dict):
-    lambdas = _sweep_lambdas(cfg)
-    opts = _minimize_options(cfg)
-    warm = cfg.get("sweep", {}).get("warm_start", True)
-    if warm:
-        return continuation_sweep(spec, lambdas, opts)
-    threads = int(os.environ.get("TOOL_THREADS", "0")) or None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(
-            pool.map(lambda lam: minimize_on_level(spec, float(lam), None, opts), lambdas)
-        )
+    return continuation_sweep(spec, _sweep_lambdas(cfg), _minimize_options(cfg))
 
 
-def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions):
+def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions, solves: list):
     """Re-minimize at queried levels, warm-started from the nearest sweep
-    minimizer, so the argmax refinement is not limited by interpolation."""
+    minimizer, so the argmax refinement is not limited by interpolation.
+    Each refinement's MinimizeResult is appended to ``solves``."""
     mins = {r.lam: r.minimizer for r in results if r.minimizer is not None}
     if not mins:
         return None
@@ -185,7 +191,9 @@ def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions):
             seed = apply_scaling(
                 seed, ScalingAction("dilation", (lam / k) ** (1.0 / spec.n))
             )
-        return minimize_on_level(spec, lam, seed, opts).i_value
+        r = minimize_on_level(spec, lam, seed, opts)
+        solves.append(r)
+        return r.i_value
 
     return i_fn
 
@@ -194,9 +202,10 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
     results = _run_sweep(spec, cfg)
     _write_sweep_csv(out / "sweep.csv", results)
     good = [r for r in results if r.minimizer is not None and math.isfinite(r.i_value)]
+    refined: list = []
     curve = build_level_curve(
         [(r.lam, r.i_value) for r in good],
-        i_fn=_refining_i_fn(spec, good, _minimize_options(cfg)),
+        i_fn=_refining_i_fn(spec, good, _minimize_options(cfg), refined),
     )
     with open(out / "level_curve.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -213,6 +222,8 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
         "paper_lambda_bar": forms["paper_formula"],
         "derived_lambda_bar": forms["derived_argmax"],
         "i_1": r1.i_value,
+        "unconverged": sum(not r.converged for r in [*results, *refined, r1]),
+        "config_sha256": _config_sha256(cfg),
     }
     _write_json(out / "maxmin_summary.json", summary)
     return summary
@@ -236,18 +247,26 @@ def _endpoint_for_mpa(spec: ProblemSpec, cfg: dict, opts: MinimizeOptions):
 
 
 def _maybe_comparison(out: Path) -> None:
+    """Compare the two routes when both summaries come from the same config;
+    otherwise remove any comparison left over from an earlier pair."""
     mm, mp = out / "maxmin_summary.json", out / "mpa_summary.json"
+    comparison = out / "comparison.json"
     if mm.exists() and mp.exists():
-        c_maxmin = json.loads(mm.read_text())["c_maxmin"]
-        c_mpa = json.loads(mp.read_text())["c_mpa"]
-        _write_json(
-            out / "comparison.json",
-            {
-                "c_maxmin": c_maxmin,
-                "c_mpa": c_mpa,
-                "relative_gap": abs(c_mpa - c_maxmin) / abs(c_maxmin),
-            },
-        )
+        maxmin = json.loads(mm.read_text())
+        mpa = json.loads(mp.read_text())
+        sha = maxmin.get("config_sha256")
+        if sha is not None and sha == mpa.get("config_sha256"):
+            c_maxmin, c_mpa = maxmin["c_maxmin"], mpa["c_mpa"]
+            _write_json(
+                comparison,
+                {
+                    "c_maxmin": c_maxmin,
+                    "c_mpa": c_mpa,
+                    "relative_gap": abs(c_mpa - c_maxmin) / abs(c_maxmin),
+                },
+            )
+            return
+    comparison.unlink(missing_ok=True)
 
 
 def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
@@ -277,9 +296,9 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
 
 def cmd_maxmin(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    _maxmin_summary(spec, cfg, out)
+    summary = _maxmin_summary(spec, cfg, out)
     _maybe_comparison(out)
-    return EXIT_OK
+    return EXIT_OK if summary["unconverged"] == 0 else EXIT_CONVERGENCE
 
 
 def cmd_mpa(cfg: dict, out: Path) -> int:
@@ -293,7 +312,12 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
     )
     _write_json(
         out / "mpa_summary.json",
-        {"c_mpa": result.c_mpa, "sweeps": result.sweeps, "converged": result.converged},
+        {
+            "c_mpa": result.c_mpa,
+            "sweeps": result.sweeps,
+            "converged": result.converged,
+            "config_sha256": _config_sha256(cfg),
+        },
     )
     _maybe_comparison(out)
     return EXIT_OK if result.converged else EXIT_CONVERGENCE

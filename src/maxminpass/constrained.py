@@ -91,14 +91,16 @@ def retract_to_level(spec: ProblemSpec, u, lam: float, constraint_tol: float = 1
     # exact on the grid (no resampling), unlike a dilation, whose
     # interpolation error would put a noise floor under the line search.
     # U(a u) tends to 0 from below as a -> 0 and to +inf as a -> inf, so a
-    # root exists for every nonzero u and positive lam.
+    # root exists for every nonzero u and positive lam.  The root search runs
+    # on the closed form of a -> U(a u); the result is checked on the grid.
     from scipy.optimize import brentq
 
     if norm(spec, u) == 0.0:
         raise InfeasibleError("cannot scale the zero function onto the level")
+    U_of = spec.nonlinearity.amplitude_integral(spec.grid.weights, u.values)
 
     def gap(a):
-        return eval_U(spec, a * u) - lam
+        return U_of(a) - lam
 
     hi = 1.0
     for _ in range(200):
@@ -114,7 +116,15 @@ def retract_to_level(spec: ProblemSpec, u, lam: float, constraint_tol: float = 1
             raise InfeasibleError("amplitude scaling could not bracket the level")
     a = brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16)
     v = a * u
-    if abs(eval_U(spec, v) - lam) > constraint_tol * lam:
+    err = eval_U(spec, v) - lam
+    if abs(err) > constraint_tol * lam:
+        # When lam is tiny against either term of U, the closed form and the
+        # grid sum cancel differently by more than the tolerance; one Newton
+        # step on the grid value, d/da U(a u) = <g(a u), u>, closes the gap.
+        a -= err / inner(spec, grad_U(spec, v), u)
+        v = a * u
+        err = eval_U(spec, v) - lam
+    if abs(err) > constraint_tol * lam:
         raise InfeasibleError("amplitude retraction did not reach the level")
     return v
 

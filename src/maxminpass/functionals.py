@@ -78,6 +78,18 @@ class NonlinearitySpec:
         s = np.asarray(s, dtype=float)
         return -0.5 * self.m * s**2 + np.abs(s) ** self.q / self.q
 
+    def amplitude_integral(self, weights: np.ndarray, s: np.ndarray):
+        """The map a -> sum(weights * G(a s)) on scalar amplitudes a > 0.
+
+        G is a sum of two homogeneous terms, so the map is exactly
+        -(m/2) a^2 S_2 + a^q S_q / q with S_2 = sum(w s^2) and
+        S_q = sum(w |s|^q); both moments are computed here, once.
+        """
+        half_m_s2 = 0.5 * self.m * float(np.dot(weights, s * s))
+        sq_over_q = float(np.dot(weights, np.abs(s) ** self.q)) / self.q
+        q = self.q
+        return lambda a: -half_m_s2 * a * a + a**q * sq_over_q
+
     @property
     def xi0(self) -> float:
         for s in np.logspace(-3, 6, 4000):
@@ -118,6 +130,10 @@ class ProblemSpec:
     grid: RadialGrid | None = None
     toy: ToyProblem | None = None
     mu_limit: float | None = field(default=None, compare=False)
+    # Per-node weight of the mu term in T: |x|^-p (hardy) or 1 (critical).
+    potential: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.variant == "toy":
@@ -141,6 +157,7 @@ class ProblemSpec:
                     f"mu must lie in [0, {limit}) (Hardy constant)"
                 )
             self.nonlinearity.check_growth_conditions(self.p, self.pstar)
+            potential = self.grid.nodes ** (-self.p)
         else:
             if not 1 < self.p**2 < self.n:
                 raise ValidationError("need 1 < p^2 < n")
@@ -152,6 +169,9 @@ class ProblemSpec:
                     f"mu must lie in (0, {limit}) (first eigenvalue)"
                 )
             object.__setattr__(self, "mu_limit", limit)
+            potential = np.ones(self.grid.m)
+        potential.flags.writeable = False
+        object.__setattr__(self, "potential", potential)
 
     @property
     def pstar(self) -> float:
@@ -170,23 +190,15 @@ def edge_geometry(grid: RadialGrid):
 
     Edge k joins nodes k and k+1; its weight is sphere_area * integral of
     r^(n-1) over [r_k, r_{k+1}], so sum(we * |du|^p) approximates the
-    n-dimensional integral of |grad u|^p for radial u.
+    n-dimensional integral of |grad u|^p for radial u.  Both arrays are
+    computed once, when the grid is built.
     """
-    dr = np.diff(grid.nodes)
-    area = 2.0 * math.pi ** (grid.n / 2.0) / math.gamma(grid.n / 2.0)
-    we = area / grid.n * np.diff(grid.nodes**grid.n)
-    return dr, we
+    return grid.dr, grid.we
 
 
 def _check_grid(spec: ProblemSpec, u: GridFunction) -> None:
     if not u.grid.same_as(spec.grid):
         raise GridMismatchError("grid function does not live on the spec's grid")
-
-
-def _potential(spec: ProblemSpec):
-    if spec.variant == "hardy-subcritical":
-        return spec.grid.nodes ** (-spec.p)
-    return np.ones(spec.grid.m)
 
 
 # --- energies --------------------------------------------------------------
@@ -203,7 +215,7 @@ def eval_T(spec: ProblemSpec, u) -> float:
     val = float(np.dot(we, np.abs(du) ** spec.p))
     if spec.mu:
         val -= spec.mu * float(
-            np.dot(spec.grid.weights, _potential(spec) * np.abs(u.values) ** spec.p)
+            np.dot(spec.grid.weights, spec.potential * np.abs(u.values) ** spec.p)
         )
     return val / spec.p
 
@@ -246,7 +258,7 @@ def grad_T(spec: ProblemSpec, u):
     e[:-1] -= s
     e[1:] += s
     if spec.mu:
-        e -= spec.mu * spec.grid.weights * _potential(spec) * _dphi(u.values, spec.p)
+        e -= spec.mu * spec.grid.weights * spec.potential * _dphi(u.values, spec.p)
     return GridFunction(spec.grid, e / spec.grid.weights)
 
 

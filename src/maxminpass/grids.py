@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -55,6 +55,10 @@ class RadialGrid:
     neighboring nodes, with outer boundaries 0 and R), hence the weights
     sum exactly to the volume of the ball of radius R and the rule is a
     midpoint rule, second order on smooth integrands.
+
+    ``dr`` and ``we`` are the per-edge spacing and edge weights derived from
+    the nodes at construction (see ``functionals.edge_geometry``); they are
+    read-only and take no part in comparisons.
     """
 
     n: int
@@ -62,10 +66,14 @@ class RadialGrid:
     stretch: float
     nodes: np.ndarray
     weights: np.ndarray
+    dr: np.ndarray = field(init=False, repr=False, compare=False)
+    we: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
+        if self.n < 1:
+            raise ValidationError("dimension n must be >= 1")
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValidationError("grid needs at least two nodes")
         if not np.all(np.diff(nodes) > 0) or nodes[0] <= 0:
@@ -76,6 +84,12 @@ class RadialGrid:
             raise ValidationError("quadrature weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        dr = np.diff(nodes)
+        we = sphere_area(self.n) / self.n * np.diff(nodes**self.n)
+        dr.flags.writeable = False
+        we.flags.writeable = False
+        object.__setattr__(self, "dr", dr)
+        object.__setattr__(self, "we", we)
 
     @property
     def m(self) -> int:
@@ -86,6 +100,8 @@ class RadialGrid:
         return sphere_area(self.n) * self.R**self.n / self.n
 
     def same_as(self, other: "RadialGrid") -> bool:
+        if other is self:
+            return True
         return (
             self.n == other.n
             and self.m == other.m

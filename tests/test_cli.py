@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import jsonschema
 import pytest
@@ -73,6 +74,16 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_VALIDATION
+
+    def test_removed_warm_start_key_rejected(self, tmp_path, capsys):
+        cfg_path = hardy_config(
+            tmp_path,
+            sweep={"lambda_min": 1.0, "lambda_max": 10.0, "count": 5, "warm_start": False},
+        )
+        code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "warm_start" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_not_bracketing_threshold(self, tmp_path):
         cfg_path = hardy_config(
@@ -147,6 +158,10 @@ class TestPipelines:
         payload = json.loads((outputs / "comparison.json").read_text())
         jsonschema.validate(payload, COMPARISON_SCHEMA)
         assert payload["relative_gap"] <= 0.03
+        maxmin = json.loads((outputs / "maxmin_summary.json").read_text())
+        mpa = json.loads((outputs / "mpa_summary.json").read_text())
+        assert maxmin["config_sha256"] == mpa["config_sha256"]
+        assert maxmin["unconverged"] == 0
 
     def test_verify_report_schema(self, outputs):
         payload = json.loads((outputs / "verify_report.json").read_text())
@@ -161,27 +176,57 @@ class TestPipelines:
         assert payload["c_mpa"] == pytest.approx(0.25, abs=1e-3)
 
 
-class TestColdStartSweep:
-    def test_parallel_sweep_matches_warm(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOOL_THREADS", "2")
-        cfg = {
-            "problem": {
-                "variant": "critical-bounded",
-                "p": 2.0,
-                "n": 5,
-                "mu": 3.0,
-                "grid": {"n": 5, "R": 1.0, "m": 80, "stretch": 1.0},
-            },
-            "sweep": {
-                "lambda_min": 0.5,
-                "lambda_max": 5.0,
-                "count": 4,
-                "warm_start": False,
-            },
-        }
-        path = write_config(tmp_path / "cold.json", cfg)
-        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
-        with open(tmp_path / "sweep.csv") as f:
-            rows = list(csv.reader(f))[1:]
-        ivals = [float(r[1]) for r in rows]
-        assert ivals == sorted(ivals)
+def readme_config(tmp_path, name, **problem_overrides):
+    """The README ``hardy.json`` on a coarse grid, with a capped iteration budget."""
+    problem = {
+        "variant": "hardy-subcritical",
+        "p": 2.0,
+        "n": 5,
+        "mu": 0.0,
+        "m": 1.0,
+        "q": 8.0 / 3.0,
+        "grid": {"n": 5, "R": 30.0, "m": 200, "stretch": 1.0198},
+    }
+    problem.update(problem_overrides)
+    cfg = {
+        "problem": problem,
+        "sweep": {"lambda_min": 1.0, "lambda_max": 30000.0, "count": 12},
+        "minimize": {"max_iters": 3},
+    }
+    return write_config(tmp_path / name, cfg)
+
+
+@pytest.fixture(scope="module")
+def starved_maxmin(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("starved")
+    code = main(["maxmin", "--config", readme_config(tmp, "hardy.json"), "--out", str(tmp)])
+    return code, tmp
+
+
+class TestUnconvergedRuns:
+    def test_maxmin_exits_nonzero_and_counts(self, starved_maxmin):
+        code, out = starved_maxmin
+        assert code == EXIT_CONVERGENCE
+        payload = json.loads((out / "maxmin_summary.json").read_text())
+        jsonschema.validate(payload, MAXMIN_SUMMARY_SCHEMA)
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 12
+        assert all(r["converged"] == "0" for r in rows)
+        # every sweep point plus at least one refinement solve
+        assert payload["unconverged"] > len(rows)
+
+    def test_comparison_skipped_for_different_configs(self, starved_maxmin, tmp_path):
+        _code, maxmin_out = starved_maxmin
+        shutil.copy(maxmin_out / "maxmin_summary.json", tmp_path)
+        stale = tmp_path / "comparison.json"
+        stale.write_text("{}")
+        other = json.loads((maxmin_out / "hardy.json").read_text())
+        other["problem"]["mu"] = 1.0
+        del other["minimize"]
+        path = write_config(tmp_path / "other.json", other)
+        assert main(["mpa", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        maxmin = json.loads((tmp_path / "maxmin_summary.json").read_text())
+        mpa = json.loads((tmp_path / "mpa_summary.json").read_text())
+        assert maxmin["config_sha256"] != mpa["config_sha256"]
+        assert not stale.exists()

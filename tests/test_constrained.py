@@ -1,19 +1,25 @@
 """Constrained minimization on level sets and the continuation sweep."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from maxminpass import (
     GridFunction,
     InfeasibleError,
     MinimizeOptions,
+    NonlinearitySpec,
     ProblemSpec,
     ToyProblem,
     ValidationError,
+    build_radial_grid,
     continuation_sweep,
     default_seed,
     eval_T,
     eval_U,
+    hardy_constant,
     minimize_on_level,
     retract_to_level,
     toy_i_lambda,
@@ -26,6 +32,39 @@ def toy_spec(q=4.0, d=2):
     return ProblemSpec(variant="toy", toy=ToyProblem(d, q))
 
 
+def hardy_variants():
+    """Whole-space specs over mu in {0, H/2}, g's slope m and exponent q.
+
+    n = 3 so that q = 3.2 is subcritical (p* = 6; at n = 5, p* = 10/3)."""
+    grid = build_radial_grid(3, 30.0, 200, 50.0 ** (1.0 / 200))
+    for mu, m, q in itertools.product(
+        (0.0, 0.5 * hardy_constant(2.0, 3)), (1.0, 2.5), (2.5, 3.2)
+    ):
+        yield ProblemSpec(
+            variant="hardy-subcritical",
+            p=2.0,
+            n=3,
+            mu=mu,
+            nonlinearity=NonlinearitySpec(m, q),
+            grid=grid,
+        )
+
+
+def retract_by_grid_root(spec, u, lam):
+    """Reference amplitude retraction: brentq on U evaluated on the grid."""
+
+    def gap(a):
+        return eval_U(spec, a * u) - lam
+
+    hi = 1.0
+    while gap(hi) <= 0.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while gap(lo) > 0.0:
+        lo /= 2.0
+    return brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16)
+
+
 class TestRetraction:
     def test_toy_lands_on_level(self):
         spec = toy_spec()
@@ -33,11 +72,22 @@ class TestRetraction:
         assert eval_U(spec, u) == pytest.approx(2.0, rel=1e-12)
 
     def test_pde_lands_on_level(self, hardy_small, critical_small):
-        for spec in (hardy_small, critical_small):
+        for spec in (hardy_small, critical_small, *hardy_variants()):
             u0 = default_seed(spec, 1.0)
-            for lam in (0.5, 1.0, 7.0):
+            for lam in (1e-2, 0.5, 1.0, 7.0, 3e4):
                 u = retract_to_level(spec, u0, lam)
                 assert eval_U(spec, u) == pytest.approx(lam, rel=1e-9)
+
+    def test_hardy_amplitude_matches_grid_root(self):
+        tol = MinimizeOptions().constraint_tol
+        for spec in hardy_variants():
+            u0 = default_seed(spec, 1.0)
+            k = int(np.argmax(np.abs(u0.values)))
+            for lam in (1e-2, 1.0, 3e4):
+                v = retract_to_level(spec, u0, lam, tol)
+                a = v.values[k] / u0.values[k]
+                assert a == pytest.approx(retract_by_grid_root(spec, u0, lam), rel=1e-12)
+                assert abs(eval_U(spec, v) - lam) <= tol * lam
 
     def test_zero_seed_is_infeasible(self, hardy_small):
         zero = GridFunction(hardy_small.grid, np.zeros(hardy_small.grid.m))

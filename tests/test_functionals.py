@@ -120,6 +120,16 @@ class TestEvalT:
             assert eval_T(spec, u) >= 0.5 * 0.5 * grad_energy - 1e-12
 
 
+class TestEdgeGeometry:
+    @pytest.mark.parametrize("stretch", [1.0, 1.05])
+    def test_matches_nodes_bit_for_bit(self, stretch):
+        grid = build_radial_grid(5, 30.0, 150, stretch)
+        dr, we = edge_geometry(grid)
+        area = 2.0 * math.pi ** (grid.n / 2.0) / math.gamma(grid.n / 2.0)
+        assert np.array_equal(dr, np.diff(grid.nodes))
+        assert np.array_equal(we, area / grid.n * np.diff(grid.nodes**grid.n))
+
+
 class TestEvalU:
     def test_critical_amplitude_homogeneity_exact(self):
         spec = critical_spec()
