@@ -17,19 +17,15 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .constrained import (
-    MinimizeOptions,
-    continuation_sweep,
-    default_seed,
-    minimize_on_level,
-)
+from .constrained import MinimizeOptions, continuation_sweep, minimize_on_level
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .functionals import ProblemSpec, eval_F, eval_T, problem_from_config
-from .grids import ScalingAction, apply_scaling, gridfunction_to_csv
+from .functionals import ProblemSpec, check_keys, eval_F, problem_from_config
+from .grids import GridFunction, gridfunction_to_csv
 from .levelcurve import (
     build_level_curve,
     closed_form_lambda_bar,
@@ -113,9 +109,21 @@ VERIFY_REPORT_SCHEMA = {
 }
 
 
+# Known keys of each config block; ``problem`` is checked by its variant.
+CONFIG_BLOCKS = {
+    "sweep": ("lambda_min", "lambda_max", "count"),
+    "minimize": tuple(f.name for f in fields(MinimizeOptions)),
+    "mpa": (*(f.name for f in fields(MpaOptions)), "k"),
+}
+
+
 def _load_config(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        cfg = json.load(f)
+    check_keys(cfg, ("problem", "output_dir", *CONFIG_BLOCKS), "config")
+    for name, known in CONFIG_BLOCKS.items():
+        check_keys(cfg.get(name, {}), known, name)
+    return cfg
 
 
 def _minimize_options(cfg: dict) -> MinimizeOptions:
@@ -149,10 +157,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _sweep_lambdas(cfg: dict) -> np.ndarray:
     block = cfg.get("sweep", {})
-    if "warm_start" in block:
-        raise ValidationError(
-            "sweep.warm_start is no longer supported: sweeps always warm-start"
-        )
     lo = float(block.get("lambda_min", 0.1))
     hi = float(block.get("lambda_max", 10.0))
     count = int(block.get("count", 40))
@@ -171,27 +175,16 @@ def _write_sweep_csv(path: Path, results) -> None:
             )
 
 
-def _run_sweep(spec: ProblemSpec, cfg: dict):
-    return continuation_sweep(spec, _sweep_lambdas(cfg), _minimize_options(cfg))
-
-
 def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions, solves: list):
     """Re-minimize at queried levels, warm-started from the nearest sweep
     minimizer, so the argmax refinement is not limited by interpolation.
     Each refinement's MinimizeResult is appended to ``solves``."""
     mins = {r.lam: r.minimizer for r in results if r.minimizer is not None}
-    if not mins:
-        return None
     keys = np.array(sorted(mins))
 
     def i_fn(lam: float) -> float:
         k = float(keys[np.argmin(np.abs(np.log(keys) - np.log(lam)))])
-        seed = mins[k]
-        if spec.variant == "hardy-subcritical":
-            seed = apply_scaling(
-                seed, ScalingAction("dilation", (lam / k) ** (1.0 / spec.n))
-            )
-        r = minimize_on_level(spec, lam, seed, opts)
+        r = minimize_on_level(spec, lam, spec.model.transport(mins[k], lam / k), opts)
         solves.append(r)
         return r.i_value
 
@@ -199,20 +192,23 @@ def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions, solves: li
 
 
 def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
-    results = _run_sweep(spec, cfg)
+    lambdas, opts = _sweep_lambdas(cfg), _minimize_options(cfg)
+    # The level-1 minimizer seeds the sweep: at lambda_min = 1 the first
+    # point is then already solved.
+    r1 = minimize_on_level(spec, 1.0, None, opts)
+    results = continuation_sweep(spec, lambdas, opts, r1.minimizer)
     _write_sweep_csv(out / "sweep.csv", results)
     good = [r for r in results if r.minimizer is not None and math.isfinite(r.i_value)]
     refined: list = []
     curve = build_level_curve(
         [(r.lam, r.i_value) for r in good],
-        i_fn=_refining_i_fn(spec, good, _minimize_options(cfg), refined),
+        i_fn=_refining_i_fn(spec, good, opts, refined),
     )
     with open(out / "level_curve.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["lambda", "i", "I"])
         for lam, i, I in zip(curve.lambdas, curve.i_values, curve.I_values):
             w.writerow([lam, i, I])
-    r1 = minimize_on_level(spec, 1.0, None, _minimize_options(cfg))
     forms = closed_form_lambda_bar(spec, r1.i_value)
     summary = {
         "lambda_star": curve.lambda_star,
@@ -282,14 +278,14 @@ def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
         "residual": result.residual,
     }
     _write_json(out / "minimize_result.json", payload)
-    if spec.variant != "toy":
+    if isinstance(result.minimizer, GridFunction):
         gridfunction_to_csv(result.minimizer, out / "minimizer.csv")
     return EXIT_OK if result.converged else EXIT_CONVERGENCE
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    results = _run_sweep(spec, cfg)
+    results = continuation_sweep(spec, _sweep_lambdas(cfg), _minimize_options(cfg))
     _write_sweep_csv(out / "sweep.csv", results)
     return EXIT_OK if all(r.converged for r in results) else EXIT_CONVERGENCE
 
@@ -349,12 +345,10 @@ def cmd_toy(q: float, d: int, out: Path) -> int:
         [(lam, toy_i_lambda(prob, lam)) for lam in lambdas],
         i_fn=lambda lam: toy_i_lambda(prob, lam),
     )
-    endpoint = np.zeros(d)
-    endpoint[0] = 1.0
     r = 2.0
     while r**2 - r**q >= 0:
         r *= 2.0
-    endpoint *= r
+    endpoint = r * spec.model.seed()
     mpa = estimate_c(spec, endpoint, MpaOptions(step=0.05), k=48)
     payload = {
         "c_closed_form": closed["c"],

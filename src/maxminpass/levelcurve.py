@@ -17,8 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ValidationError
-from .functionals import ProblemSpec, eval_F, eval_T, eval_U
-from .grids import ScalingAction, apply_scaling
+from .functionals import ProblemSpec, eval_F
 
 __all__ = [
     "LevelCurve",
@@ -141,24 +140,14 @@ def _refine_root(I_of, lo: float, hi: float) -> float:
 
 def scaling_exponent(spec: ProblemSpec) -> float:
     """Power alpha in the scaling law i(lambda) = lambda^alpha i(1)."""
-    if spec.variant == "toy":
-        return 2.0 / spec.toy.q
-    if spec.variant == "hardy-subcritical":
-        return 1.0 - spec.p / spec.n
-    return spec.p / spec.pstar
+    return spec.model.scaling_exponent
 
 
 def scaling_path(spec: ProblemSpec, v, lam: float):
     """Transport the level-1 minimizer v to the level lam by the group action."""
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    if spec.variant == "toy":
-        return np.asarray(v, dtype=float) * lam ** (1.0 / spec.toy.q)
-    if spec.variant == "hardy-subcritical":
-        if lam == 1.0:
-            return v
-        return apply_scaling(v, ScalingAction("dilation", lam ** (1.0 / spec.n)))
-    return apply_scaling(v, ScalingAction("amplitude", lam ** (1.0 / spec.pstar)))
+    return spec.model.transport(v, lam)
 
 
 def evaluate_F_along_path(spec: ProblemSpec, v, lambdas) -> list[tuple[float, float]]:
@@ -180,10 +169,5 @@ def closed_form_lambda_bar(spec: ProblemSpec, i_1: float) -> dict:
     """
     alpha = scaling_exponent(spec)
     derived = (alpha * i_1) ** (1.0 / (1.0 - alpha))
-    if spec.variant == "hardy-subcritical":
-        paper = (i_1 * (spec.n - spec.p) / spec.p) ** (spec.n / spec.p)
-    elif spec.variant == "critical-bounded":
-        paper = (i_1 * spec.p / spec.pstar) ** (spec.pstar / (spec.pstar - spec.p))
-    else:
-        paper = derived
+    paper = spec.model.paper_lambda_bar(i_1)
     return {"paper_formula": float(paper), "derived_argmax": float(derived)}

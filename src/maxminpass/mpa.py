@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .functionals import (
-    Preconditioner,
-    ProblemSpec,
-    eval_F,
-    eval_U,
-    grad_T,
-    grad_U,
-    norm,
-)
-from .grids import GridFunction
+from .functionals import ProblemSpec, eval_F, eval_U, grad_T, grad_U, norm
 
 __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
            "crosses_all_levels"]
@@ -57,21 +48,12 @@ class DiscretePath:
 @dataclass
 class MpaOptions:
     step: float = 0.2
-    c_tol: float | None = None  # default: 1e-6 toy, 1e-3 PDE
+    c_tol: float | None = None  # default: the variant's c_tol
     max_sweeps: int = 10_000
     patience: int = 25
-    precondition: bool = True
 
     def resolved_c_tol(self, spec: ProblemSpec) -> float:
-        if self.c_tol is not None:
-            return self.c_tol
-        return 1e-6 if spec.variant == "toy" else 1e-3
-
-
-def _zero_like(spec: ProblemSpec, endpoint):
-    if spec.variant == "toy":
-        return np.zeros_like(np.asarray(endpoint, dtype=float))
-    return GridFunction(spec.grid, np.zeros(spec.grid.m))
+        return self.c_tol if self.c_tol is not None else spec.model.c_tol
 
 
 def init_path(spec: ProblemSpec, endpoint, k: int = 32) -> DiscretePath:
@@ -81,20 +63,14 @@ def init_path(spec: ProblemSpec, endpoint, k: int = 32) -> DiscretePath:
     if not eval_F(spec, endpoint) < 0:
         raise ValidationError("endpoint is not admissible: F(endpoint) must be < 0")
     ts = np.linspace(0.0, 1.0, k + 2)
-    points = [t * endpoint if t > 0 else _zero_like(spec, endpoint) for t in ts]
+    points = [t * endpoint for t in ts]
     energies = np.asarray([eval_F(spec, u) for u in points])
     return DiscretePath(points=points, energies=energies)
 
 
-def _grad_F(spec: ProblemSpec, u, prec):
-    g = grad_T(spec, u) - grad_U(spec, u)
-    if prec is not None:
-        g = prec.apply(g)
-    if spec.variant != "toy" and spec.dirichlet:
-        vals = g.values.copy()
-        vals[-1] = 0.0
-        g = GridFunction(spec.grid, vals)
-    return g
+def _grad_F(spec: ProblemSpec, u):
+    """Preconditioned gradient of F, zero on a Dirichlet boundary."""
+    return spec.model.mask(spec.model.precondition(grad_T(spec, u) - grad_U(spec, u)))
 
 
 def _reparameterize(spec: ProblemSpec, points):
@@ -120,7 +96,7 @@ def _reparameterize(spec: ProblemSpec, points):
     return out
 
 
-def deform(path: DiscretePath, spec: ProblemSpec, step: float, prec=None) -> DiscretePath:
+def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
     """One sweep: descend F on every interior image, then re-parameterize.
 
     Endpoints are fixed, so membership in the admissible path class is
@@ -134,7 +110,7 @@ def deform(path: DiscretePath, spec: ProblemSpec, step: float, prec=None) -> Dis
     )
     cap = 0.5 * total / (len(points) - 1)
     for i in range(1, len(points) - 1):
-        g = _grad_F(spec, points[i], prec)
+        g = _grad_F(spec, points[i])
         gn = norm(spec, g)
         scale = step if step * gn <= cap or gn == 0.0 else cap / gn
         points[i] = points[i] - scale * g
@@ -194,9 +170,6 @@ def estimate_c(
     the tolerance; returns the final upper bound and the maximizing image."""
     opts = opts or MpaOptions()
     c_tol = opts.resolved_c_tol(spec)
-    prec = None
-    if spec.variant != "toy" and opts.precondition:
-        prec = Preconditioner(spec.grid, dirichlet=spec.dirichlet)
 
     path = init_path(spec, endpoint, k=k)
     c_cur = _path_sup(path, spec)
@@ -208,7 +181,7 @@ def estimate_c(
     sweeps = 0
     while sweeps < opts.max_sweeps:
         sweeps += 1
-        new = deform(path, spec, step, prec)
+        new = deform(path, spec, step)
         c_new = _path_sup(new, spec)
         if math.isfinite(c_new) and c_new <= c_cur + 1e-12 * max(1.0, abs(c_cur)):
             improvement = c_cur - c_new

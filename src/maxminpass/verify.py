@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ValidationError
 from .constrained import MinimizeOptions, minimize_on_level, multiplier_and_residual
 from .functionals import ProblemSpec, eval_T, grad_T, grad_U, inner, norm
-from .levelcurve import closed_form_lambda_bar, scaling_exponent, scaling_path
+from .levelcurve import closed_form_lambda_bar, scaling_path
 
 __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
 
@@ -20,13 +18,7 @@ def el_residual(spec: ProblemSpec, u) -> float:
     F'(u) = 0 in the quadrature-weighted pairing."""
     gT = grad_T(spec, u)
     gU = grad_U(spec, u)
-    if spec.variant != "toy" and spec.dirichlet:
-        vals = (gT - gU).values.copy()
-        vals[-1] = 0.0
-        num = math.sqrt(float(np.dot(spec.grid.weights, vals * vals)))
-    else:
-        num = norm(spec, gT - gU)
-    return num / (1.0 + norm(spec, gT))
+    return norm(spec, spec.model.mask(gT - gU)) / (1.0 + norm(spec, gT))
 
 
 def multiplier_of(spec: ProblemSpec, u) -> float:
@@ -38,12 +30,12 @@ def multiplier_of(spec: ProblemSpec, u) -> float:
     return theta
 
 
-def _theta_at_level(spec: ProblemSpec, v, lam: float, opts, refine: bool):
-    """Multiplier along the scaling path; for the dilation-based problem the
-    interpolation error would swamp the residual, so the transported point
-    is re-minimized at the target level before measuring."""
+def _theta_at_level(spec: ProblemSpec, v, lam: float, opts):
+    """Multiplier along the scaling path; where the transport is inexact
+    (the dilation, which interpolates) its error would swamp the residual,
+    so the transported point is re-minimized at the target level first."""
     u = scaling_path(spec, v, lam)
-    if refine:
+    if not spec.model.exact_transport:
         res = minimize_on_level(spec, lam, u, opts)
         u = res.minimizer
     return multiplier_of(spec, u), u
@@ -63,22 +55,21 @@ def pick_solution_scale(
     lambda^(alpha-1) with alpha < 1), so a log-bisection brackets theta = 1.
     """
     opts = opts or MinimizeOptions()
-    refine = spec.variant == "hardy-subcritical"
     i_1 = eval_T(spec, v)
     forms = closed_form_lambda_bar(spec, i_1)
     guess = forms["derived_argmax"]
 
     lo, hi = guess / 16.0, guess * 16.0
-    th_lo, _ = _theta_at_level(spec, v, lo, opts, refine)
-    th_hi, _ = _theta_at_level(spec, v, hi, opts, refine)
+    th_lo, _ = _theta_at_level(spec, v, lo, opts)
+    th_hi, _ = _theta_at_level(spec, v, hi, opts)
     if not (th_lo > 1.0 > th_hi):
         for _ in range(8):
             if th_lo <= 1.0:
                 lo /= 16.0
-                th_lo, _ = _theta_at_level(spec, v, lo, opts, refine)
+                th_lo, _ = _theta_at_level(spec, v, lo, opts)
             if th_hi >= 1.0:
                 hi *= 16.0
-                th_hi, _ = _theta_at_level(spec, v, hi, opts, refine)
+                th_hi, _ = _theta_at_level(spec, v, hi, opts)
             if th_lo > 1.0 > th_hi:
                 break
         else:
@@ -87,48 +78,33 @@ def pick_solution_scale(
     a, b = math.log(lo), math.log(hi)
     while b - a > bisect_tol:
         mid = 0.5 * (a + b)
-        th, _ = _theta_at_level(spec, v, math.exp(mid), opts, refine)
+        th, _ = _theta_at_level(spec, v, math.exp(mid), opts)
         if th > 1.0:
             a = mid
         else:
             b = mid
     lam_unit = math.exp(0.5 * (a + b))
-    theta_unit, u_unit = _theta_at_level(spec, v, lam_unit, opts, refine)
+    theta_unit, u_unit = _theta_at_level(spec, v, lam_unit, opts)
     res_unit = el_residual(spec, u_unit)
 
-    candidates = []
-    entries = [
+    # The variant's candidate solution-scale exponents, as amplitude factors
+    # lam^expo at the derived level, then the points at the three levels.
+    lam = forms["derived_argmax"]
+    points = []
+    for label, expo in spec.model.amplitude_exponents:
+        u = lam**expo * v
+        points.append((label, lam, multiplier_of(spec, u), u))
+    for label, lam in (
         ("paper_formula", forms["paper_formula"]),
         ("derived_argmax", forms["derived_argmax"]),
         ("unit_multiplier", lam_unit),
+    ):
+        points.append((label, lam, *_theta_at_level(spec, v, lam, opts)))
+    candidates = [
+        {"label": label, "lam": float(lam), "theta": float(theta),
+         "residual": float(el_residual(spec, u))}
+        for label, lam, theta, u in points
     ]
-    if spec.variant == "critical-bounded":
-        # Resolve the printed solution-scale exponent empirically: compare
-        # amplitude factors lam^(1/p*) and lam^(p/p*) at the derived level.
-        lam = forms["derived_argmax"]
-        for label, expo in (
-            ("amplitude_exponent_1_over_pstar", 1.0 / spec.pstar),
-            ("amplitude_exponent_p_over_pstar", spec.p / spec.pstar),
-        ):
-            u = lam**expo * v
-            candidates.append(
-                {
-                    "label": label,
-                    "lam": lam,
-                    "theta": multiplier_of(spec, u),
-                    "residual": el_residual(spec, u),
-                }
-            )
-    for label, lam in entries:
-        theta, u = _theta_at_level(spec, v, lam, opts, refine)
-        candidates.append(
-            {
-                "label": label,
-                "lam": float(lam),
-                "theta": float(theta),
-                "residual": float(el_residual(spec, u)),
-            }
-        )
 
     return {
         "lambda_at_unit_multiplier": float(lam_unit),

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from maxminpass import (
     MinimizeOptions,
@@ -25,6 +26,29 @@ from maxminpass import (
 HARDY_P = 2.0
 HARDY_N = 5
 HARDY_MU_HALF = 0.5 * 2.25  # half the Hardy constant ((n-p)/p)^p for p=2, n=5
+
+
+def _dense_mu_p(grid):
+    """Dense generalized-eigenvalue value of the p=2 Rayleigh quotient: the
+    direct solver the library's tridiagonal gate and its iterative estimate
+    are checked against."""
+    c = grid.we / grid.dr**2
+    m = grid.m
+    K = np.zeros((m, m))
+    idx = np.arange(m - 1)
+    K[idx, idx] += c
+    K[idx + 1, idx + 1] += c
+    K[idx, idx + 1] -= c
+    K[idx + 1, idx] -= c
+    # Dirichlet at R: drop the last node.
+    w = grid.weights[:-1]
+    vals = eigh(K[:-1, :-1], np.diag(w), eigvals_only=True, subset_by_index=(0, 0))
+    return float(vals[0])
+
+
+@pytest.fixture(scope="session")
+def mu_p_dense():
+    return _dense_mu_p
 
 
 def _geometric_stretch(m, span=50.0):

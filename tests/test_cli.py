@@ -85,6 +85,29 @@ class TestExitCodes:
         assert "warm_start" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("minimize", "max_iter", 50),
+            ("minimize", "precondition", False),
+            ("mpa", "stepp", 0.1),
+            ("problem", "qq", 3),
+            ("problem", "mu_fraction_of_limit", 0.5),  # next to mu
+            ("grid", "mm", 100),
+            (None, "sweeps", {}),
+        ],
+    )
+    def test_unknown_or_conflicting_key_rejected(self, tmp_path, capsys, block, key, value):
+        with open(hardy_config(tmp_path, minimize={}, mpa={})) as f:
+            cfg = json.load(f)
+        blocks = {None: cfg, "problem": cfg["problem"], "grid": cfg["problem"]["grid"],
+                  "minimize": cfg["minimize"], "mpa": cfg["mpa"]}
+        blocks[block][key] = value
+        path = write_config(tmp_path / "typo.json", cfg)
+        assert main(["minimize", "--config", path, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "minimize_result.json").exists()
+
     def test_sweep_not_bracketing_threshold(self, tmp_path):
         cfg_path = hardy_config(
             tmp_path, sweep={"lambda_min": 1.0, "lambda_max": 10.0, "count": 5}
@@ -148,6 +171,14 @@ class TestPipelines:
             rows = list(csv.reader(f))
         assert rows[0][:2] == ["lambda", "i_value"]
         assert len(rows) == 26
+
+    def test_sweep_seeded_by_level_one_solve(self, outputs):
+        # lambda_min = 1, so the first sweep point is the level-1 minimizer
+        with open(outputs / "sweep.csv") as f:
+            first = next(csv.DictReader(f))
+        summary = json.loads((outputs / "maxmin_summary.json").read_text())
+        assert first["iterations"] == "0"
+        assert float(first["i_value"]) == summary["i_1"]
 
     def test_mpa_summary_schema(self, outputs):
         payload = json.loads((outputs / "mpa_summary.json").read_text())

@@ -1,6 +1,8 @@
 """Energies, gradients, the Hardy gate and the first-eigenvalue estimate."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from maxminpass import (
     norm,
     problem_from_config,
     problem_to_config,
+    retract_to_level,
 )
-from maxminpass.functionals import Preconditioner, _mu_p_dense, edge_geometry
+from maxminpass.functionals import Preconditioner, _mu_p_gate, edge_geometry
 
 RNG = np.random.default_rng(20240817)
 
@@ -234,12 +237,18 @@ class TestPreconditioner:
 
 
 class TestMuP:
-    def test_matches_dense_oracle(self):
+    def test_matches_dense_oracle(self, mu_p_dense):
         grid = build_radial_grid(5, 1.0, 200, 1.0)
         spec = ProblemSpec(variant="critical-bounded", p=2.0, n=5, mu=3.0, grid=grid)
         est = estimate_mu_p(spec)
-        dense = _mu_p_dense(grid)
+        dense = mu_p_dense(grid)
         assert abs(est - dense) / dense <= 1e-6
+
+    @pytest.mark.parametrize("stretch", [1.0, 1.003])
+    def test_gate_matches_dense_oracle(self, mu_p_dense, stretch):
+        grid = build_radial_grid(5, 1.0, 200, stretch)
+        dense = mu_p_dense(grid)
+        assert abs(_mu_p_gate(grid) - dense) / dense <= 1e-12
 
     def test_refinement_study(self):
         # the scheme is second order: each halving of the spacing should
@@ -312,6 +321,17 @@ class TestConfigRoundtrip:
         }
         spec = problem_from_config(cfg)
         assert spec.mu == pytest.approx(0.5 * hardy_constant(2.0, 5))
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_copy_rebuilds_the_model(self, duplicate):
+        spec = hardy_spec(mu=1.125, m=50)
+        back = duplicate(spec)
+        assert back.model is not spec.model and back.model.spec.mu == spec.mu
+        u = gaussian(spec.grid, amp=2.0)
+        assert eval_F(back, u) == eval_F(spec, u)
+        assert eval_U(back, retract_to_level(back, u, 3.0)) == pytest.approx(3.0, rel=1e-10)
 
     def test_toy_roundtrip(self):
         from maxminpass import ToyProblem
