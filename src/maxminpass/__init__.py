@@ -31,7 +31,9 @@ from .functionals import (
     grad_U,
     hardy_constant,
     inner,
+    mask,
     norm,
+    precondition,
     problem_from_config,
     problem_to_config,
 )
@@ -56,7 +58,15 @@ from .levelcurve import (
     scaling_exponent,
     scaling_path,
 )
-from .mpa import DiscretePath, MpaOptions, crosses_all_levels, deform, estimate_c, init_path
+from .mpa import (
+    DiscretePath,
+    MpaOptions,
+    crosses_all_levels,
+    deform,
+    estimate_c,
+    find_endpoint,
+    init_path,
+)
 from .toy import ToyProblem, toy_c_bruteforce, toy_closed_form, toy_i_lambda
 from .verify import el_residual, multiplier_of, pick_solution_scale
 

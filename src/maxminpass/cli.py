@@ -24,15 +24,10 @@ import numpy as np
 
 from .constrained import MinimizeOptions, continuation_sweep, minimize_on_level
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .functionals import ProblemSpec, check_keys, eval_F, problem_from_config
+from .functionals import ProblemSpec, check_keys, problem_from_config
 from .grids import GridFunction, gridfunction_to_csv
-from .levelcurve import (
-    build_level_curve,
-    closed_form_lambda_bar,
-    scaling_exponent,
-    scaling_path,
-)
-from .mpa import MpaOptions, estimate_c
+from .levelcurve import build_level_curve, closed_form_lambda_bar
+from .mpa import MpaOptions, estimate_c, find_endpoint
 from .toy import ToyProblem, toy_c_bruteforce, toy_closed_form, toy_i_lambda
 from .verify import pick_solution_scale
 
@@ -225,23 +220,6 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
     return summary
 
 
-def _endpoint_for_mpa(spec: ProblemSpec, cfg: dict, opts: MinimizeOptions):
-    """Endpoint at twice the estimated first strictly-negative level."""
-    r1 = minimize_on_level(spec, 1.0, None, opts)
-    if not r1.converged:
-        raise ConvergenceError("level-1 minimization failed", best=r1)
-    alpha = scaling_exponent(spec)
-    lam_neg = r1.i_value ** (1.0 / (1.0 - alpha))
-    lam = 2.0 * lam_neg
-    endpoint = scaling_path(spec, r1.minimizer, lam)
-    for _ in range(10):
-        if eval_F(spec, endpoint) < 0:
-            break
-        lam *= 1.5
-        endpoint = scaling_path(spec, r1.minimizer, lam)
-    return r1, endpoint
-
-
 def _maybe_comparison(out: Path) -> None:
     """Compare the two routes when both summaries come from the same config;
     otherwise remove any comparison left over from an earlier pair."""
@@ -299,8 +277,10 @@ def cmd_maxmin(cfg: dict, out: Path) -> int:
 
 def cmd_mpa(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    opts = _minimize_options(cfg)
-    _r1, endpoint = _endpoint_for_mpa(spec, cfg, opts)
+    r1 = minimize_on_level(spec, 1.0, None, _minimize_options(cfg))
+    if not r1.converged:
+        raise ConvergenceError("level-1 minimization failed", best=r1)
+    endpoint = find_endpoint(spec, r1.minimizer)
     mpa_opts = _mpa_options(cfg)
     k = int(cfg.get("mpa", {}).get("k", 32))
     result = estimate_c(

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .functionals import ProblemSpec, eval_T, eval_U, grad_T, grad_U, inner, norm
+from .functionals import (
+    ProblemSpec, eval_T, eval_U, grad_T, grad_U, inner, mask, norm, precondition,
+)
 
 __all__ = [
     "MinimizeOptions",
@@ -73,8 +75,8 @@ def default_seed(spec: ProblemSpec, lam: float, width: float | None = None):
 def multiplier_and_residual(spec: ProblemSpec, u):
     """Least-squares multiplier theta and the relative projected residual
     ||grad T - theta grad U|| / (1 + ||grad T||) in the weighted norm."""
-    gT = spec.model.mask(grad_T(spec, u))
-    gU = spec.model.mask(grad_U(spec, u))
+    gT = mask(spec, grad_T(spec, u))
+    gU = mask(spec, grad_U(spec, u))
     gU2 = inner(spec, gU, gU)
     theta = inner(spec, gT, gU) / gU2 if gU2 > 0 else 0.0
     res_vec = gT - theta * gU
@@ -103,11 +105,11 @@ def minimize_on_level(
     prev_u = prev_d = None
     while not converged and iterations < opts.max_iters:
         iterations += 1
-        pT = spec.model.precondition(gT)
-        pU = spec.model.precondition(gU)
+        pT = precondition(spec, gT)
+        pU = precondition(spec, gU)
         denom = inner(spec, pU, gU)
         alpha = inner(spec, pT, gU) / denom if denom != 0 else 0.0
-        d = spec.model.mask(pT - alpha * pU)
+        d = mask(spec, pT - alpha * pU)
         # Barzilai-Borwein secant step, safeguarded by the monotone line
         # search below; plain unit steps give an impractically slow tail.
         if prev_u is not None:

@@ -13,12 +13,19 @@ Each problem variant is one class; ``ProblemSpec`` picks it from the
 * ``Toy`` (``toy``): X = R^d, T(u) = |u|^2, U(u) = |u|^q (closed-form
   oracle case).  Group action: radial rescaling.
 
-Methods: ``T``, ``U``, ``grad_T``, ``grad_U``, ``inner``; ``seed`` and
+Methods on plain arrays: ``T``, ``U``, ``F``, ``grad_T``, ``grad_U``,
+``inner``, ``mask`` (Dirichlet boundary) and ``precondition`` take values
+along the last axis, one image ``(m,)`` or a stack ``(k, m)`` (toy: ``(d,)``
+or ``(k, d)``), and return one value per image.  Their sums are
+``np.vecdot``, one BLAS dot per image, so a stacked call sums each row
+exactly as a single-image call does.  Methods on points
+(``GridFunction`` for the radial variants, arrays for the toy): ``seed`` and
 ``retract`` onto a level set; ``transport(u, ratio)`` from level lam to
-ratio * lam; ``mask`` (Dirichlet boundary); ``precondition``;
+ratio * lam; ``unwrap`` (grid check) and ``wrap``.  Also
 ``paper_lambda_bar``; ``to_config`` / ``from_config``.  Attributes:
 ``scaling_exponent``, ``grad_tol``, ``c_tol``, ``exact_transport``,
-``amplitude_exponents``.
+``amplitude_exponents``.  The module-level functions (``eval_T`` ... ``norm``)
+take points, unwrap them and call the array methods.
 
 Gradients are exact derivatives of the discrete energies (variational
 discretization), returned in the quadrature-weighted pairing: for any
@@ -55,6 +62,8 @@ __all__ = [
     "estimate_mu_p",
     "inner",
     "norm",
+    "mask",
+    "precondition",
     "Preconditioner",
     "problem_to_config",
     "problem_from_config",
@@ -117,10 +126,11 @@ class NonlinearitySpec:
 
     @property
     def xi0(self) -> float:
-        for s in np.logspace(-3, 6, 4000):
-            if self.G(s) > 0:
-                return float(s)
-        raise ValidationError("no positive level with G > 0 found")
+        s = np.logspace(-3, 6, 4000)
+        positive = self.G(s) > 0
+        if not positive.any():
+            raise ValidationError("no positive level with G > 0 found")
+        return float(s[np.argmax(positive)])
 
     def check_growth_conditions(self, p: float, pstar: float) -> None:
         """Admissibility of g for the subcritical problem: odd, strictly
@@ -213,12 +223,22 @@ class Variant:
 
     exact_transport = True
     amplitude_exponents: tuple = ()
+    grid: RadialGrid | None = None
+
+    def F(self, x):
+        return self.T(x) - self.U(x)
 
     def mask(self, g):
         return g
 
     def precondition(self, g):
         return g
+
+    def unwrap(self, u) -> np.ndarray:
+        return np.asarray(u, dtype=float)
+
+    def wrap(self, x):
+        return x
 
 
 class Toy(Variant):
@@ -235,25 +255,22 @@ class Toy(Variant):
         self.toy = spec.toy
         self.scaling_exponent = 2.0 / spec.toy.q
 
-    def T(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(np.dot(u, u))
+    def T(self, x):
+        return np.vecdot(x, x)
 
-    def U(self, u) -> float:
-        return float(np.linalg.norm(np.asarray(u, dtype=float)) ** self.toy.q)
+    def U(self, x):
+        return np.sqrt(np.vecdot(x, x)) ** self.toy.q
 
-    def grad_T(self, u):
-        return 2.0 * np.asarray(u, dtype=float)
+    def grad_T(self, x):
+        return 2.0 * x
 
-    def grad_U(self, u):
-        u = np.asarray(u, dtype=float)
-        r = np.linalg.norm(u)
-        if r == 0.0:
-            return np.zeros_like(u)
-        return self.toy.q * r ** (self.toy.q - 2.0) * u
+    def grad_U(self, x):
+        # q > 2, so the gradient vanishes at 0 without a special case.
+        r = np.sqrt(np.vecdot(x, x))
+        return self.toy.q * r[..., None] ** (self.toy.q - 2.0) * x
 
-    def inner(self, a, b) -> float:
-        return float(np.dot(np.asarray(a, float), np.asarray(b, float)))
+    def inner(self, a, b):
+        return np.vecdot(a, b)
 
     def retract(self, u, lam: float, tol: float):
         u = np.asarray(u, dtype=float)
@@ -303,31 +320,39 @@ class _Radial(Variant):
         self.spec = weakref.proxy(spec)
         self.grid, self.p, self.mu = spec.grid, spec.p, spec.mu
 
-    def T(self, u) -> float:
+    def unwrap(self, u) -> np.ndarray:
+        # Every dispatcher call passes here; the spec's own grid skips the
+        # call into the full comparison.
+        if u.grid is not self.grid:
+            _check_grid(self.grid, u)
+        return u.values
+
+    def wrap(self, x) -> GridFunction:
+        return GridFunction(self.grid, x)
+
+    def T(self, x):
         grid, p = self.grid, self.p
-        _check_grid(grid, u)
         dr, we = edge_geometry(grid)
-        du = np.diff(u.values) / dr
-        val = float(np.dot(we, np.abs(du) ** p))
+        du = np.diff(x, axis=-1) / dr
+        val = np.vecdot(np.abs(du) ** p, we)
         if self.mu:
-            val -= self.mu * float(np.dot(grid.weights, self.potential * np.abs(u.values) ** p))
+            val = val - self.mu * np.vecdot(self.potential * np.abs(x) ** p, grid.weights)
         return val / p
 
-    def grad_T(self, u):
+    def grad_T(self, x):
         grid, p = self.grid, self.p
-        _check_grid(grid, u)
         dr, we = edge_geometry(grid)
-        du = np.diff(u.values) / dr
+        du = np.diff(x, axis=-1) / dr
         s = we * _dphi(du, p) / dr
-        e = np.zeros(grid.m)
-        e[:-1] -= s
-        e[1:] += s
+        e = np.zeros(x.shape)
+        e[..., :-1] -= s
+        e[..., 1:] += s
         if self.mu:
-            e -= self.mu * grid.weights * self.potential * _dphi(u.values, p)
-        return GridFunction(grid, e / grid.weights)
+            e -= self.mu * grid.weights * self.potential * _dphi(x, p)
+        return e / grid.weights
 
-    def inner(self, a, b) -> float:
-        return float(np.dot(self.grid.weights, a.values * b.values))
+    def inner(self, a, b):
+        return np.vecdot(a * b, self.grid.weights)
 
     def precondition(self, g):
         return self._prec.apply(g)
@@ -374,13 +399,11 @@ class Hardy(_Radial):
         self.scaling_exponent = 1.0 - spec.p / spec.n
         self._prec = Preconditioner(spec.grid, False)
 
-    def U(self, u) -> float:
-        _check_grid(self.grid, u)
-        return float(np.dot(self.grid.weights, self.nl.G(u.values)))
+    def U(self, x):
+        return np.vecdot(self.nl.G(x), self.grid.weights)
 
-    def grad_U(self, u):
-        _check_grid(self.grid, u)
-        return GridFunction(self.grid, self.nl.g(u.values))
+    def grad_U(self, x):
+        return self.nl.g(x)
 
     def retract(self, u, lam: float, tol: float):
         # Scale the amplitude so that U(a u) = lam.  This is exact on the
@@ -486,18 +509,16 @@ class Critical(_Radial):
         )
         self._prec = Preconditioner(spec.grid, True)
 
-    def U(self, u) -> float:
-        _check_grid(self.grid, u)
-        return float(np.dot(self.grid.weights, np.abs(u.values) ** self.pstar) / self.pstar)
+    def U(self, x):
+        return np.vecdot(np.abs(x) ** self.pstar, self.grid.weights) / self.pstar
 
-    def grad_U(self, u):
-        _check_grid(self.grid, u)
-        return GridFunction(self.grid, np.abs(u.values) ** (self.pstar - 2.0) * u.values)
+    def grad_U(self, x):
+        return np.abs(x) ** (self.pstar - 2.0) * x
 
     def mask(self, g):
-        vals = g.values.copy()
-        vals[-1] = 0.0
-        return GridFunction(self.grid, vals)
+        g = g.copy()
+        g[..., -1] = 0.0
+        return g
 
     def retract(self, u, lam: float, tol: float):
         Uv = eval_U(self.spec, u)
@@ -531,12 +552,14 @@ VARIANTS = {cls.name: cls for cls in (Toy, Hardy, Critical)}
 
 def eval_T(spec: ProblemSpec, u) -> float:
     """Quadratic-like part of the energy (kinetic minus singular potential)."""
-    return spec.model.T(u)
+    model = spec.model
+    return float(model.T(model.unwrap(u)))
 
 
 def eval_U(spec: ProblemSpec, u) -> float:
     """Constraint functional: |u|^q (toy), int G(u) (hardy), Sobolev term (critical)."""
-    return spec.model.U(u)
+    model = spec.model
+    return float(model.U(model.unwrap(u)))
 
 
 def eval_F(spec: ProblemSpec, u) -> float:
@@ -544,20 +567,41 @@ def eval_F(spec: ProblemSpec, u) -> float:
 
 
 def grad_T(spec: ProblemSpec, u):
-    return spec.model.grad_T(u)
+    model = spec.model
+    return model.wrap(model.grad_T(model.unwrap(u)))
 
 
 def grad_U(spec: ProblemSpec, u):
-    return spec.model.grad_U(u)
+    model = spec.model
+    return model.wrap(model.grad_U(model.unwrap(u)))
 
 
 def inner(spec: ProblemSpec, a, b) -> float:
     """Quadrature-weighted inner product (Euclidean for the toy)."""
-    return spec.model.inner(a, b)
+    model = spec.model
+    return float(model.inner(model.unwrap(a), model.unwrap(b)))
 
 
 def norm(spec: ProblemSpec, a) -> float:
     return math.sqrt(max(inner(spec, a, a), 0.0))
+
+
+def _pointwise(method, spec: ProblemSpec, g):
+    # A method that hands its input back (the identity default) returns the
+    # point itself, without a new wrapper.
+    x = spec.model.unwrap(g)
+    y = method(x)
+    return g if y is x else spec.model.wrap(y)
+
+
+def mask(spec: ProblemSpec, g):
+    """Zero a gradient on the Dirichlet boundary (identity without one)."""
+    return _pointwise(spec.model.mask, spec, g)
+
+
+def precondition(spec: ProblemSpec, g):
+    """The variant's preconditioned direction for a weighted gradient."""
+    return _pointwise(spec.model.precondition, spec, g)
 
 
 # --- preconditioning -------------------------------------------------------
@@ -590,14 +634,19 @@ class Preconditioner:
         self._weights = grid.weights
         self._dirichlet = dirichlet
 
-    def apply(self, g: GridFunction) -> GridFunction:
-        """Map a weighted gradient to the preconditioned direction."""
-        rhs = self._weights * g.values
+    def apply(self, g):
+        """Map weighted gradients to the preconditioned directions.
+
+        ``g`` is a GridFunction, or an array with one gradient per row
+        (shape ``(m,)`` or ``(k, m)``), all solved in one banded solve with a
+        right-hand side of shape ``(m, k)``; the result is of the same kind.
+        """
+        point = isinstance(g, GridFunction)
+        rhs = self._weights * (g.values if point else g)
         if self._dirichlet:
-            rhs = rhs.copy()
-            rhs[-1] = 0.0
-        z = cho_solve_banded((self._factor, True), rhs)
-        return GridFunction(g.grid, z)
+            rhs[..., -1] = 0.0
+        z = cho_solve_banded((self._factor, True), rhs.T).T
+        return GridFunction(g.grid, z) if point else z
 
 
 # --- first eigenvalue / Rayleigh quotient ----------------------------------

@@ -4,6 +4,13 @@ A discrete path from 0 to a negative-energy endpoint is deformed by damped
 steepest descent of F on the interior images (elastic-string style), with
 arc-length re-parameterization each sweep.  The running max of F along the
 path is a monotone sequence of upper bounds on the pass level.
+
+The path is one stacked array, one image per row: ``(k+2, m)`` on a radial
+grid, ``(k+2, d)`` for the toy.  A sweep moves the whole string at once, as
+in the simplified string method (E, Ren & Vanden-Eijnden, J. Chem. Phys.
+126, 164103, 2007): one stacked gradient through the variant's array
+methods, one preconditioner solve with k right-hand sides, a vectorized
+arc-length interpolation and one stacked evaluation of F.
 """
 
 from __future__ import annotations
@@ -13,28 +20,50 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from .errors import ValidationError
-from .functionals import ProblemSpec, eval_F, eval_U, grad_T, grad_U, norm
+from .errors import GridMismatchError, ValidationError
+from .functionals import ProblemSpec, eval_F, eval_T, eval_U
+from .grids import GridFunction, RadialGrid
+from .levelcurve import scaling_exponent, scaling_path
 
 __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
-           "crosses_all_levels"]
+           "crosses_all_levels", "find_endpoint"]
 
 
-@dataclass
 class DiscretePath:
-    points: list
-    energies: np.ndarray
+    """Images of a discrete path, stacked as the rows of the read-only array
+    ``images``, with F at each image in ``energies``.
 
-    def __post_init__(self):
-        if len(self.points) < 3:
+    ``points`` is a list of the variant's points (GridFunctions on a radial
+    grid, arrays for the toy), or their stacked array together with the
+    ``grid`` the rows live on (None for the toy).
+    """
+
+    def __init__(self, points, energies, grid: RadialGrid | None = None):
+        if len(points) < 3:
             raise ValidationError("path needs at least one interior point")
-        first = self.points[0]
-        first_vals = first if isinstance(first, np.ndarray) else first.values
-        if np.any(first_vals != 0.0):
+        if not isinstance(points, np.ndarray):
+            grid = getattr(points[0], "grid", grid)
+            points = [getattr(u, "values", u) for u in points]
+        images = np.array(points, dtype=float)
+        if not np.all(np.isfinite(images)):
+            raise ValidationError("path values must be finite")
+        if np.any(images[0] != 0.0):
             raise ValidationError("path must start at the zero function")
-        if not self.energies[-1] < 0:
+        energies = np.asarray(energies, dtype=float)
+        if not energies[-1] < 0:
             raise ValidationError("path endpoint must have strictly negative energy")
+        images.flags.writeable = False
+        self.images, self.energies, self.grid = images, energies, grid
+
+    def point(self, i: int):
+        row = self.images[i]
+        return row if self.grid is None else GridFunction(self.grid, row)
+
+    @property
+    def points(self) -> list:
+        return [self.point(i) for i in range(len(self.images))]
 
     @property
     def max_energy(self) -> float:
@@ -56,43 +85,54 @@ class MpaOptions:
         return self.c_tol if self.c_tol is not None else spec.model.c_tol
 
 
+def find_endpoint(spec: ProblemSpec, v):
+    """An endpoint with F < 0 on the scaling path of the level-1 minimizer v.
+
+    Starts at twice the first negative level of the scaling law,
+    i(1)^(1/(1-alpha)), and grows the level by 1.5 up to 10 times; raises
+    ValidationError if F is still >= 0 there.
+    """
+    lam = 2.0 * eval_T(spec, v) ** (1.0 / (1.0 - scaling_exponent(spec)))
+    for _ in range(11):
+        endpoint = scaling_path(spec, v, lam)
+        if eval_F(spec, endpoint) < 0:
+            return endpoint
+        lam *= 1.5
+    raise ValidationError(
+        f"no admissible endpoint: F >= 0 on the scaling path up to level {lam / 1.5:.6g}"
+    )
+
+
 def init_path(spec: ProblemSpec, endpoint, k: int = 32) -> DiscretePath:
     """Straight segment from 0 to the endpoint with k interior images."""
     if k < 1:
         raise ValidationError("need at least one interior image")
     if not eval_F(spec, endpoint) < 0:
         raise ValidationError("endpoint is not admissible: F(endpoint) must be < 0")
-    ts = np.linspace(0.0, 1.0, k + 2)
-    points = [t * endpoint for t in ts]
-    energies = np.asarray([eval_F(spec, u) for u in points])
-    return DiscretePath(points=points, energies=energies)
+    model = spec.model
+    images = np.linspace(0.0, 1.0, k + 2)[:, None] * model.unwrap(endpoint)
+    return DiscretePath(images, model.F(images), model.grid)
 
 
-def _grad_F(spec: ProblemSpec, u):
-    """Preconditioned gradient of F, zero on a Dirichlet boundary."""
-    return spec.model.mask(spec.model.precondition(grad_T(spec, u) - grad_U(spec, u)))
+def _arc_length(spec: ProblemSpec, images: np.ndarray) -> np.ndarray:
+    """Cumulative weighted length along the polygonal path, from 0."""
+    d = np.diff(images, axis=0)
+    seg = np.sqrt(np.maximum(spec.model.inner(d, d), 0.0))
+    return np.concatenate(([0.0], np.cumsum(seg)))
 
 
-def _reparameterize(spec: ProblemSpec, points):
+def _reparameterize(spec: ProblemSpec, images: np.ndarray) -> np.ndarray:
     """Resample the polygonal path at uniform arc length (weighted norm)."""
-    k = len(points)
-    seg = np.array(
-        [norm(spec, points[i + 1] - points[i]) for i in range(k - 1)]
-    )
-    s = np.concatenate(([0.0], np.cumsum(seg)))
-    total = s[-1]
-    if total == 0.0:
-        return list(points)
-    targets = np.linspace(0.0, total, k)
-    out = [points[0]]
-    j = 0
-    for t in targets[1:-1]:
-        while j < k - 2 and s[j + 1] < t:
-            j += 1
-        h = s[j + 1] - s[j]
-        w = (t - s[j]) / h if h > 0 else 0.0
-        out.append((1.0 - w) * points[j] + w * points[j + 1])
-    out.append(points[-1])
+    s = _arc_length(spec, images)
+    n = len(images)
+    if s[-1] == 0.0:
+        return images
+    t = np.linspace(0.0, s[-1], n)[1:-1]
+    j = np.clip(np.searchsorted(s, t) - 1, 0, n - 2)
+    h = s[j + 1] - s[j]
+    w = np.divide(t - s[j], h, out=np.zeros_like(t), where=h > 0)
+    out = images.copy()
+    out[1:-1] = (1.0 - w)[:, None] * images[j] + w[:, None] * images[j + 1]
     return out
 
 
@@ -102,31 +142,32 @@ def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
     Endpoints are fixed, so membership in the admissible path class is
     preserved by construction.
     """
-    points = list(path.points)
+    model = spec.model
+    if model.grid is not None and (path.grid is None or not path.grid.same_as(model.grid)):
+        raise GridMismatchError("path does not live on the spec's grid")
+    x = path.images
     # Cap each displacement at half the mean image spacing: F is unbounded
     # below past the barrier, and uncapped descent lets images run away.
-    total = sum(
-        norm(spec, points[i + 1] - points[i]) for i in range(len(points) - 1)
-    )
-    cap = 0.5 * total / (len(points) - 1)
-    for i in range(1, len(points) - 1):
-        g = _grad_F(spec, points[i])
-        gn = norm(spec, g)
-        scale = step if step * gn <= cap or gn == 0.0 else cap / gn
-        points[i] = points[i] - scale * g
-    points = _reparameterize(spec, points)
-    energies = np.asarray([eval_F(spec, u) for u in points])
-    energies[0] = path.energies[0]
-    energies[-1] = path.energies[-1]
-    return DiscretePath(points=points, energies=energies)
+    cap = 0.5 * _arc_length(spec, x)[-1] / (len(x) - 1)
+    mid = x[1:-1]
+    g = model.mask(model.precondition(model.grad_T(mid) - model.grad_U(mid)))
+    gn = np.sqrt(np.maximum(model.inner(g, g), 0.0))
+    capped = ~(step * gn <= cap) & (gn != 0.0)
+    scale = np.divide(cap, gn, out=np.full_like(gn, step), where=capped)
+    moved = x.copy()
+    moved[1:-1] -= scale[:, None] * g
+    images = _reparameterize(spec, moved)
+    energies = np.empty(len(images))
+    energies[[0, -1]] = path.energies[[0, -1]]
+    energies[1:-1] = model.F(images[1:-1])
+    return DiscretePath(images, energies, path.grid)
 
 
-def _segment_sup(spec: ProblemSpec, a, b) -> float:
-    """Supremum of F along the straight segment from a to b."""
-    from scipy.optimize import minimize_scalar
-
+def _segment_sup(spec: ProblemSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Supremum of F along the straight segment between the rows a and b."""
+    F = spec.model.F
     r = minimize_scalar(
-        lambda t: -eval_F(spec, (1.0 - t) * a + t * b),
+        lambda t: -F((1.0 - t) * a + t * b),
         bounds=(0.0, 1.0),
         method="bounded",
         options={"xatol": 1e-12},
@@ -139,12 +180,13 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec) -> float:
     1-D maximization on the segments adjacent to the argmax.  The polygonal
     path is itself admissible, so this is a true upper bound on the pass
     level."""
+    x = path.images
     j = path.argmax_index
     sup = path.max_energy
     if j > 0:
-        sup = max(sup, _segment_sup(spec, path.points[j - 1], path.points[j]))
-    if j < len(path.points) - 1:
-        sup = max(sup, _segment_sup(spec, path.points[j], path.points[j + 1]))
+        sup = max(sup, _segment_sup(spec, x[j - 1], x[j]))
+    if j < len(x) - 1:
+        sup = max(sup, _segment_sup(spec, x[j], x[j + 1]))
     return sup
 
 
@@ -206,7 +248,7 @@ def estimate_c(
             w.writerows(trace)
     return MpaResult(
         c_mpa=c_cur,
-        argmax_point=path.points[path.argmax_index],
+        argmax_point=path.point(path.argmax_index),
         sweeps=sweeps,
         converged=converged,
         stagnant=stagnant,

@@ -7,7 +7,7 @@ import math
 
 from .errors import ValidationError
 from .constrained import MinimizeOptions, minimize_on_level, multiplier_and_residual
-from .functionals import ProblemSpec, eval_T, grad_T, grad_U, inner, norm
+from .functionals import ProblemSpec, eval_T, grad_T, grad_U, inner, mask, norm
 from .levelcurve import closed_form_lambda_bar, scaling_path
 
 __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
@@ -18,7 +18,7 @@ def el_residual(spec: ProblemSpec, u) -> float:
     F'(u) = 0 in the quadrature-weighted pairing."""
     gT = grad_T(spec, u)
     gU = grad_U(spec, u)
-    return norm(spec, spec.model.mask(gT - gU)) / (1.0 + norm(spec, gT))
+    return norm(spec, mask(spec, gT - gU)) / (1.0 + norm(spec, gT))
 
 
 def multiplier_of(spec: ProblemSpec, u) -> float:

@@ -18,7 +18,13 @@ from maxminpass import (
     build_radial_grid,
     continuation_sweep,
     estimate_c,
+    eval_F,
+    grad_T,
+    grad_U,
+    mask,
     minimize_on_level,
+    norm,
+    precondition,
     scaling_exponent,
     scaling_path,
 )
@@ -49,6 +55,46 @@ def _dense_mu_p(grid):
 @pytest.fixture(scope="session")
 def mu_p_dense():
     return _dense_mu_p
+
+
+def _per_image_deform(path, spec, step):
+    """One deformation sweep image by image, through the point-level
+    dispatchers: each interior image takes its own capped descent step, then
+    the polygon is resampled at uniform arc length one target at a time.
+    The reference the stacked ``deform`` is checked against; returns the
+    new points and their energies."""
+    points = list(path.points)
+    k = len(points)
+    total = sum(norm(spec, points[i + 1] - points[i]) for i in range(k - 1))
+    cap = 0.5 * total / (k - 1)
+    for i in range(1, k - 1):
+        g = mask(spec, precondition(spec, grad_T(spec, points[i]) - grad_U(spec, points[i])))
+        gn = norm(spec, g)
+        scale = step if step * gn <= cap or gn == 0.0 else cap / gn
+        points[i] = points[i] - scale * g
+
+    seg = np.array([norm(spec, points[i + 1] - points[i]) for i in range(k - 1)])
+    s = np.concatenate(([0.0], np.cumsum(seg)))
+    if s[-1] > 0.0:
+        out = [points[0]]
+        j = 0
+        for t in np.linspace(0.0, s[-1], k)[1:-1]:
+            while j < k - 2 and s[j + 1] < t:
+                j += 1
+            h = s[j + 1] - s[j]
+            w = (t - s[j]) / h if h > 0 else 0.0
+            out.append((1.0 - w) * points[j] + w * points[j + 1])
+        out.append(points[-1])
+        points = out
+    energies = np.asarray([eval_F(spec, u) for u in points])
+    energies[0] = path.energies[0]
+    energies[-1] = path.energies[-1]
+    return points, energies
+
+
+@pytest.fixture(scope="session")
+def deform_oracle():
+    return _per_image_deform
 
 
 def _geometric_stretch(m, span=50.0):

@@ -70,6 +70,16 @@ class TestNonlinearity:
         assert nl.G(2.0) == pytest.approx(-2.0 + 8.0 / 3.0)
         assert nl.G(nl.xi0) > 0
 
+    @pytest.mark.parametrize("m,q", [(1.0, 8.0 / 3.0), (1.0, 3.0), (2.5, 2.5), (0.1, 4.0), (7.0, 2.2)])
+    def test_xi0_matches_the_scan_loop(self, m, q):
+        nl = NonlinearitySpec(m, q)
+        scan = next(float(s) for s in np.logspace(-3, 6, 4000) if nl.G(s) > 0)
+        assert nl.xi0 == scan
+
+    def test_xi0_without_a_positive_level(self):
+        with pytest.raises(ValidationError):
+            NonlinearitySpec(1e20, 2.5).xi0
+
     def test_oddness(self):
         nl = NonlinearitySpec(2.0, 2.7)
         s = np.linspace(-5, 5, 101)

@@ -1,0 +1,183 @@
+"""The stacked path deformation against its per-image reference, the array
+methods of the variants against the point-level dispatchers, and the library
+endpoint search."""
+
+import numpy as np
+import pytest
+
+import maxminpass
+from maxminpass import (
+    DiscretePath,
+    GridFunction,
+    GridMismatchError,
+    MpaOptions,
+    NonlinearitySpec,
+    ProblemSpec,
+    ToyProblem,
+    ValidationError,
+    build_radial_grid,
+    deform,
+    estimate_c,
+    eval_F,
+    find_endpoint,
+    grad_T,
+    grad_U,
+    hardy_constant,
+    init_path,
+    inner,
+    mask,
+    minimize_on_level,
+    precondition,
+    scaling_exponent,
+    scaling_path,
+)
+
+REL = 1e-13
+
+
+def toy_path(k=16):
+    spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
+    path = init_path(spec, np.array([2.0, 0.0]), k=k)
+    # bend the straight path sideways so that the sweep moves every image
+    ts = np.linspace(0.0, 1.0, k + 2)
+    points = [u + np.array([0.0, 0.4 * np.sin(np.pi * t)]) for u, t in zip(path.points, ts)]
+    return spec, DiscretePath(points=points, energies=[eval_F(spec, u) for u in points])
+
+
+def radial_path(spec, k=12):
+    endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+    return spec, init_path(spec, endpoint, k=k)
+
+
+@pytest.fixture(scope="module", params=["toy", "hardy", "critical"])
+def spec_and_path(request, hardy_small, critical_small):
+    if request.param == "toy":
+        return toy_path()
+    return radial_path(hardy_small if request.param == "hardy" else critical_small)
+
+
+def values(u):
+    return u.values if isinstance(u, GridFunction) else np.asarray(u)
+
+
+def assert_rel_close(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= REL * scale
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("step", [0.2, 0.002])
+    def test_matches_per_image_reference(self, spec_and_path, deform_oracle, step):
+        spec, path = spec_and_path
+        for _ in range(2):
+            new = deform(path, spec, step)
+            points, energies = deform_oracle(path, spec, step)
+            assert_rel_close(new.images, [values(u) for u in points])
+            assert_rel_close(new.energies, energies)
+            path = DiscretePath(points=points, energies=energies)
+
+    def test_points_keep_their_kind(self, spec_and_path):
+        spec, path = spec_and_path
+        new = deform(path, spec, 0.2)
+        kind = np.ndarray if spec.variant == "toy" else GridFunction
+        assert all(isinstance(u, kind) for u in new.points)
+        assert len(new.points) == new.images.shape[0]
+        assert not new.images.flags.writeable
+
+
+class TestArrayMethods:
+    def test_stacked_calls_equal_row_by_row(self, spec_and_path):
+        spec, path = spec_and_path
+        model = spec.model
+        path = deform(path, spec, 0.2)
+        x, points = path.images, path.points
+        assert_rel_close(model.F(x), [eval_F(spec, u) for u in points])
+        for method, dispatcher in (
+            (model.grad_T, grad_T),
+            (model.grad_U, grad_U),
+            (model.precondition, precondition),
+            (model.mask, mask),
+        ):
+            rows = [values(dispatcher(spec, u)) for u in points]
+            for got, want in zip(method(x), rows):
+                assert_rel_close(got, want)
+        d = np.diff(x, axis=0)
+        diffs = [b - a for a, b in zip(points, points[1:])]
+        assert_rel_close(model.inner(d, d), [inner(spec, v, v) for v in diffs])
+
+
+class TestPathChecks:
+    def test_deform_is_called_through_the_module(self, monkeypatch):
+        # estimate_c must look deform up on the module at each sweep, so that
+        # a wrapper installed there sees every sweep.
+        calls = []
+        orig = maxminpass.mpa.deform
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(maxminpass.mpa, "deform", counting)
+        spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
+        result = estimate_c(spec, np.array([2.0, 0.0]), MpaOptions(step=0.05), k=16)
+        assert result.sweeps > 0
+        assert len(calls) == result.sweeps
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, critical_small, bad):
+        spec, path = toy_path()
+        points = list(path.points)
+        points[3] = np.array([bad, 0.0])
+        with pytest.raises(ValidationError):
+            DiscretePath(points=points, energies=path.energies)
+        spec, path = radial_path(critical_small, k=4)
+        images = path.images.copy()
+        images[2, 5] = bad
+        with pytest.raises(ValidationError):
+            DiscretePath(images, path.energies, critical_small.grid)
+
+    def test_path_on_another_grid_rejected(self, hardy_small, critical_small):
+        _, path = radial_path(critical_small, k=4)
+        with pytest.raises(GridMismatchError):
+            deform(path, hardy_small, 0.2)
+        _, path = toy_path()
+        with pytest.raises(GridMismatchError):
+            deform(path, critical_small, 0.2)
+
+    def test_start_and_endpoint_still_checked(self):
+        spec, path = toy_path()
+        points = list(path.points)
+        with pytest.raises(ValidationError):
+            DiscretePath(points=points[1:], energies=path.energies[1:])
+        energies = path.energies.copy()
+        energies[-1] = 0.0
+        with pytest.raises(ValidationError):
+            DiscretePath(points=points, energies=energies)
+
+
+class TestFindEndpoint:
+    def test_grows_the_level_near_the_hardy_constant(self):
+        # At mu = 0.99 H the first candidate, twice the scaling law's first
+        # negative level, still has F > 0; five growth steps reach F < 0.
+        grid = build_radial_grid(5, 30.0, 200, 50.0 ** (1.0 / 200))
+        spec = ProblemSpec(
+            variant="hardy-subcritical", p=2.0, n=5, mu=0.99 * hardy_constant(2.0, 5),
+            nonlinearity=NonlinearitySpec(1.0, 8.0 / 3.0), grid=grid,
+        )
+        r1 = minimize_on_level(spec, 1.0)
+        lam = 2.0 * r1.i_value ** (1.0 / (1.0 - scaling_exponent(spec)))
+        assert eval_F(spec, scaling_path(spec, r1.minimizer, lam)) > 0
+        endpoint = find_endpoint(spec, r1.minimizer)
+        assert eval_F(spec, endpoint) < 0
+        for _ in range(5):
+            lam *= 1.5
+        expected = scaling_path(spec, r1.minimizer, lam)
+        assert np.array_equal(endpoint.values, expected.values)
+        assert init_path(spec, endpoint, k=4).energies[-1] < 0
+
+    def test_raises_when_no_level_is_admissible(self):
+        # a tiny point has a tiny T, so the search stays where F > 0
+        spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
+        with pytest.raises(ValidationError):
+            find_endpoint(spec, np.array([1e-6, 0.0]))
