@@ -1,0 +1,4 @@
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

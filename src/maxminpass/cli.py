@@ -94,12 +94,21 @@ TOY_SUMMARY_SCHEMA = {
 }
 VERIFY_REPORT_SCHEMA = {
     "type": "object",
-    "required": ["theta", "residual", "lambda_unit_multiplier", "candidates"],
+    "required": [
+        "theta",
+        "residual",
+        "lambda_unit_multiplier",
+        "candidates",
+        "solves",
+        "unconverged",
+    ],
     "properties": {
         "theta": {"type": "number"},
         "residual": {"type": "number"},
         "lambda_unit_multiplier": {"type": "number"},
         "candidates": {"type": "array"},
+        "solves": {"type": "integer", "minimum": 0},
+        "unconverged": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -311,9 +320,11 @@ def cmd_verify(cfg: dict, out: Path) -> int:
         "residual": report["residual"],
         "lambda_unit_multiplier": report["lambda_at_unit_multiplier"],
         "candidates": report["candidates_compared"],
+        "solves": report["solves"],
+        "unconverged": report["unconverged"],
     }
     _write_json(out / "verify_report.json", payload)
-    return EXIT_OK
+    return EXIT_OK if report["unconverged"] == 0 else EXIT_CONVERGENCE
 
 
 def cmd_toy(q: float, d: int, out: Path) -> int:

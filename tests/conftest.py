@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive PDE pipelines are built once per session
 and reused by the module tests and the acceptance suite."""
 
+import math
 import time
 
 import numpy as np
@@ -16,13 +17,17 @@ from maxminpass import (
     apply_scaling,
     build_level_curve,
     build_radial_grid,
+    closed_form_lambda_bar,
     continuation_sweep,
+    el_residual,
     estimate_c,
     eval_F,
+    eval_T,
     grad_T,
     grad_U,
     mask,
     minimize_on_level,
+    multiplier_of,
     norm,
     precondition,
     scaling_exponent,
@@ -95,6 +100,75 @@ def _per_image_deform(path, spec, step):
 @pytest.fixture(scope="session")
 def deform_oracle():
     return _per_image_deform
+
+
+def _bisect_solution_scale(spec, v, opts=None, bisect_tol=1e-10):
+    """The unit-multiplier search by log-bisection, re-minimizing at every
+    level it visits (Hardy), plus the candidate table: the reference the
+    Brent search of ``pick_solution_scale`` is checked against.  Returns
+    the same keys, without the solve counts."""
+    opts = opts or MinimizeOptions()
+
+    def theta_at_level(lam):
+        u = scaling_path(spec, v, lam)
+        if not spec.model.exact_transport:
+            u = minimize_on_level(spec, lam, u, opts).minimizer
+        return multiplier_of(spec, u), u
+
+    forms = closed_form_lambda_bar(spec, eval_T(spec, v))
+    guess = forms["derived_argmax"]
+    lo, hi = guess / 16.0, guess * 16.0
+    th_lo, _ = theta_at_level(lo)
+    th_hi, _ = theta_at_level(hi)
+    for _ in range(8):
+        if th_lo > 1.0 > th_hi:
+            break
+        if th_lo <= 1.0:
+            lo /= 16.0
+            th_lo, _ = theta_at_level(lo)
+        if th_hi >= 1.0:
+            hi *= 16.0
+            th_hi, _ = theta_at_level(hi)
+    assert th_lo > 1.0 > th_hi, "oracle could not bracket theta = 1"
+
+    a, b = math.log(lo), math.log(hi)
+    while b - a > bisect_tol:
+        mid = 0.5 * (a + b)
+        th, _ = theta_at_level(math.exp(mid))
+        if th > 1.0:
+            a = mid
+        else:
+            b = mid
+    lam_unit = math.exp(0.5 * (a + b))
+    theta_unit, u_unit = theta_at_level(lam_unit)
+
+    lam = forms["derived_argmax"]
+    points = [
+        (label, lam, multiplier_of(spec, lam**expo * v), lam**expo * v)
+        for label, expo in spec.model.amplitude_exponents
+    ]
+    for label, level in (
+        ("paper_formula", forms["paper_formula"]),
+        ("derived_argmax", forms["derived_argmax"]),
+        ("unit_multiplier", lam_unit),
+    ):
+        points.append((label, level, *theta_at_level(level)))
+    return {
+        "lambda_at_unit_multiplier": lam_unit,
+        "theta": float(theta_unit),
+        "residual": float(el_residual(spec, u_unit)),
+        "minimizer_at_unit_multiplier": u_unit,
+        "candidates_compared": [
+            {"label": label, "lam": float(level), "theta": float(theta),
+             "residual": float(el_residual(spec, u))}
+            for label, level, theta, u in points
+        ],
+    }
+
+
+@pytest.fixture(scope="session")
+def bisect_oracle():
+    return _bisect_solution_scale
 
 
 def _geometric_stretch(m, span=50.0):

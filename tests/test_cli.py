@@ -2,11 +2,17 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import maxminpass.verify
+from maxminpass import MinimizeOptions
 from maxminpass.cli import (
     COMPARISON_SCHEMA,
     EXIT_CONVERGENCE,
@@ -199,6 +205,12 @@ class TestPipelines:
         jsonschema.validate(payload, VERIFY_REPORT_SCHEMA)
         assert payload["theta"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_verify_counts_solves(self, outputs):
+        payload = json.loads((outputs / "verify_report.json").read_text())
+        assert payload["unconverged"] == 0
+        # the Hardy dilation is inexact, so verify re-minimizes a few levels
+        assert 0 < payload["solves"] <= 12
+
     def test_toy_summary_schema(self, outputs):
         payload = json.loads((outputs / "toy_summary.json").read_text())
         jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)
@@ -261,3 +273,34 @@ class TestUnconvergedRuns:
         mpa = json.loads((tmp_path / "mpa_summary.json").read_text())
         assert maxmin["config_sha256"] != mpa["config_sha256"]
         assert not stale.exists()
+
+    def test_verify_exits_nonzero_and_counts(self, tmp_path, monkeypatch):
+        # the level-1 solve keeps the config's budget; verify's re-solves get
+        # one iteration each
+        inner = maxminpass.verify.minimize_on_level
+        monkeypatch.setattr(
+            maxminpass.verify,
+            "minimize_on_level",
+            lambda spec, lam, u0, opts: inner(spec, lam, u0, MinimizeOptions(max_iters=1)),
+        )
+        cfg = hardy_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        payload = json.loads((tmp_path / "verify_report.json").read_text())
+        jsonschema.validate(payload, VERIFY_REPORT_SCHEMA)
+        assert 0 < payload["unconverged"] <= payload["solves"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxminpass", "toy", "--q", "4", "--d", "2", "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads((tmp_path / "toy_summary.json").read_text())
+    jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)

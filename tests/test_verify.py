@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import maxminpass.verify
 from maxminpass import (
     GridFunction,
+    MinimizeOptions,
     ProblemSpec,
     ToyProblem,
     ValidationError,
@@ -98,3 +100,102 @@ class TestPickSolutionScale:
         r = minimize_on_level(critical_small, 1.0)
         report = pick_solution_scale(critical_small, r.minimizer)
         assert report["residual"] <= 10.0 * 1e-6
+
+
+@pytest.fixture(scope="module", params=["toy", "hardy", "critical"])
+def searched(request, bisect_oracle):
+    """One problem per variant: its level-1 minimizer, the report of
+    ``pick_solution_scale`` with every re-minimization it made, and the
+    log-bisection oracle's report."""
+    spec = {
+        "toy": toy_spec,
+        "hardy": lambda: request.getfixturevalue("hardy_small"),
+        "critical": lambda: request.getfixturevalue("critical_small"),
+    }[request.param]()
+    v = minimize_on_level(spec, 1.0).minimizer
+    calls = []
+    inner = maxminpass.verify.minimize_on_level
+
+    def counting(spec, lam, *args):
+        calls.append(lam)
+        return inner(spec, lam, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maxminpass.verify, "minimize_on_level", counting)
+        report = pick_solution_scale(spec, v)
+    return request.param, report, calls, bisect_oracle(spec, v)
+
+
+class TestBrentAgainstBisection:
+    def test_unit_level_matches_oracle(self, searched):
+        _name, report, _calls, oracle = searched
+        assert report["lambda_at_unit_multiplier"] == pytest.approx(
+            oracle["lambda_at_unit_multiplier"], rel=1e-9
+        )
+        assert abs(report["theta"] - 1.0) <= 1e-9
+
+    def test_residual_matches_oracle(self, searched):
+        _name, report, _calls, oracle = searched
+        # abs: where the minimizer solves the equation exactly (the toy) the
+        # residual is only the root's error, of the order of bisect_tol
+        assert report["residual"] == pytest.approx(oracle["residual"], rel=1e-3, abs=1e-10)
+
+    def test_other_candidates_bit_identical(self, searched):
+        _name, report, _calls, oracle = searched
+        rows = report["candidates_compared"]
+        assert [r["label"] for r in rows] == [r["label"] for r in oracle["candidates_compared"]]
+        assert rows[-1]["label"] == "unit_multiplier"
+        assert rows[:-1] == oracle["candidates_compared"][:-1]
+
+    def test_unit_row_reuses_the_root_solve(self, searched):
+        _name, report, _calls, _oracle = searched
+        row = report["candidates_compared"][-1]
+        assert row["lam"] == report["lambda_at_unit_multiplier"]
+        assert row["theta"] == report["theta"]
+        assert row["residual"] == report["residual"]
+
+    def test_each_level_solved_once(self, searched):
+        name, report, calls, _oracle = searched
+        assert len(set(calls)) == len(calls)
+        assert report["solves"] == len(calls)
+        assert report["unconverged"] == 0
+        if name == "hardy":
+            assert 0 < len(calls) <= 12
+        else:  # exact transport: nothing is re-minimized
+            assert calls == []
+
+
+def test_unconverged_re_minimizations_counted(hardy_small):
+    v = minimize_on_level(hardy_small, 1.0).minimizer
+    report = pick_solution_scale(hardy_small, v, MinimizeOptions(max_iters=1))
+    assert 0 < report["unconverged"] <= report["solves"]
+
+
+class TestBracket:
+    @pytest.mark.parametrize("factor", [1e-4, 1e4])
+    def test_grows_from_a_far_guess(self, monkeypatch, factor):
+        spec = toy_spec()
+        v = minimize_on_level(spec, 1.0).minimizer
+        forms = maxminpass.verify.closed_form_lambda_bar
+
+        def far_guess(spec, i_1):
+            out = dict(forms(spec, i_1))
+            out["derived_argmax"] *= factor
+            return out
+
+        monkeypatch.setattr(maxminpass.verify, "closed_form_lambda_bar", far_guess)
+        report = pick_solution_scale(spec, v)
+        assert report["lambda_at_unit_multiplier"] == pytest.approx(0.25, rel=1e-9)
+        assert abs(report["theta"] - 1.0) <= 1e-9
+
+    def test_nonpositive_multiplier_rejected(self, monkeypatch):
+        # theta crosses 1 but turns negative at the upper end, where log
+        # theta is undefined; growing the bracket cannot mend that
+        spec = toy_spec()
+        v = minimize_on_level(spec, 1.0).minimizer
+        real = maxminpass.verify.multiplier_of
+        monkeypatch.setattr(
+            maxminpass.verify, "multiplier_of", lambda spec, u: 2.0 * real(spec, u) - 1.5
+        )
+        with pytest.raises(ValidationError, match="bracket"):
+            pick_solution_scale(spec, v)
