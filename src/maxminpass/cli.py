@@ -25,7 +25,7 @@ import numpy as np
 from .constrained import MinimizeOptions, continuation_sweep, minimize_on_level
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .functionals import ProblemSpec, check_keys, problem_from_config
-from .grids import GridFunction, gridfunction_to_csv
+from .grids import GridFunction, gridfunction_from_csv, gridfunction_to_csv
 from .levelcurve import build_level_curve, closed_form_lambda_bar
 from .mpa import MpaOptions, estimate_c, find_endpoint
 from .toy import ToyProblem, toy_c_bruteforce, toy_closed_form, toy_i_lambda
@@ -36,18 +36,14 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
+LEVEL1_CSV = "level1_minimizer.csv"  # maxmin's level-1 minimizer, seeding mpa and verify
+
 # JSON schemas for the emitted summaries (checked in the test suite).
 MAXMIN_SUMMARY_SCHEMA = {
     "type": "object",
     "required": [
-        "lambda_star",
-        "lambda_star_star",
-        "lambda_bar",
-        "c_maxmin",
-        "paper_lambda_bar",
-        "derived_lambda_bar",
-        "unconverged",
-        "config_sha256",
+        "lambda_star", "lambda_star_star", "lambda_bar", "c_maxmin",
+        "paper_lambda_bar", "derived_lambda_bar", "unconverged", "config_sha256",
     ],
     "properties": {
         "lambda_star": {"type": "number"},
@@ -95,12 +91,7 @@ TOY_SUMMARY_SCHEMA = {
 VERIFY_REPORT_SCHEMA = {
     "type": "object",
     "required": [
-        "theta",
-        "residual",
-        "lambda_unit_multiplier",
-        "candidates",
-        "solves",
-        "unconverged",
+        "theta", "residual", "lambda_unit_multiplier", "candidates", "solves", "unconverged",
     ],
     "properties": {
         "theta": {"type": "number"},
@@ -195,8 +186,23 @@ def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions, solves: li
     return i_fn
 
 
+def _level1_minimum(spec: ProblemSpec, cfg: dict, out: Path, opts: MinimizeOptions):
+    """Solve lambda = 1, seeded by the minimizer that ``maxmin`` saved in
+    ``out`` when the summary next to it has this config's hash; from the
+    cold seed otherwise, or when the saved files do not load."""
+    seed = None
+    try:
+        summary = json.loads((out / "maxmin_summary.json").read_text())
+        if spec.grid is not None and summary["config_sha256"] == _config_sha256(cfg):
+            seed = gridfunction_from_csv(spec.grid, out / LEVEL1_CSV)
+    except (OSError, ValueError, LookupError, TypeError):
+        pass
+    return minimize_on_level(spec, 1.0, seed, opts)
+
+
 def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
     lambdas, opts = _sweep_lambdas(cfg), _minimize_options(cfg)
+    (out / LEVEL1_CSV).unlink(missing_ok=True)  # rewritten after the summary vouching for it
     # The level-1 minimizer seeds the sweep: at lambda_min = 1 the first
     # point is then already solved.
     r1 = minimize_on_level(spec, 1.0, None, opts)
@@ -226,6 +232,8 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
         "config_sha256": _config_sha256(cfg),
     }
     _write_json(out / "maxmin_summary.json", summary)
+    if r1.converged and isinstance(r1.minimizer, GridFunction):
+        gridfunction_to_csv(r1.minimizer, out / LEVEL1_CSV)
     return summary
 
 
@@ -240,14 +248,8 @@ def _maybe_comparison(out: Path) -> None:
         sha = maxmin.get("config_sha256")
         if sha is not None and sha == mpa.get("config_sha256"):
             c_maxmin, c_mpa = maxmin["c_maxmin"], mpa["c_mpa"]
-            _write_json(
-                comparison,
-                {
-                    "c_maxmin": c_maxmin,
-                    "c_mpa": c_mpa,
-                    "relative_gap": abs(c_mpa - c_maxmin) / abs(c_maxmin),
-                },
-            )
+            gap = abs(c_mpa - c_maxmin) / abs(c_maxmin)
+            _write_json(comparison, {"c_maxmin": c_maxmin, "c_mpa": c_mpa, "relative_gap": gap})
             return
     comparison.unlink(missing_ok=True)
 
@@ -286,24 +288,16 @@ def cmd_maxmin(cfg: dict, out: Path) -> int:
 
 def cmd_mpa(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    r1 = minimize_on_level(spec, 1.0, None, _minimize_options(cfg))
+    r1 = _level1_minimum(spec, cfg, out, _minimize_options(cfg))
     if not r1.converged:
         raise ConvergenceError("level-1 minimization failed", best=r1)
     endpoint = find_endpoint(spec, r1.minimizer)
     mpa_opts = _mpa_options(cfg)
     k = int(cfg.get("mpa", {}).get("k", 32))
-    result = estimate_c(
-        spec, endpoint, mpa_opts, k=k, trace_path=out / "mpa_trace.csv"
-    )
-    _write_json(
-        out / "mpa_summary.json",
-        {
-            "c_mpa": result.c_mpa,
-            "sweeps": result.sweeps,
-            "converged": result.converged,
-            "config_sha256": _config_sha256(cfg),
-        },
-    )
+    result = estimate_c(spec, endpoint, mpa_opts, k=k, trace_path=out / "mpa_trace.csv")
+    summary = {"c_mpa": result.c_mpa, "sweeps": result.sweeps, "converged": result.converged,
+               "config_sha256": _config_sha256(cfg)}
+    _write_json(out / "mpa_summary.json", summary)
     _maybe_comparison(out)
     return EXIT_OK if result.converged else EXIT_CONVERGENCE
 
@@ -311,7 +305,7 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
 def cmd_verify(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
     opts = _minimize_options(cfg)
-    r1 = minimize_on_level(spec, 1.0, None, opts)
+    r1 = _level1_minimum(spec, cfg, out, opts)
     if not r1.converged:
         return EXIT_CONVERGENCE
     report = pick_solution_scale(spec, r1.minimizer, opts)

@@ -4,6 +4,10 @@ Descent on the constraint manifold: the gradient of T, preconditioned by
 the variant (Sobolev for the PDE variants), is projected against the
 gradient of U, a backtracking line search decreases T, and every trial
 point is retracted back onto the level set by the variant's ``retract``.
+
+Arrays inside, points at the edges: ``minimize_on_level`` checks and
+unwraps its seed once, runs the descent on ndarrays through the variant's
+array methods, and wraps only the result.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .functionals import (
-    ProblemSpec, eval_T, eval_U, grad_T, grad_U, inner, mask, norm, precondition,
-)
+from .functionals import ProblemSpec, eval_U, norm  # noqa: F401 (eval_U: traced binding)
 
 __all__ = [
     "MinimizeOptions",
@@ -64,7 +66,8 @@ def retract_to_level(spec: ProblemSpec, u, lam: float, constraint_tol: float = 1
     """Project u onto {U = lam} along the problem's exact group action."""
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    return spec.model.retract(u, lam, constraint_tol)
+    model = spec.model
+    return model.wrap(model.retract(model.unwrap(u), lam, constraint_tol))
 
 
 def default_seed(spec: ProblemSpec, lam: float, width: float | None = None):
@@ -72,15 +75,17 @@ def default_seed(spec: ProblemSpec, lam: float, width: float | None = None):
     return retract_to_level(spec, spec.model.seed(width), lam)
 
 
-def multiplier_and_residual(spec: ProblemSpec, u):
-    """Least-squares multiplier theta and the relative projected residual
-    ||grad T - theta grad U|| / (1 + ||grad T||) in the weighted norm."""
-    gT = mask(spec, grad_T(spec, u))
-    gU = mask(spec, grad_U(spec, u))
-    gU2 = inner(spec, gU, gU)
-    theta = inner(spec, gT, gU) / gU2 if gU2 > 0 else 0.0
+def multiplier_and_residual(model, x):
+    """On the array x: least-squares multiplier theta and the relative
+    projected residual ||grad T - theta grad U|| / (1 + ||grad T||) in the
+    weighted norm, with the masked gradients and the residual vector."""
+    gT = model.mask(model.grad_T(x))
+    gU = model.mask(model.grad_U(x))
+    gU2 = model.inner(gU, gU)
+    theta = float(model.inner(gT, gU) / gU2) if gU2 > 0 else 0.0
     res_vec = gT - theta * gU
-    res = norm(spec, res_vec) / (1.0 + norm(spec, gT))
+    res = math.sqrt(max(model.inner(res_vec, res_vec), 0.0))
+    res /= 1.0 + math.sqrt(max(model.inner(gT, gT), 0.0))
     return theta, res, gT, gU, res_vec
 
 
@@ -90,61 +95,66 @@ def minimize_on_level(
     u0=None,
     opts: MinimizeOptions | None = None,
 ) -> MinimizeResult:
-    """Minimize T over {U = lam} from the seed u0 (default bump)."""
+    """Minimize T over {U = lam} from the seed u0 (default bump).  Raises
+    ValidationError for a seed with a non-finite value."""
     opts = opts or MinimizeOptions()
-    gtol = opts.resolved_grad_tol(spec)
-    if u0 is None:
-        u0 = default_seed(spec, lam)
-    u = retract_to_level(spec, u0, lam, opts.constraint_tol)
-    T_cur = eval_T(spec, u)
+    gtol, tol = opts.resolved_grad_tol(spec), opts.constraint_tol
+    if lam <= 0:
+        raise ValidationError("lambda must be positive")
+    model = spec.model
+    x = model.unwrap(default_seed(spec, lam) if u0 is None else u0)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("seed values must be finite")
+    x = model.retract(x, lam, tol)
+    T_cur = float(model.T(x))
 
     step = opts.step
-    theta, res, gT, gU, res_vec = multiplier_and_residual(spec, u)
+    theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
     iterations = 0
     converged = res <= gtol
-    prev_u = prev_d = None
+    prev_x = prev_d = None
     while not converged and iterations < opts.max_iters:
         iterations += 1
-        pT = precondition(spec, gT)
-        pU = precondition(spec, gU)
-        denom = inner(spec, pU, gU)
-        alpha = inner(spec, pT, gU) / denom if denom != 0 else 0.0
-        d = mask(spec, pT - alpha * pU)
+        pT = model.precondition(gT)
+        pU = model.precondition(gU)
+        denom = model.inner(pU, gU)
+        alpha = model.inner(pT, gU) / denom if denom != 0 else 0.0
+        d = model.mask(pT - alpha * pU)
         # Barzilai-Borwein secant step, safeguarded by the monotone line
         # search below; plain unit steps give an impractically slow tail.
-        if prev_u is not None:
-            s = u - prev_u
+        if prev_x is not None:
+            s = x - prev_x
             y = d - prev_d
-            sy = inner(spec, s, y)
+            sy = model.inner(s, y)
             if sy > 0:
-                step = min(max(inner(spec, s, s) / sy, 1e-10), 1e6)
-        slope = max(inner(spec, d, res_vec), 0.0)
+                step = min(max(float(model.inner(s, s) / sy), 1e-10), 1e6)
+        slope = max(float(model.inner(d, res_vec)), 0.0)
 
         accepted = False
         t = step
         for _ in range(60):
             try:
-                ut = retract_to_level(spec, u - t * d, lam, opts.constraint_tol)
+                xt = model.retract(x - t * d, lam, tol)
             except InfeasibleError:
                 t *= opts.backtrack
                 continue
-            Tt = eval_T(spec, ut)
+            Tt = float(model.T(xt))
             if Tt <= T_cur - 1e-4 * t * slope + 1e-14 * (1.0 + abs(T_cur)):
                 accepted = True
                 break
             t *= opts.backtrack
         if not accepted:
             break
-        prev_u, prev_d = u, d
-        u, T_cur = ut, Tt
+        prev_x, prev_d = x, d
+        x, T_cur = xt, Tt
         step = t / opts.backtrack
-        theta, res, gT, gU, res_vec = multiplier_and_residual(spec, u)
+        theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
         converged = res <= gtol
 
     return MinimizeResult(
         lam=lam,
         i_value=T_cur,
-        minimizer=u,
+        minimizer=model.wrap(x),
         multiplier=theta,
         iterations=iterations,
         converged=bool(converged),

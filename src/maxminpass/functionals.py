@@ -18,14 +18,15 @@ Methods on plain arrays: ``T``, ``U``, ``F``, ``grad_T``, ``grad_U``,
 along the last axis, one image ``(m,)`` or a stack ``(k, m)`` (toy: ``(d,)``
 or ``(k, d)``), and return one value per image.  Their sums are
 ``np.vecdot``, one BLAS dot per image, so a stacked call sums each row
-exactly as a single-image call does.  Methods on points
-(``GridFunction`` for the radial variants, arrays for the toy): ``seed`` and
-``retract`` onto a level set; ``transport(u, ratio)`` from level lam to
-ratio * lam; ``unwrap`` (grid check) and ``wrap``.  Also
-``paper_lambda_bar``; ``to_config`` / ``from_config``.  Attributes:
-``scaling_exponent``, ``grad_tol``, ``c_tol``, ``exact_transport``,
-``amplitude_exponents``.  The module-level functions (``eval_T`` ... ``norm``)
-take points, unwrap them and call the array methods.
+exactly as a single-image call does.  ``retract(x, lam, tol)`` scales one
+image onto the level set {U = lam}.  Methods on points (``GridFunction``
+for the radial variants, arrays for the toy): ``seed``; ``transport(u,
+ratio)`` from level lam to ratio * lam; ``unwrap`` (grid check) and
+``wrap``.  Also ``paper_lambda_bar``; ``to_config`` / ``from_config``.
+Attributes: ``scaling_exponent``, ``grad_tol``, ``c_tol``,
+``exact_transport``, ``amplitude_exponents``.  The module-level functions
+(``eval_T`` ... ``norm``) take points, unwrap them and call the array
+methods; they are the public edge, not the inner loops' path.
 
 Gradients are exact derivatives of the discrete energies (variational
 discretization), returned in the quadrature-weighted pairing: for any
@@ -203,11 +204,6 @@ def edge_geometry(grid: RadialGrid):
     return grid.dr, grid.we
 
 
-def _check_grid(grid: RadialGrid, u: GridFunction) -> None:
-    if not u.grid.same_as(grid):
-        raise GridMismatchError("grid function does not live on the spec's grid")
-
-
 def _dphi(du: np.ndarray, p: float) -> np.ndarray:
     """Derivative of |t|^p / p, i.e. |t|^(p-2) t, regularized for p < 2."""
     if p >= 2.0:
@@ -272,12 +268,11 @@ class Toy(Variant):
     def inner(self, a, b):
         return np.vecdot(a, b)
 
-    def retract(self, u, lam: float, tol: float):
-        u = np.asarray(u, dtype=float)
-        r = np.linalg.norm(u)
+    def retract(self, x, lam: float, tol: float):
+        r = np.linalg.norm(x)
         if r == 0.0:
             raise InfeasibleError("cannot rescale the zero vector onto the level")
-        return u * (lam ** (1.0 / self.toy.q) / r)
+        return x * (lam ** (1.0 / self.toy.q) / r)
 
     def seed(self, width=None):
         u = np.zeros(self.toy.d)
@@ -323,8 +318,8 @@ class _Radial(Variant):
     def unwrap(self, u) -> np.ndarray:
         # Every dispatcher call passes here; the spec's own grid skips the
         # call into the full comparison.
-        if u.grid is not self.grid:
-            _check_grid(self.grid, u)
+        if u.grid is not self.grid and not u.grid.same_as(self.grid):
+            raise GridMismatchError("grid function does not live on the spec's grid")
         return u.values
 
     def wrap(self, x) -> GridFunction:
@@ -405,17 +400,16 @@ class Hardy(_Radial):
     def grad_U(self, x):
         return self.nl.g(x)
 
-    def retract(self, u, lam: float, tol: float):
-        # Scale the amplitude so that U(a u) = lam.  This is exact on the
+    def retract(self, x, lam: float, tol: float):
+        # Scale the amplitude so that U(a x) = lam.  This is exact on the
         # grid (no resampling), unlike a dilation, whose interpolation error
-        # would put a noise floor under the line search.  U(a u) tends to 0
+        # would put a noise floor under the line search.  U(a x) tends to 0
         # from below as a -> 0 and to +inf as a -> inf, so a root exists for
-        # every nonzero u and positive lam.  The root search runs on the
-        # closed form of a -> U(a u); the result is checked on the grid.
-        spec = self.spec
-        if norm(spec, u) == 0.0:
+        # every nonzero x and positive lam.  The root search runs on the
+        # closed form of a -> U(a x); the result is checked on the grid.
+        if self.inner(x, x) == 0.0:
             raise InfeasibleError("cannot scale the zero function onto the level")
-        U_of = self.nl.amplitude_integral(self.grid.weights, u.values)
+        U_of = self.nl.amplitude_integral(self.grid.weights, x)
 
         def gap(a):
             return U_of(a) - lam
@@ -433,16 +427,16 @@ class Hardy(_Radial):
             if lo < 1e-200:
                 raise InfeasibleError("amplitude scaling could not bracket the level")
         a = brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16)
-        v = a * u
-        err = eval_U(spec, v) - lam
+        v = a * x
+        err = float(self.U(v)) - lam
         if abs(err) > tol * lam:
             # When lam is tiny against either term of U, the closed form and
             # the grid sum cancel differently by more than the tolerance; one
-            # Newton step on the grid value, d/da U(a u) = <g(a u), u>,
+            # Newton step on the grid value, d/da U(a x) = <g(a x), x>,
             # closes the gap.
-            a -= err / inner(spec, grad_U(spec, v), u)
-            v = a * u
-            err = eval_U(spec, v) - lam
+            a -= err / float(self.inner(self.grad_U(v), x))
+            v = a * x
+            err = float(self.U(v)) - lam
         if abs(err) > tol * lam:
             raise InfeasibleError("amplitude retraction did not reach the level")
         return v
@@ -451,9 +445,8 @@ class Hardy(_Radial):
         w = width if width is not None else self.grid.R / 15.0
         prof = np.exp(-((self.grid.nodes / w) ** 2))
         for a in np.logspace(-1.0, 4.0, 120):
-            u = GridFunction(self.grid, a * prof)
-            if eval_U(self.spec, u) > 0.0:
-                return 1.5 * u
+            if self.U(a * prof) > 0.0:
+                return 1.5 * GridFunction(self.grid, a * prof)
         raise InfeasibleError("could not find a bump amplitude with U > 0")
 
     def transport(self, u, ratio: float):
@@ -520,11 +513,11 @@ class Critical(_Radial):
         g[..., -1] = 0.0
         return g
 
-    def retract(self, u, lam: float, tol: float):
-        Uv = eval_U(self.spec, u)
+    def retract(self, x, lam: float, tol: float):
+        Uv = float(self.U(x))
         if Uv <= 0.0:
             raise InfeasibleError("seed has U <= 0; amplitude scaling cannot reach the level")
-        return u * (lam / Uv) ** (1.0 / self.pstar)
+        return x * (lam / Uv) ** (1.0 / self.pstar)
 
     def seed(self, width=None):
         grid = self.grid
@@ -586,22 +579,16 @@ def norm(spec: ProblemSpec, a) -> float:
     return math.sqrt(max(inner(spec, a, a), 0.0))
 
 
-def _pointwise(method, spec: ProblemSpec, g):
-    # A method that hands its input back (the identity default) returns the
-    # point itself, without a new wrapper.
-    x = spec.model.unwrap(g)
-    y = method(x)
-    return g if y is x else spec.model.wrap(y)
-
-
 def mask(spec: ProblemSpec, g):
     """Zero a gradient on the Dirichlet boundary (identity without one)."""
-    return _pointwise(spec.model.mask, spec, g)
+    model = spec.model
+    return model.wrap(model.mask(model.unwrap(g)))
 
 
 def precondition(spec: ProblemSpec, g):
     """The variant's preconditioned direction for a weighted gradient."""
-    return _pointwise(spec.model.precondition, spec, g)
+    model = spec.model
+    return model.wrap(model.precondition(model.unwrap(g)))
 
 
 # --- preconditioning -------------------------------------------------------

@@ -282,6 +282,6 @@ def gridfunction_from_csv(grid: RadialGrid, path) -> GridFunction:
         for row in reader:
             rs.append(float(row[0]))
             vs.append(float(row[1]))
-    if not np.allclose(rs, grid.nodes):
+    if len(rs) != grid.m or not np.allclose(rs, grid.nodes):
         raise GridMismatchError("radii in file do not match the grid")
     return GridFunction(grid, np.asarray(vs))

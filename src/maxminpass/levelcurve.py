@@ -48,8 +48,9 @@ def build_level_curve(samples, i_fn=None, tie_tol: float = TIE_TOL) -> LevelCurv
 
     ``i_fn``, when given, is a callable lambda -> i used to refine the
     argmax beyond the sampled resolution (e.g. the toy closed form or a
-    warm-started solver); otherwise a monotone piecewise-cubic interpolant
-    of I on log(lambda) is refined instead.
+    warm-started solver), queried at most once per lambda; otherwise a
+    monotone piecewise-cubic interpolant of I on log(lambda) is refined
+    instead.
     """
     samples = list(samples)
     lambdas = np.asarray([s[0] for s in samples], dtype=float)
@@ -74,10 +75,14 @@ def build_level_curve(samples, i_fn=None, tie_tol: float = TIE_TOL) -> LevelCurv
     x = np.log(lambdas)
     interp = PchipInterpolator(x, I_values, extrapolate=False)
 
+    solved = {}  # on a strict crossing, lambda** reuses lambda*'s solves
+
     def I_of(lam: float) -> float:
-        if i_fn is not None:
-            return float(i_fn(lam)) - lam
-        return float(interp(math.log(lam)))
+        if i_fn is None:
+            return float(interp(math.log(lam)))
+        if lam not in solved:
+            solved[lam] = float(i_fn(lam)) - lam
+        return solved[lam]
 
     # First crossing into I <= 0 / I < 0.
     k_nonpos = int(np.argmax(I_values <= 0))

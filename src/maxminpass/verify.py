@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .constrained import MinimizeOptions, minimize_on_level, multiplier_and_residual
-from .functionals import ProblemSpec, eval_T, grad_T, grad_U, inner, mask, norm
+from .functionals import ProblemSpec, eval_T, grad_T, grad_U, mask, norm
 from .levelcurve import closed_form_lambda_bar, scaling_path
 
 __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
@@ -31,10 +31,10 @@ def el_residual(spec: ProblemSpec, u) -> float:
 
 def multiplier_of(spec: ProblemSpec, u) -> float:
     """Least-squares scalar theta minimizing ||grad T - theta grad U||."""
-    gU = grad_U(spec, u)
-    if inner(spec, gU, gU) == 0.0:
+    model = spec.model
+    theta, _res, _gT, gU, _vec = multiplier_and_residual(model, model.unwrap(u))
+    if model.inner(gU, gU) == 0.0:
         raise ValidationError("multiplier undefined where grad U vanishes")
-    theta, _res, _gT, _gU, _vec = multiplier_and_residual(spec, u)
     return theta
 
 

@@ -9,7 +9,9 @@ import pytest
 from scipy.linalg import eigh
 
 from maxminpass import (
+    InfeasibleError,
     MinimizeOptions,
+    MinimizeResult,
     MpaOptions,
     NonlinearitySpec,
     ProblemSpec,
@@ -19,17 +21,20 @@ from maxminpass import (
     build_radial_grid,
     closed_form_lambda_bar,
     continuation_sweep,
+    default_seed,
     el_residual,
     estimate_c,
     eval_F,
     eval_T,
     grad_T,
     grad_U,
+    inner,
     mask,
     minimize_on_level,
     multiplier_of,
     norm,
     precondition,
+    retract_to_level,
     scaling_exponent,
     scaling_path,
 )
@@ -100,6 +105,75 @@ def _per_image_deform(path, spec, step):
 @pytest.fixture(scope="session")
 def deform_oracle():
     return _per_image_deform
+
+
+def _point_minimize(spec, lam, u0=None, opts=None):
+    """Constrained descent on points, every step through the point-level
+    dispatchers and ``retract_to_level``: the reference the array loop of
+    ``minimize_on_level`` is checked against.  Returns the same fields."""
+    opts = opts or MinimizeOptions()
+    gtol = opts.resolved_grad_tol(spec)
+    if u0 is None:
+        u0 = default_seed(spec, lam)
+    u = retract_to_level(spec, u0, lam, opts.constraint_tol)
+    T_cur = eval_T(spec, u)
+
+    def multiplier_and_residual(u):
+        gT = mask(spec, grad_T(spec, u))
+        gU = mask(spec, grad_U(spec, u))
+        gU2 = inner(spec, gU, gU)
+        theta = inner(spec, gT, gU) / gU2 if gU2 > 0 else 0.0
+        res_vec = gT - theta * gU
+        return theta, norm(spec, res_vec) / (1.0 + norm(spec, gT)), gT, gU, res_vec
+
+    step = opts.step
+    theta, res, gT, gU, res_vec = multiplier_and_residual(u)
+    iterations = 0
+    converged = res <= gtol
+    prev_u = prev_d = None
+    while not converged and iterations < opts.max_iters:
+        iterations += 1
+        pT = precondition(spec, gT)
+        pU = precondition(spec, gU)
+        denom = inner(spec, pU, gU)
+        alpha = inner(spec, pT, gU) / denom if denom != 0 else 0.0
+        d = mask(spec, pT - alpha * pU)
+        if prev_u is not None:
+            s = u - prev_u
+            y = d - prev_d
+            sy = inner(spec, s, y)
+            if sy > 0:
+                step = min(max(inner(spec, s, s) / sy, 1e-10), 1e6)
+        slope = max(inner(spec, d, res_vec), 0.0)
+        accepted = False
+        t = step
+        for _ in range(60):
+            try:
+                ut = retract_to_level(spec, u - t * d, lam, opts.constraint_tol)
+            except InfeasibleError:
+                t *= opts.backtrack
+                continue
+            Tt = eval_T(spec, ut)
+            if Tt <= T_cur - 1e-4 * t * slope + 1e-14 * (1.0 + abs(T_cur)):
+                accepted = True
+                break
+            t *= opts.backtrack
+        if not accepted:
+            break
+        prev_u, prev_d = u, d
+        u, T_cur = ut, Tt
+        step = t / opts.backtrack
+        theta, res, gT, gU, res_vec = multiplier_and_residual(u)
+        converged = res <= gtol
+    return MinimizeResult(
+        lam=lam, i_value=T_cur, minimizer=u, multiplier=theta,
+        iterations=iterations, converged=bool(converged), residual=res,
+    )
+
+
+@pytest.fixture(scope="session")
+def minimize_oracle():
+    return _point_minimize
 
 
 def _bisect_solution_scale(spec, v, opts=None, bisect_tol=1e-10):

@@ -11,13 +11,21 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import maxminpass.cli
 import maxminpass.verify
-from maxminpass import MinimizeOptions
+from maxminpass import (
+    MinimizeOptions,
+    eval_T,
+    gridfunction_from_csv,
+    gridfunction_to_csv,
+    problem_from_config,
+)
 from maxminpass.cli import (
     COMPARISON_SCHEMA,
     EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
+    LEVEL1_CSV,
     MAXMIN_SUMMARY_SCHEMA,
     MPA_SUMMARY_SCHEMA,
     TOY_SUMMARY_SCHEMA,
@@ -217,6 +225,78 @@ class TestPipelines:
         assert payload["c_closed_form"] == pytest.approx(0.25)
         assert payload["c_bruteforce"] == pytest.approx(0.25, abs=1e-6)
         assert payload["c_mpa"] == pytest.approx(0.25, abs=1e-3)
+
+
+def spy_level1_solves(monkeypatch):
+    """Record (seeded, result) for every solve the CLI module starts itself:
+    in ``mpa`` and ``verify`` that is the level-1 solve only."""
+    calls = []
+    inner = maxminpass.cli.minimize_on_level
+
+    def spy(spec, lam, u0, opts):
+        r = inner(spec, lam, u0, opts)
+        calls.append((u0 is not None, r))
+        return r
+
+    monkeypatch.setattr(maxminpass.cli, "minimize_on_level", spy)
+    return calls
+
+
+class TestLevelOneReuse:
+    def test_maxmin_saves_converged_minimizer(self, outputs):
+        spec = problem_from_config(problem_block(outputs))
+        saved = gridfunction_from_csv(spec.grid, outputs / LEVEL1_CSV)
+        i_1 = json.loads((outputs / "maxmin_summary.json").read_text())["i_1"]
+        assert eval_T(spec, saved) == i_1
+
+    def test_mpa_and_verify_start_at_the_saved_minimizer(self, outputs, tmp_path, monkeypatch):
+        run = shutil.copytree(outputs, tmp_path / "run")
+        calls = spy_level1_solves(monkeypatch)
+        cfg = str(run / "config.json")
+        assert main(["mpa", "--config", cfg, "--out", str(run)]) == EXIT_OK
+        assert main(["verify", "--config", cfg, "--out", str(run)]) == EXIT_OK
+        i_1 = json.loads((run / "maxmin_summary.json").read_text())["i_1"]
+        assert len(calls) == 2
+        for seeded, r in calls:
+            assert seeded and r.converged and r.iterations == 0
+            assert r.lam == 1.0 and r.i_value == pytest.approx(i_1, rel=1e-13)
+
+    def test_other_config_hash_starts_cold(self, outputs, tmp_path, monkeypatch):
+        run = shutil.copytree(outputs, tmp_path / "run")
+        cfg = json.loads((run / "config.json").read_text())
+        cfg["sweep"]["count"] += 1  # same problem, different config
+        path = write_config(run / "other.json", cfg)
+        calls = spy_level1_solves(monkeypatch)
+        assert main(["verify", "--config", path, "--out", str(run)]) == EXIT_OK
+        [(seeded, r)] = calls
+        assert not seeded and r.iterations > 0
+
+    @pytest.mark.parametrize("grid", [{"R": 20.0}, {"m": 120}])
+    def test_saved_minimizer_on_another_grid_starts_cold(
+        self, outputs, tmp_path, monkeypatch, grid
+    ):
+        run = shutil.copytree(outputs, tmp_path / "run")
+        problem = problem_block(run)
+        problem["grid"].update(grid)
+        other = problem_from_config(problem)
+        gridfunction_to_csv(other.model.seed(), run / LEVEL1_CSV)
+        calls = spy_level1_solves(monkeypatch)
+        cfg = str(run / "config.json")
+        assert main(["verify", "--config", cfg, "--out", str(run)]) == EXIT_OK
+        [(seeded, r)] = calls
+        assert not seeded and r.iterations > 0
+
+    def test_unconverged_maxmin_removes_the_saved_minimizer(self, tmp_path):
+        stale = tmp_path / LEVEL1_CSV
+        stale.write_text("r,value\n")
+        cfg = readme_config(tmp_path, "hardy.json")
+        assert main(["maxmin", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        assert not stale.exists()
+
+
+def problem_block(out):
+    """The problem block of the config the ``outputs`` run used."""
+    return json.loads((out / "config.json").read_text())["problem"]
 
 
 def readme_config(tmp_path, name, **problem_overrides):

@@ -178,6 +178,67 @@ class TestContinuationSweep:
             continuation_sweep(hardy_small, [2.0, 1.0])
 
 
+def assert_same_result(new, old):
+    """Bit-identical results: every reported number and the minimizer."""
+    for name in ("lam", "i_value", "multiplier", "residual", "iterations", "converged"):
+        assert getattr(new, name) == getattr(old, name), name
+    assert type(new.minimizer) is type(old.minimizer)
+    values = getattr(new.minimizer, "values", new.minimizer)
+    assert np.array_equal(values, getattr(old.minimizer, "values", old.minimizer))
+
+
+class TestArrayLoopMatchesPointLoop:
+    """The array loop of minimize_on_level against the point-level oracle."""
+
+    @pytest.mark.parametrize("seed", [None, [0.3, -1.7]])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_toy_q4(self, minimize_oracle, seed, lam):
+        spec = toy_spec()
+        u0 = None if seed is None else np.array(seed)
+        assert_same_result(minimize_on_level(spec, lam, u0), minimize_oracle(spec, lam, u0))
+
+    @pytest.mark.parametrize("lam", [1.0, 40.0])
+    def test_hardy_small(self, hardy_small, minimize_oracle, lam):
+        noise = 1.0 + 0.05 * np.random.default_rng(3).standard_normal(hardy_small.grid.m)
+        u0 = GridFunction(hardy_small.grid, default_seed(hardy_small, lam).values * noise)
+        for seed in (None, u0):
+            new = minimize_on_level(hardy_small, lam, seed)
+            assert new.iterations > 0
+            assert_same_result(new, minimize_oracle(hardy_small, lam, seed))
+
+    @pytest.mark.parametrize("lam", [1.0, 7.0])
+    def test_critical_small(self, critical_small, minimize_oracle, lam):
+        new = minimize_on_level(critical_small, lam)
+        assert new.iterations > 0
+        assert_same_result(new, minimize_oracle(critical_small, lam))
+
+    def test_starved_budget(self, hardy_small, minimize_oracle):
+        opts = MinimizeOptions(max_iters=3)
+        new = minimize_on_level(hardy_small, 1.0, None, opts)
+        assert new.iterations == 3 and not new.converged
+        assert_same_result(new, minimize_oracle(hardy_small, 1.0, None, opts))
+
+    def test_continuation_sweep(self, hardy_small, minimize_oracle):
+        lambdas = np.geomspace(1.0, 300.0, 4)
+        results = continuation_sweep(hardy_small, lambdas)
+        prev = None
+        for lam, new in zip(lambdas, results):
+            seed = None if prev is None else hardy_small.model.transport(prev.minimizer, lam / prev.lam)
+            prev = minimize_oracle(hardy_small, float(lam), seed)
+            assert_same_result(new, prev)
+
+
+class TestNonFiniteSeed:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_toy_seed_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            minimize_on_level(toy_spec(), 1.0, np.array([bad, 1.0]))
+
+    def test_sweep_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            continuation_sweep(toy_spec(), [1.0, 2.0, 3.0], u0=np.array([np.inf, 0.0]))
+
+
 class TestOptionsValidation:
     def test_bad_options_rejected(self):
         with pytest.raises(ValidationError):

@@ -46,6 +46,23 @@ class TestBuildLevelCurve:
         assert curve.lambda_bar == pytest.approx(0.25, abs=1e-4)
         assert curve.c_maxmin == pytest.approx(0.25, abs=1e-6)
 
+    def test_refinement_queries_each_level_once(self):
+        # a strict crossing: lambda* and lambda** are one root, found once
+        prob = ToyProblem(2, 4.0)
+        queried = []
+
+        def i_fn(lam):
+            queried.append(lam)
+            return toy_i_lambda(prob, lam)
+
+        lambdas = np.geomspace(1e-3, 4.0, 200)
+        curve = build_level_curve([(lam, toy_i_lambda(prob, lam)) for lam in lambdas], i_fn=i_fn)
+        assert len(queried) == len(set(queried))
+        assert curve.lambda_star == curve.lambda_star_star
+        assert curve.lambda_star == pytest.approx(1.0, rel=1e-12)
+        assert curve.lambda_bar == pytest.approx(0.25, rel=1e-6)
+        assert curve.c_maxmin == pytest.approx(0.25, rel=1e-12)
+
     def test_identity_I_equals_i_minus_lambda(self):
         curve = toy_curve()
         assert np.array_equal(curve.I_values, curve.i_values - curve.lambdas)
