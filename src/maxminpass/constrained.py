@@ -95,8 +95,9 @@ def minimize_on_level(
     u0=None,
     opts: MinimizeOptions | None = None,
 ) -> MinimizeResult:
-    """Minimize T over {U = lam} from the seed u0 (default bump).  Raises
-    ValidationError for a seed with a non-finite value."""
+    """Minimize T over {U = lam} from the seed u0 (default bump), taken as 0
+    on a Dirichlet boundary.  Raises ValidationError for a seed with a
+    non-finite value."""
     opts = opts or MinimizeOptions()
     gtol, tol = opts.resolved_grad_tol(spec), opts.constraint_tol
     if lam <= 0:
@@ -105,7 +106,9 @@ def minimize_on_level(
     x = model.unwrap(default_seed(spec, lam) if u0 is None else u0)
     if not np.all(np.isfinite(x)):
         raise ValidationError("seed values must be finite")
-    x = model.retract(x, lam, tol)
+    # The descent direction is 0 on the Dirichlet boundary and the retraction
+    # only rescales, so the seed's boundary value is set here, once.
+    x = model.retract(model.mask(x), lam, tol)
     T_cur = float(model.T(x))
 
     step = opts.step
@@ -119,7 +122,7 @@ def minimize_on_level(
         pU = model.precondition(gU)
         denom = model.inner(pU, gU)
         alpha = model.inner(pT, gU) / denom if denom != 0 else 0.0
-        d = model.mask(pT - alpha * pU)
+        d = pT - alpha * pU
         # Barzilai-Borwein secant step, safeguarded by the monotone line
         # search below; plain unit steps give an impractically slow tail.
         if prev_x is not None:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
-from scipy.linalg import eigh as scipy_eigh
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
@@ -134,24 +133,16 @@ class NonlinearitySpec:
         return float(s[np.argmax(positive)])
 
     def check_growth_conditions(self, p: float, pstar: float) -> None:
-        """Admissibility of g for the subcritical problem: odd, strictly
-        negative slope at 0, subcritical growth, and a level with G > 0."""
+        """Admissibility of g for the subcritical problem: p < q < p*.
+
+        The rest follows from the closed form with m > 0 and q > 2, both
+        checked at construction: g is odd, g(s)/s -> -m at 0, g(s)/s^(p*-1)
+        -> 0 exactly when q < p*, and G > 0 for s > (q m / 2)^(1/(q-2)).
+        """
         if not (p < self.q < pstar):
             raise ValidationError(
                 f"need p < q < p*: got p={p}, q={self.q}, p*={pstar}"
             )
-        samples = np.linspace(-10.0, 10.0, 201)
-        if not np.allclose(self.g(-samples), -self.g(samples), atol=1e-12):
-            raise ValidationError("g must be odd")
-        s_small = (self.m / 2.0) ** (1.0 / (self.q - 2.0))
-        s = np.linspace(1e-8, s_small, 50)
-        if np.any(self.g(s) / s > -self.m / 2.0 + 1e-12):
-            raise ValidationError("g(s)/s must stay below -m/2 near 0")
-        s_large = 1e8
-        if abs(self.g(s_large)) / s_large ** (pstar - 1.0) > 1e-3:
-            raise ValidationError("g grows too fast: need g(s)/s^(p*-1) -> 0")
-        if not self.G(self.xi0) > 0:
-            raise ValidationError("G(xi0) must be positive")
 
 
 @dataclass(frozen=True)
@@ -190,18 +181,7 @@ def _variant_class(name):
         raise ValidationError(f"unknown variant {name!r}") from None
 
 
-# --- grid geometry helpers -------------------------------------------------
-
-
-def edge_geometry(grid: RadialGrid):
-    """Per-edge spacing dr and edge quadrature weights for gradient energies.
-
-    Edge k joins nodes k and k+1; its weight is sphere_area * integral of
-    r^(n-1) over [r_k, r_{k+1}], so sum(we * |du|^p) approximates the
-    n-dimensional integral of |grad u|^p for radial u.  Both arrays are
-    computed once, when the grid is built.
-    """
-    return grid.dr, grid.we
+# --- pointwise helpers -----------------------------------------------------
 
 
 def _dphi(du: np.ndarray, p: float) -> np.ndarray:
@@ -327,18 +307,17 @@ class _Radial(Variant):
 
     def T(self, x):
         grid, p = self.grid, self.p
-        dr, we = edge_geometry(grid)
-        du = np.diff(x, axis=-1) / dr
-        val = np.vecdot(np.abs(du) ** p, we)
+        du = np.diff(x, axis=-1) / grid.dr
+        val = np.vecdot(np.abs(du) ** p, grid.we)
         if self.mu:
             val = val - self.mu * np.vecdot(self.potential * np.abs(x) ** p, grid.weights)
         return val / p
 
     def grad_T(self, x):
         grid, p = self.grid, self.p
-        dr, we = edge_geometry(grid)
+        dr = grid.dr
         du = np.diff(x, axis=-1) / dr
-        s = we * _dphi(du, p) / dr
+        s = grid.we * _dphi(du, p) / dr
         e = np.zeros(x.shape)
         e[..., :-1] -= s
         e[..., 1:] += s
@@ -600,12 +579,13 @@ class Preconditioner:
     K is the p=2 stiffness form of the discrete gradient energy and M the
     quadrature mass matrix.  Applied to a weighted gradient it returns the
     gradient in the discrete H^1 inner product, which keeps descent
-    iteration counts mesh-independent.
+    iteration counts mesh-independent.  With ``dirichlet`` the boundary row
+    of K + M is the identity and its right-hand side is zeroed, so every
+    result is exactly 0.0 at R: preconditioned directions need no mask.
     """
 
     def __init__(self, grid: RadialGrid, dirichlet: bool):
-        dr, we = edge_geometry(grid)
-        c = we / dr**2
+        c = grid.we / grid.dr**2
         m = grid.m
         diag = grid.weights.copy()
         diag[:-1] += c
@@ -639,84 +619,58 @@ class Preconditioner:
 # --- first eigenvalue / Rayleigh quotient ----------------------------------
 
 
-def _mu_p_gate(grid: RadialGrid) -> float:
-    """Smallest eigenvalue of the Dirichlet p=2 stiffness K against the
-    diagonal mass D, as the tridiagonal D^(-1/2) K D^(-1/2): an O(m)
-    admissibility gate; the public iterative estimate is ``estimate_mu_p``."""
-    dr, we = edge_geometry(grid)
-    c = we / dr**2
-    # Dirichlet at R: only the interior nodes 0..m-2 carry unknowns.
+def _dirichlet_tridiagonal(grid: RadialGrid):
+    """Diagonal and off-diagonal of D^(-1/2) K D^(-1/2), with K the p=2
+    stiffness and D the diagonal mass on the interior nodes 0..m-2 (Dirichlet
+    at R), and those masses."""
+    c = grid.we / grid.dr**2
     w = grid.weights[:-1]
     diag = c.copy()
     diag[1:] += c[:-1]
     off = -c[:-1] / np.sqrt(w[:-1] * w[1:])
-    vals = eigh_tridiagonal(
-        diag / w, off, eigvals_only=True, select="i", select_range=(0, 0)
-    )
+    return diag / w, off, w
+
+
+def _mu_p_gate(grid: RadialGrid) -> float:
+    """Smallest eigenvalue of the Dirichlet p=2 stiffness against the mass:
+    the O(m) admissibility gate for mu.
+
+    It keeps the raw eigenvalue, whose error is about eps * ||D^(-1/2) K
+    D^(-1/2)|| and grows as the first cell shrinks, so that the gate stays
+    equal to the dense generalized solve, which carries the same error;
+    ``estimate_mu_p`` is accurate to rounding."""
+    d, e, _ = _dirichlet_tridiagonal(grid)
+    vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))
     return float(vals[0])
 
 
 def estimate_mu_p(spec: ProblemSpec, tol: float = 1e-12, max_iters: int = 5000) -> float:
     """Minimum of int |grad u|^p / int |u|^p over the Dirichlet grid space.
 
-    Preconditioned gradient descent with normalization.  For p = 2 the
-    step is locally optimal: each iterate minimizes the quotient over the
-    span of the current point, the preconditioned residual and the
-    previous update, which keeps the tail convergence fast.  Raises
-    ConvergenceError (carrying the best value) if the budget runs out.
+    For p = 2 it is direct: the lowest eigenvector y of the tridiagonal
+    D^(-1/2) K D^(-1/2) gives u = D^(-1/2) y, and the value returned is its
+    Rayleigh quotient, a ratio of sums of positive terms, so it is accurate
+    to rounding where the eigenvalue itself is not.  For p != 2 it is a
+    preconditioned gradient descent with normalization, run until the
+    relative decrease is at most ``tol``; only this descent reads ``tol``
+    and ``max_iters``, and it raises ConvergenceError (carrying the best
+    value) if the budget runs out.
     """
     if not isinstance(spec.model, Critical):
         raise ValidationError("mu_p is defined for the critical-bounded variant")
     grid, p = spec.grid, spec.p
-    dr, we = edge_geometry(grid)
-    W = grid.weights
-    prec = spec.model._prec
+    dr, we, W = grid.dr, grid.we, grid.weights
+
+    if math.isclose(p, 2.0):
+        d, e, w = _dirichlet_tridiagonal(grid)
+        _, y = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        u = np.zeros(grid.m)
+        u[:-1] = y[:, 0] / np.sqrt(w)
+        return float(np.dot(we, (np.diff(u) / dr) ** 2) / np.dot(W, u * u))
 
     u = 1.0 - (grid.nodes / grid.R) ** 2
     u[-1] = 0.0
-
-    if math.isclose(p, 2.0):
-        return _mu_p_descent_quadratic(grid, dr, we, W, prec, u, tol, max_iters)
-    return _mu_p_descent_general(grid, dr, we, W, p, prec, u, tol, max_iters)
-
-
-def _mu_p_descent_quadratic(grid, dr, we, W, prec, u, tol, max_iters) -> float:
-    def kmul(v):
-        dv = np.diff(v)
-        s = we * dv / dr**2
-        out = np.zeros_like(v)
-        out[:-1] -= s
-        out[1:] += s
-        return out
-
-    u = u / math.sqrt(float(np.dot(W, u * u)))
-    w = None
-    ray = float(np.dot(u, kmul(u)))
-    for _ in range(max_iters):
-        Ku = kmul(u)
-        r = Ku - ray * W * u
-        r[-1] = 0.0
-        z = cho_solve_banded((prec._factor, True), r)
-        z[-1] = 0.0
-        basis = [u, z] + ([w] if w is not None else [])
-        V = np.column_stack(basis)
-        GK = V.T @ np.column_stack([kmul(V[:, j]) for j in range(V.shape[1])])
-        GM = V.T @ (W[:, None] * V)
-        try:
-            vals, vecs = scipy_eigh(GK, GM)
-        except np.linalg.LinAlgError:
-            V = V[:, :2]
-            vals, vecs = scipy_eigh(GK[:2, :2], GM[:2, :2])
-        y = vecs[:, 0]
-        u_new = V @ y
-        u_new /= math.sqrt(float(np.dot(W, u_new * u_new)))
-        ray_new = float(vals[0])
-        improve = ray - ray_new
-        w = u_new - u
-        u, ray = u_new, ray_new
-        if 0 <= improve <= tol * abs(ray):
-            return ray
-    raise ConvergenceError("Rayleigh quotient descent did not converge", best=ray)
+    return _mu_p_descent_general(grid, dr, we, W, p, spec.model._prec, u, tol, max_iters)
 
 
 def _mu_p_descent_general(grid, dr, we, W, p, prec, u, tol, max_iters) -> float:

@@ -56,9 +56,11 @@ class RadialGrid:
     sum exactly to the volume of the ball of radius R and the rule is a
     midpoint rule, second order on smooth integrands.
 
-    ``dr`` and ``we`` are the per-edge spacing and edge weights derived from
-    the nodes at construction (see ``functionals.edge_geometry``); they are
-    read-only and take no part in comparisons.
+    ``dr`` and ``we`` are the per-edge spacing and edge weights, computed
+    from the nodes at construction: edge k joins nodes k and k+1, and its
+    weight is sphere_area * integral of r^(n-1) over [r_k, r_{k+1}], so
+    sum(we * |du|^p) approximates the integral of |grad u|^p for radial u.
+    They are read-only and take no part in comparisons.
     """
 
     n: int

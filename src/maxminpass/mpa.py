@@ -150,7 +150,7 @@ def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
     # below past the barrier, and uncapped descent lets images run away.
     cap = 0.5 * _arc_length(spec, x)[-1] / (len(x) - 1)
     mid = x[1:-1]
-    g = model.mask(model.precondition(model.grad_T(mid) - model.grad_U(mid)))
+    g = model.precondition(model.grad_T(mid) - model.grad_U(mid))
     gn = np.sqrt(np.maximum(model.inner(g, g), 0.0))
     capped = ~(step * gn <= cap) & (gn != 0.0)
     scale = np.divide(cap, gn, out=np.full_like(gn, step), where=capped)

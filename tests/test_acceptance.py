@@ -250,6 +250,6 @@ def test_criterion_8_first_eigenvalue_oracle(mu_p_dense):
     report(
         8,
         ok,
-        f"iterative first-eigenvalue estimate {est:.8f} vs dense oracle "
+        f"direct first-eigenvalue estimate {est:.8f} vs dense oracle "
         f"{dense:.8f}, rel err {rel:.2e} (<=1e-6)",
     )

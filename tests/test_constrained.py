@@ -142,6 +142,17 @@ class TestMinimizePDE:
         assert r.residual <= 1e-6
         assert eval_U(critical_small, r.minimizer) == pytest.approx(1.0, rel=1e-9)
 
+    def test_critical_seed_taken_into_the_dirichlet_space(self, critical_small):
+        # the direction is 0 at R and the retraction only rescales, so a
+        # seed's boundary value would otherwise stay
+        grid = critical_small.grid
+        u0 = GridFunction(grid, 1.0 - grid.nodes**2 + 0.2)
+        r = minimize_on_level(critical_small, 1.0, u0)
+        ref = minimize_on_level(critical_small, 1.0)
+        assert r.converged
+        assert r.minimizer.values[-1] == 0.0
+        assert r.i_value == pytest.approx(ref.i_value, rel=1e-10)
+
     def test_decade_sweep_vanishes_monotonically(self, hardy_small):
         lambdas = np.geomspace(1e-3, 1.0, 10)
         results = continuation_sweep(hardy_small, lambdas)

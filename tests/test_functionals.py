@@ -25,12 +25,13 @@ from maxminpass import (
     grad_U,
     hardy_constant,
     inner,
+    minimize_on_level,
     norm,
     problem_from_config,
     problem_to_config,
     retract_to_level,
 )
-from maxminpass.functionals import Preconditioner, _mu_p_gate, edge_geometry
+from maxminpass.functionals import Preconditioner, _mu_p_gate
 
 RNG = np.random.default_rng(20240817)
 
@@ -95,6 +96,30 @@ class TestNonlinearity:
             NonlinearitySpec(1.0, 2.0)
         with pytest.raises(ValidationError):
             NonlinearitySpec(1.0, 4.0).check_growth_conditions(2.0, 10.0 / 3.0)
+        with pytest.raises(ValidationError):
+            NonlinearitySpec(1.0, 10.0 / 3.0).check_growth_conditions(2.0, 10.0 / 3.0)
+        with pytest.raises(ValidationError):
+            NonlinearitySpec(1.0, 2.5).check_growth_conditions(2.5, 5.0)
+
+    def test_default_nonlinearity_is_admissible_at_n5(self):
+        # q = 3 lies in (p, p*) = (2, 10/3); a sampled growth bound, which
+        # rejected every q above p* - 0.375, used to refuse it
+        grid = build_radial_grid(5, 30.0, 200, 50.0 ** (1.0 / 200))
+        spec = ProblemSpec(
+            variant="hardy-subcritical", p=2.0, n=5, nonlinearity=NonlinearitySpec(), grid=grid
+        )
+        r = minimize_on_level(spec, 1.0)
+        assert r.converged
+        assert r.i_value > 0
+
+    def test_positive_level_beyond_the_scan_is_admissible(self):
+        # G > 0 only from (q m / 2)^(1/(q-2)) = 1.5625e6, past the end of
+        # the xi0 scan
+        spec = ProblemSpec(
+            variant="hardy-subcritical", p=2.0, n=5,
+            nonlinearity=NonlinearitySpec(1e3, 2.5), grid=build_radial_grid(5, 30.0, 60, 1.0),
+        )
+        assert spec.model.nl.G(1.6e6) > 0 > spec.model.nl.G(1.5e6)
 
 
 class TestEvalT:
@@ -124,7 +149,7 @@ class TestEvalT:
         # with mu at half the Hardy constant, T keeps at least half the
         # gradient energy, sample by sample
         spec = hardy_spec(mu=0.5 * hardy_constant(2.0, 5))
-        dr, we = edge_geometry(spec.grid)
+        dr, we = spec.grid.dr, spec.grid.we
         for _ in range(50):
             width = RNG.uniform(0.2, 5.0)
             amp = RNG.uniform(0.1, 10.0)
@@ -137,7 +162,7 @@ class TestEdgeGeometry:
     @pytest.mark.parametrize("stretch", [1.0, 1.05])
     def test_matches_nodes_bit_for_bit(self, stretch):
         grid = build_radial_grid(5, 30.0, 150, stretch)
-        dr, we = edge_geometry(grid)
+        dr, we = grid.dr, grid.we
         area = 2.0 * math.pi ** (grid.n / 2.0) / math.gamma(grid.n / 2.0)
         assert np.array_equal(dr, np.diff(grid.nodes))
         assert np.array_equal(we, area / grid.n * np.diff(grid.nodes**grid.n))
@@ -246,6 +271,54 @@ class TestPreconditioner:
         assert np.allclose(lhs.values, rhs.values, rtol=1e-10)
 
 
+def mp_mu_p(grid, dps=40):
+    """First eigenvalue of the Dirichlet p=2 stiffness K against the mass W
+    on the grid, by Rayleigh-quotient iteration in mpmath at ``dps`` digits:
+    two inverse iterations at shift 0 from 1 - r^2, then the shift follows
+    the quotient until it settles."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        c = [mpf(we) / mpf(dr) ** 2 for we, dr in zip(grid.we.tolist(), grid.dr.tolist())]
+        w = [mpf(x) for x in grid.weights[:-1].tolist()]
+        n = len(w)
+
+        def quotient(u):
+            v = u + [mpf(0)]
+            num = mpmath.fsum(ce * (b - a) ** 2 for ce, a, b in zip(c, v, v[1:]))
+            return num / mpmath.fsum(wi * ui * ui for wi, ui in zip(w, u))
+
+        def solve(shift, b):
+            # Thomas algorithm on (K - shift W) x = b, with K[i, i+1] = -c[i]
+            diag = [c[i] + (c[i - 1] if i else 0) - shift * w[i] for i in range(n)]
+            cp, bp = [mpf(0)] * n, [b[0] / diag[0]] + [mpf(0)] * (n - 1)
+            cp[0] = -c[0] / diag[0]
+            for i in range(1, n):
+                den = diag[i] + c[i - 1] * cp[i - 1]
+                cp[i] = -c[i] / den if i < n - 1 else mpf(0)
+                bp[i] = (b[i] + c[i - 1] * bp[i - 1]) / den
+            x = [mpf(0)] * n
+            x[-1] = bp[-1]
+            for i in range(n - 2, -1, -1):
+                x[i] = bp[i] - cp[i] * x[i + 1]
+            return x
+
+        u = [1 - (mpf(r) / grid.R) ** 2 for r in grid.nodes[:-1].tolist()]
+        shift, ray = mpf(0), quotient(u)
+        for it in range(50):
+            u = solve(shift, [wi * ui for wi, ui in zip(w, u)])
+            top = max(abs(x) for x in u)
+            u = [x / top for x in u]
+            new = quotient(u)
+            settled = abs(new - ray) <= mpf(10) ** (5 - dps) * new
+            ray = new
+            if it >= 1:
+                if settled:
+                    return float(ray)
+                shift = ray
+        raise AssertionError("reference Rayleigh-quotient iteration did not settle")
+
+
 class TestMuP:
     def test_matches_dense_oracle(self, mu_p_dense):
         grid = build_radial_grid(5, 1.0, 200, 1.0)
@@ -259,6 +332,13 @@ class TestMuP:
         grid = build_radial_grid(5, 1.0, 200, stretch)
         dense = mu_p_dense(grid)
         assert abs(_mu_p_gate(grid) - dense) / dense <= 1e-12
+
+    @pytest.mark.parametrize("m,stretch", [(200, 1.0), (200, 1.003), (800, 1.0049)])
+    def test_matches_high_precision_reference(self, m, stretch):
+        grid = build_radial_grid(5, 1.0, m, stretch)
+        spec = ProblemSpec(variant="critical-bounded", p=2.0, n=5, mu=3.0, grid=grid)
+        ref = mp_mu_p(grid)
+        assert abs(estimate_mu_p(spec) - ref) / ref <= 1e-14
 
     def test_refinement_study(self):
         # the scheme is second order: each halving of the spacing should

@@ -102,6 +102,12 @@ class TestArrayMethods:
             rows = [values(dispatcher(spec, u)) for u in points]
             for got, want in zip(method(x), rows):
                 assert_rel_close(got, want)
+        # preconditioned directions are already 0 on a Dirichlet boundary,
+        # so the descent loops apply no mask to them
+        g = model.grad_T(x) - model.grad_U(x)
+        for h in (g, g[1]):
+            ph = model.precondition(h)
+            assert np.array_equal(model.mask(ph), ph)
         d = np.diff(x, axis=0)
         diffs = [b - a for a, b in zip(points, points[1:])]
         assert_rel_close(model.inner(d, d), [inner(spec, v, v) for v in diffs])
