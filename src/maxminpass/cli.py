@@ -78,12 +78,15 @@ COMPARISON_SCHEMA = {
 }
 TOY_SUMMARY_SCHEMA = {
     "type": "object",
-    "required": ["c_closed_form", "c_bruteforce", "c_maxmin", "c_mpa"],
+    "required": ["c_closed_form", "c_bruteforce", "c_maxmin", "c_mpa",
+                 "mpa_converged", "mpa_sweeps"],
     "properties": {
         "c_closed_form": {"type": "number"},
         "c_bruteforce": {"type": "number"},
         "c_maxmin": {"type": "number"},
         "c_mpa": {"type": "number"},
+        "mpa_converged": {"type": "boolean"},
+        "mpa_sweeps": {"type": "integer", "minimum": 0},
         "lambda_bar": {"type": "number"},
         "lambda_star_star": {"type": "number"},
     },
@@ -340,11 +343,13 @@ def cmd_toy(q: float, d: int, out: Path) -> int:
         "c_bruteforce": toy_c_bruteforce(prob),
         "c_maxmin": curve.c_maxmin,
         "c_mpa": mpa.c_mpa,
+        "mpa_converged": mpa.converged,
+        "mpa_sweeps": mpa.sweeps,
         "lambda_bar": curve.lambda_bar,
         "lambda_star_star": curve.lambda_star_star,
     }
     _write_json(out / "toy_summary.json", payload)
-    return EXIT_OK
+    return EXIT_OK if mpa.converged else EXIT_CONVERGENCE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,9 @@
 
 A discrete path from 0 to a negative-energy endpoint is deformed by damped
 steepest descent of F on the interior images (elastic-string style), with
-arc-length re-parameterization each sweep.  The running max of F along the
-path is a monotone sequence of upper bounds on the pass level.
+arc-length re-parameterization each sweep.  The max of F over the images,
+refined by one local bounded search on the broken line through the argmax
+image, gives a monotone sequence of upper bounds on the pass level.
 
 The path is one stacked array, one image per row: ``(k+2, m)`` on a radial
 grid, ``(k+2, d)`` for the toy.  A sweep moves the whole string at once, as
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import GridMismatchError, ValidationError
-from .functionals import ProblemSpec, eval_F, eval_T, eval_U
+from .functionals import ProblemSpec, eval_F, eval_T, eval_U  # noqa: F401 (eval_U: traced binding)
 from .grids import GridFunction, RadialGrid
 from .levelcurve import scaling_exponent, scaling_path
 
@@ -33,7 +34,7 @@ __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
 
 class DiscretePath:
     """Images of a discrete path, stacked as the rows of the read-only array
-    ``images``, with F at each image in ``energies``.
+    ``images``, with F at each image in ``energies`` (one value per image).
 
     ``points`` is a list of the variant's points (GridFunctions on a radial
     grid, arrays for the toy), or their stacked array together with the
@@ -47,11 +48,13 @@ class DiscretePath:
             grid = getattr(points[0], "grid", grid)
             points = [getattr(u, "values", u) for u in points]
         images = np.array(points, dtype=float)
+        energies = np.asarray(energies, dtype=float)
+        if energies.shape != images.shape[:1]:
+            raise ValidationError("path needs one energy per image")
         if not np.all(np.isfinite(images)):
             raise ValidationError("path values must be finite")
         if np.any(images[0] != 0.0):
             raise ValidationError("path must start at the zero function")
-        energies = np.asarray(energies, dtype=float)
         if not energies[-1] < 0:
             raise ValidationError("path endpoint must have strictly negative energy")
         images.flags.writeable = False
@@ -136,6 +139,12 @@ def _reparameterize(spec: ProblemSpec, images: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_grid(path: DiscretePath, spec: ProblemSpec) -> None:
+    grid = spec.model.grid
+    if grid is not None and (path.grid is None or not path.grid.same_as(grid)):
+        raise GridMismatchError("path does not live on the spec's grid")
+
+
 def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
     """One sweep: descend F on every interior image, then re-parameterize.
 
@@ -143,8 +152,7 @@ def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
     preserved by construction.
     """
     model = spec.model
-    if model.grid is not None and (path.grid is None or not path.grid.same_as(model.grid)):
-        raise GridMismatchError("path does not live on the spec's grid")
+    _check_grid(path, spec)
     x = path.images
     # Cap each displacement at half the mean image spacing: F is unbounded
     # below past the barrier, and uncapped descent lets images run away.
@@ -163,31 +171,24 @@ def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
     return DiscretePath(images, energies, path.grid)
 
 
-def _segment_sup(spec: ProblemSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Supremum of F along the straight segment between the rows a and b."""
+def _path_sup(path: DiscretePath, spec: ProblemSpec) -> float:
+    """Sup of F over the polygonal path near its argmax image x_j: the
+    discrete max, refined by one bounded Brent search of the broken line
+    psi(s) = F(x_j + |s| (x_{j-1} - x_j)) for s < 0, F(x_j + s (x_{j+1} - x_j))
+    for s >= 0, with s clipped to 0 where x_j ends the path.  The search is
+    local: it finds a local max of psi, not a certified global sup.  Each value
+    is F on the admissible polygonal path, so it bounds the pass level above."""
+    x, j, last = path.images, path.argmax_index, len(path.images) - 1
     F = spec.model.F
+    left = x[max(j - 1, 0)] - x[j]
+    right = x[min(j + 1, last)] - x[j]
     r = minimize_scalar(
-        lambda t: -F((1.0 - t) * a + t * b),
-        bounds=(0.0, 1.0),
+        lambda s: -F(x[j] + s * right if s >= 0.0 else x[j] - s * left),
+        bounds=(-1.0 if j > 0 else 0.0, 1.0 if j < last else 0.0),
         method="bounded",
         options={"xatol": 1e-12},
     )
-    return float(-r.fun)
-
-
-def _path_sup(path: DiscretePath, spec: ProblemSpec) -> float:
-    """Exact sup of F over the polygonal path: the discrete max refined by
-    1-D maximization on the segments adjacent to the argmax.  The polygonal
-    path is itself admissible, so this is a true upper bound on the pass
-    level."""
-    x = path.images
-    j = path.argmax_index
-    sup = path.max_energy
-    if j > 0:
-        sup = max(sup, _segment_sup(spec, x[j - 1], x[j]))
-    if j < len(x) - 1:
-        sup = max(sup, _segment_sup(spec, x[j], x[j + 1]))
-    return sup
+    return max(path.max_energy, float(-r.fun))
 
 
 @dataclass
@@ -260,7 +261,8 @@ def estimate_c(
 def crosses_all_levels(path: DiscretePath, spec: ProblemSpec, lambdas) -> bool:
     """Intermediate-value scan: the path must cross U = lambda for every
     lambda between 0 and the endpoint's level."""
-    Us = np.asarray([eval_U(spec, u) for u in path.points])
+    _check_grid(path, spec)
+    Us = spec.model.U(path.images)
     for lam in np.asarray(lambdas, dtype=float):
         if not np.any((Us[:-1] - lam) * (Us[1:] - lam) <= 0.0):
             return False

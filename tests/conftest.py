@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.optimize import minimize_scalar
 
 from maxminpass import (
     InfeasibleError,
@@ -105,6 +106,36 @@ def _per_image_deform(path, spec, step):
 @pytest.fixture(scope="session")
 def deform_oracle():
     return _per_image_deform
+
+
+def _two_segment_sup(path, spec):
+    """Sup of F over the polygonal path by two bounded Brent searches, one
+    on each straight segment next to the argmax image: the reference the
+    single broken-line search of ``_path_sup`` is checked against."""
+    x = path.images
+    j = path.argmax_index
+    F = spec.model.F
+
+    def segment_sup(a, b):
+        r = minimize_scalar(
+            lambda t: -F((1.0 - t) * a + t * b),
+            bounds=(0.0, 1.0),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        return float(-r.fun)
+
+    sup = path.max_energy
+    if j > 0:
+        sup = max(sup, segment_sup(x[j - 1], x[j]))
+    if j < len(x) - 1:
+        sup = max(sup, segment_sup(x[j], x[j + 1]))
+    return sup
+
+
+@pytest.fixture(scope="session")
+def path_sup_oracle():
+    return _two_segment_sup
 
 
 def _point_minimize(spec, lam, u0=None, opts=None):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, schemas."""
 
 import csv
+import functools
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ import maxminpass.cli
 import maxminpass.verify
 from maxminpass import (
     MinimizeOptions,
+    MpaOptions,
     eval_T,
     gridfunction_from_csv,
     gridfunction_to_csv,
@@ -225,6 +227,8 @@ class TestPipelines:
         assert payload["c_closed_form"] == pytest.approx(0.25)
         assert payload["c_bruteforce"] == pytest.approx(0.25, abs=1e-6)
         assert payload["c_mpa"] == pytest.approx(0.25, abs=1e-3)
+        assert payload["mpa_converged"] is True
+        assert payload["mpa_sweeps"] > 0
 
 
 def spy_level1_solves(monkeypatch):
@@ -368,6 +372,16 @@ class TestUnconvergedRuns:
         payload = json.loads((tmp_path / "verify_report.json").read_text())
         jsonschema.validate(payload, VERIFY_REPORT_SCHEMA)
         assert 0 < payload["unconverged"] <= payload["solves"]
+
+    def test_toy_exits_nonzero_when_mpa_does_not_converge(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            maxminpass.cli, "MpaOptions", functools.partial(MpaOptions, max_sweeps=1)
+        )
+        assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        payload = json.loads((tmp_path / "toy_summary.json").read_text())
+        jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)
+        assert payload["mpa_converged"] is False
+        assert payload["mpa_sweeps"] == 1
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,6 +1,7 @@
-"""The stacked path deformation against its per-image reference, the array
-methods of the variants against the point-level dispatchers, and the library
-endpoint search."""
+"""The stacked path deformation against its per-image reference, the
+broken-line path sup against the two-segment reference, the array methods of
+the variants against the point-level dispatchers, and the library endpoint
+search."""
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from maxminpass import (
     ToyProblem,
     ValidationError,
     build_radial_grid,
+    crosses_all_levels,
     deform,
     estimate_c,
     eval_F,
+    eval_U,
     find_endpoint,
     grad_T,
     grad_U,
@@ -31,6 +34,7 @@ from maxminpass import (
     scaling_exponent,
     scaling_path,
 )
+from maxminpass.mpa import _path_sup
 
 REL = 1e-13
 
@@ -86,6 +90,102 @@ class TestStackedSweep:
         assert not new.images.flags.writeable
 
 
+def bent_path(spec, radii, energies=None):
+    """Toy path whose image i sits at radius radii[i] and angle 0.3 i, so
+    that each image is a corner; energies default to F's."""
+    points = [r * np.array([np.cos(0.3 * i), np.sin(0.3 * i)]) for i, r in enumerate(radii)]
+    if energies is None:
+        energies = [eval_F(spec, u) for u in points]
+    return DiscretePath(points=points, energies=energies)
+
+
+class TestPathSup:
+    @pytest.mark.parametrize("case", ["toy2.5", "toy4", "toy6", "hardy", "critical"])
+    def test_estimate_c_matches_two_segment_sup(
+        self, case, hardy_small, critical_small, path_sup_oracle, monkeypatch
+    ):
+        if case.startswith("toy"):
+            q = float(case[3:])
+            spec = ProblemSpec(variant="toy", toy=ToyProblem(2, q))
+            r = 2.0
+            while r**2 - r**q >= 0:
+                r *= 2.0
+            args = (np.array([r, 0.0]), MpaOptions(step=0.05), 48)
+        else:
+            spec = hardy_small if case == "hardy" else critical_small
+            endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+            args = (endpoint, MpaOptions(), 32)
+        new = estimate_c(spec, *args)
+        monkeypatch.setattr(maxminpass.mpa, "_path_sup", path_sup_oracle)
+        old = estimate_c(spec, *args)
+        assert new.converged and old.converged
+        assert new.sweeps == old.sweeps
+        assert [row[2] for row in new.trace] == [row[2] for row in old.trace]
+        assert abs(new.c_mpa - old.c_mpa) <= REL * abs(old.c_mpa)
+
+    @pytest.mark.parametrize(
+        "radii, j",
+        [
+            ([0.0, 0.4, 0.8, 1.5, 2.0], 2),  # sup inside the left segment
+            ([0.0, 0.6, 0.9, 1.5, 2.0], 1),  # sup inside the right segment
+            ([0.0, 0.3, 0.5**0.5, 1.2, 2.0], 2),  # sup at the argmax image
+        ],
+    )
+    def test_hand_built_paths_match_two_segment_sup(self, radii, j, path_sup_oracle):
+        # F(u) = |u|^2 - |u|^4 peaks on the circle |u| = 1/sqrt(2) with value
+        # 1/4, which every segment between the radii 0.4 and 0.8 (left) or
+        # 0.6 and 0.9 (right) crosses
+        spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
+        path = bent_path(spec, radii)
+        assert path.argmax_index == j
+        sup = _path_sup(path, spec)
+        assert abs(sup - path_sup_oracle(path, spec)) <= REL
+        assert sup >= path.max_energy
+        assert sup == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_argmax_at_an_end_clips_the_bounds(self, end, path_sup_oracle, monkeypatch):
+        # the one segment next to the argmax crosses the circle |u| = 1/sqrt(2)
+        spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
+        if end == "first":
+            path = bent_path(spec, [0.0, 1.5, 1.8, 2.0])
+            bounds = (0.0, 1.0)
+        else:
+            # F(0) = 0 > F(endpoint), so a path carrying F's energies never
+            # peaks at its endpoint; this one carries made-up energies
+            path = bent_path(spec, [0.0, 0.3, 0.6, 0.9], energies=[-20.0, -15.0, -13.0, -12.0])
+            bounds = (-1.0, 0.0)
+        seen = []
+        search = maxminpass.mpa.minimize_scalar
+
+        def spy(fun, **kwargs):
+            seen.append(kwargs["bounds"])
+            return search(fun, **kwargs)
+
+        monkeypatch.setattr(maxminpass.mpa, "minimize_scalar", spy)
+        sup = _path_sup(path, spec)
+        assert seen == [bounds]
+        assert abs(sup - path_sup_oracle(path, spec)) <= REL
+        assert sup == pytest.approx(0.25, abs=1e-15)
+
+    def test_at_most_25_energy_calls_per_sup(self, monkeypatch):
+        spec, path = toy_path()
+        calls = []
+        F = spec.model.F
+
+        def counting(x):
+            calls.append(1)
+            return F(x)
+
+        for _ in range(5):
+            path = deform(path, spec, 0.05)
+            calls.clear()
+            monkeypatch.setattr(spec.model, "F", counting)
+            _path_sup(path, spec)
+            monkeypatch.undo()
+            assert 0 < len(calls) <= 25
+
+
 class TestArrayMethods:
     def test_stacked_calls_equal_row_by_row(self, spec_and_path):
         spec, path = spec_and_path
@@ -111,6 +211,18 @@ class TestArrayMethods:
         d = np.diff(x, axis=0)
         diffs = [b - a for a, b in zip(points, points[1:])]
         assert_rel_close(model.inner(d, d), [inner(spec, v, v) for v in diffs])
+
+    def test_stacked_U_of_the_level_scan(self, spec_and_path):
+        # crosses_all_levels takes U of the stacked path: bit-identical to the
+        # per-point dispatcher on a radial grid; the toy's array power may
+        # round its last bit differently from the scalar one
+        spec, path = spec_and_path
+        Us = spec.model.U(path.images)
+        per_point = [eval_U(spec, u) for u in path.points]
+        if spec.variant == "toy":
+            np.testing.assert_array_max_ulp(Us, per_point, maxulp=1)
+        else:
+            assert np.array_equal(Us, per_point)
 
 
 class TestPathChecks:
@@ -150,6 +262,25 @@ class TestPathChecks:
         _, path = toy_path()
         with pytest.raises(GridMismatchError):
             deform(path, critical_small, 0.2)
+
+    def test_level_scan_on_another_grid_rejected(self, hardy_small, critical_small):
+        _, path = radial_path(critical_small, k=4)
+        assert crosses_all_levels(path, critical_small, [1e-3])
+        with pytest.raises(GridMismatchError):
+            crosses_all_levels(path, hardy_small, [1e-3])
+        _, path = toy_path()
+        with pytest.raises(GridMismatchError):
+            crosses_all_levels(path, critical_small, [1e-3])
+
+    @pytest.mark.parametrize("energies", [[0.0, 0.2, -12.0], [0.0, 0.1, 0.2, 0.3, -12.0]])
+    def test_one_energy_per_image(self, energies):
+        # with 5 energies for 4 images the argmax fell past the last image,
+        # with 3 it indexed the wrong one
+        points = [np.array([r, 0.0]) for r in (0.0, 0.5, 1.0, 2.0)]
+        with pytest.raises(ValidationError):
+            DiscretePath(points=points, energies=energies)
+        with pytest.raises(ValidationError):
+            DiscretePath(np.array(points), energies)
 
     def test_start_and_endpoint_still_checked(self):
         spec, path = toy_path()
