@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
 from .grids import GridFunction, RadialGrid, ScalingAction, apply_scaling, build_radial_grid
@@ -91,8 +90,10 @@ def check_keys(block, known, where: str) -> None:
 class NonlinearitySpec:
     """The model odd nonlinearity g(s) = -m s + |s|^(q-2) s.
 
-    G is its even primitive -m s^2/2 + |s|^q / q.  ``xi0`` is the first
-    positive level found by scanning where G > 0.
+    G is its even primitive -m s^2/2 + |s|^q / q.  Both terms are
+    homogeneous, so U(a u) = sum W G(a u) is B a^q - A a^2 in closed form,
+    with A = (m/2) sum W u^2 and B = sum W |u|^q / q: the Hardy retraction
+    solves it for the amplitude a.
     """
 
     m: float = 1.0
@@ -111,26 +112,6 @@ class NonlinearitySpec:
     def G(self, s):
         s = np.asarray(s, dtype=float)
         return -0.5 * self.m * s**2 + np.abs(s) ** self.q / self.q
-
-    def amplitude_integral(self, weights: np.ndarray, s: np.ndarray):
-        """The map a -> sum(weights * G(a s)) on scalar amplitudes a > 0.
-
-        G is a sum of two homogeneous terms, so the map is exactly
-        -(m/2) a^2 S_2 + a^q S_q / q with S_2 = sum(w s^2) and
-        S_q = sum(w |s|^q); both moments are computed here, once.
-        """
-        half_m_s2 = 0.5 * self.m * float(np.dot(weights, s * s))
-        sq_over_q = float(np.dot(weights, np.abs(s) ** self.q)) / self.q
-        q = self.q
-        return lambda a: -half_m_s2 * a * a + a**q * sq_over_q
-
-    @property
-    def xi0(self) -> float:
-        s = np.logspace(-3, 6, 4000)
-        positive = self.G(s) > 0
-        if not positive.any():
-            raise ValidationError("no positive level with G > 0 found")
-        return float(s[np.argmax(positive)])
 
     def check_growth_conditions(self, p: float, pstar: float) -> None:
         """Admissibility of g for the subcritical problem: p < q < p*.
@@ -380,53 +361,50 @@ class Hardy(_Radial):
         return self.nl.g(x)
 
     def retract(self, x, lam: float, tol: float):
-        # Scale the amplitude so that U(a x) = lam.  This is exact on the
-        # grid (no resampling), unlike a dilation, whose interpolation error
-        # would put a noise floor under the line search.  U(a x) tends to 0
-        # from below as a -> 0 and to +inf as a -> inf, so a root exists for
-        # every nonzero x and positive lam.  The root search runs on the
-        # closed form of a -> U(a x); the result is checked on the grid.
-        if self.inner(x, x) == 0.0:
-            raise InfeasibleError("cannot scale the zero function onto the level")
-        U_of = self.nl.amplitude_integral(self.grid.weights, x)
-
-        def gap(a):
-            return U_of(a) - lam
-
-        hi = 1.0
-        for _ in range(200):
-            if gap(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise InfeasibleError("amplitude scaling could not reach the level")
-        lo = hi / 2.0
-        while gap(lo) > 0.0:
-            lo /= 2.0
-            if lo < 1e-200:
-                raise InfeasibleError("amplitude scaling could not bracket the level")
-        a = brentq(gap, lo, hi, xtol=1e-300, rtol=8.9e-16)
-        v = a * x
+        # Scale the amplitude so that U(a y) = lam, y = x / max|x|.  This is
+        # exact on the grid (no resampling), unlike a dilation, whose
+        # interpolation error would put a noise floor under the line search.
+        # U(a y) = B a^q - A a^2 with A = (m/2) sum W y^2 and B = sum W |y|^q
+        # / q, both positive and finite whatever the scale of x, so
+        # phi(a) = B a^q - A a^2 - lam has exactly one positive root a*.  At
+        # a0 = max((2 lam / B)^(1/q), (2A / B)^(1/(q-2))) half of B a0^q is
+        # at least lam and half at least A a0^2, so a0 >= a*.  On [a*, inf) phi
+        # is increasing and convex (there a^(q-2) > A/B, and q(q-1) > 2), so
+        # Newton's iterates from a0 decrease monotonically to a*; they stop
+        # at the first step that does not decrease a, where rounding takes
+        # over.  The result is then checked on the grid.
+        top = float(np.max(np.abs(x)))
+        if not 0.0 < top < math.inf:
+            raise InfeasibleError("cannot scale a zero or non-finite function onto the level")
+        y = x / top
+        q = self.nl.q
+        A = 0.5 * self.nl.m * float(self.inner(y, y))
+        B = float(np.vecdot(np.abs(y) ** q, self.grid.weights)) / q
+        prev = math.inf
+        try:
+            a = max((2.0 * lam / B) ** (1.0 / q), (2.0 * A / B) ** (1.0 / (q - 2.0)))
+            while a < prev:
+                prev, Baq = a, B * a**q
+                a -= (Baq - A * a * a - lam) / (q * Baq / a - 2.0 * A * a)
+        except (OverflowError, ZeroDivisionError):
+            raise InfeasibleError("the level's amplitude is out of floating-point range") from None
+        v = prev * y
         err = float(self.U(v)) - lam
-        if abs(err) > tol * lam:
+        if not abs(err) <= tol * lam:
             # When lam is tiny against either term of U, the closed form and
             # the grid sum cancel differently by more than the tolerance; one
-            # Newton step on the grid value, d/da U(a x) = <g(a x), x>,
+            # Newton step on the grid value, d/da U(a y) = <g(a y), y>,
             # closes the gap.
-            a -= err / float(self.inner(self.grad_U(v), x))
-            v = a * x
+            v = v - err / float(self.inner(self.grad_U(v), y)) * y
             err = float(self.U(v)) - lam
-        if abs(err) > tol * lam:
+        if not abs(err) <= tol * lam:
             raise InfeasibleError("amplitude retraction did not reach the level")
         return v
 
     def seed(self, width=None):
+        # The unit bump; ``retract`` sets the amplitude for any level.
         w = width if width is not None else self.grid.R / 15.0
-        prof = np.exp(-((self.grid.nodes / w) ** 2))
-        for a in np.logspace(-1.0, 4.0, 120):
-            if self.U(a * prof) > 0.0:
-                return 1.5 * GridFunction(self.grid, a * prof)
-        raise InfeasibleError("could not find a bump amplitude with U > 0")
+        return GridFunction(self.grid, np.exp(-((self.grid.nodes / w) ** 2)))
 
     def transport(self, u, ratio: float):
         # Dilation maps minimizers at one level near those at the next, but
@@ -465,12 +443,10 @@ class Critical(_Radial):
         super().__init__(spec)
         if not 1 < spec.p**2 < spec.n:
             raise ValidationError("need 1 < p^2 < n")
-        limit = spec.mu_limit
-        if limit is None and math.isclose(spec.p, 2.0):
-            limit = _mu_p_gate(spec.grid)
-        if limit is not None and not 0 < spec.mu < limit:
-            raise ValidationError(f"mu must lie in (0, {limit}) (first eigenvalue)")
-        object.__setattr__(spec, "mu_limit", limit)
+        if spec.mu_limit is None:
+            object.__setattr__(spec, "mu_limit", self.mu_limit_of(spec.p, spec.n, spec.grid))
+        if not 0 < spec.mu < spec.mu_limit:
+            raise ValidationError(f"mu must lie in (0, {spec.mu_limit}) (first eigenvalue)")
         self.pstar = pstar = spec.pstar
         self.scaling_exponent = spec.p / pstar
         # The printed solution-scale exponent is resolved empirically by
@@ -513,7 +489,10 @@ class Critical(_Radial):
 
     @staticmethod
     def mu_limit_of(p: float, n: int, grid: RadialGrid) -> float:
-        return _mu_p_gate(grid)
+        # The first Dirichlet eigenvalue mu_p at this p.
+        if math.isclose(p, 2.0):
+            return _mu_p_gate(grid)
+        return _mu_p_descent_general(grid, p, Preconditioner(grid, True))
 
 
 VARIANTS = {cls.name: cls for cls in (Toy, Hardy, Critical)}
@@ -659,21 +638,21 @@ def estimate_mu_p(spec: ProblemSpec, tol: float = 1e-12, max_iters: int = 5000) 
     if not isinstance(spec.model, Critical):
         raise ValidationError("mu_p is defined for the critical-bounded variant")
     grid, p = spec.grid, spec.p
-    dr, we, W = grid.dr, grid.we, grid.weights
-
     if math.isclose(p, 2.0):
         d, e, w = _dirichlet_tridiagonal(grid)
         _, y = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
         u = np.zeros(grid.m)
         u[:-1] = y[:, 0] / np.sqrt(w)
-        return float(np.dot(we, (np.diff(u) / dr) ** 2) / np.dot(W, u * u))
+        return float(np.dot(grid.we, (np.diff(u) / grid.dr) ** 2) / np.dot(grid.weights, u * u))
+    return _mu_p_descent_general(grid, p, spec.model._prec, tol, max_iters)
 
+
+def _mu_p_descent_general(grid, p, prec, tol=1e-12, max_iters=5000) -> float:
+    """The descent of ``estimate_mu_p`` for p != 2, from 1 - (r/R)^2."""
+    dr, we, W = grid.dr, grid.we, grid.weights
     u = 1.0 - (grid.nodes / grid.R) ** 2
     u[-1] = 0.0
-    return _mu_p_descent_general(grid, dr, we, W, p, spec.model._prec, u, tol, max_iters)
 
-
-def _mu_p_descent_general(grid, dr, we, W, p, prec, u, tol, max_iters) -> float:
     def ratio_and_grad(u):
         du = np.diff(u) / dr
         A = float(np.dot(we, np.abs(du) ** p))

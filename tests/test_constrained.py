@@ -50,6 +50,26 @@ def hardy_variants():
         )
 
 
+SCALES = (1e-150, 1e-8, 1.0, 1e8, 1e100, 1e150, 1e300)
+
+
+def hardy_n3(m, q):
+    """A whole-space spec at mu = 0 on the grid of ``hardy_variants``."""
+    return ProblemSpec(
+        variant="hardy-subcritical",
+        p=2.0,
+        n=3,
+        nonlinearity=NonlinearitySpec(m, q),
+        grid=build_radial_grid(3, 30.0, 200, 50.0 ** (1.0 / 200)),
+    )
+
+
+def hardy_retraction_specs():
+    """``hardy_variants`` and q = 2.2, where U(a x) is closest to quadratic."""
+    yield from hardy_variants()
+    yield hardy_n3(1.0, 2.2)
+
+
 def retract_by_grid_root(spec, u, lam):
     """Reference amplitude retraction: brentq on U evaluated on the grid."""
 
@@ -88,6 +108,50 @@ class TestRetraction:
                 a = v.values[k] / u0.values[k]
                 assert a == pytest.approx(retract_by_grid_root(spec, u0, lam), rel=1e-12)
                 assert abs(eval_U(spec, v) - lam) <= tol * lam
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_hardy_lands_at_any_input_scale(self, scale):
+        # the amplitude solve runs on x / max|x|: the scale of the input
+        # neither overflows nor underflows its moments
+        tol = MinimizeOptions().constraint_tol
+        for spec in hardy_retraction_specs():
+            u = GridFunction(spec.grid, scale * np.exp(-((spec.grid.nodes / 2.0) ** 2)))
+            for lam in (1.0, 1e4, 1e12):
+                v = retract_to_level(spec, u, lam, tol)
+                assert abs(eval_U(spec, v) - lam) <= tol * lam
+
+    def test_hardy_below_the_cancellation_floor_is_infeasible(self):
+        # at lam = 1e-3 the two terms of U cancel below the grid's rounding
+        # for some specs: the retraction either lands or says so
+        tol = MinimizeOptions().constraint_tol
+        for spec in hardy_retraction_specs():
+            bump = np.exp(-((spec.grid.nodes / 2.0) ** 2))
+            for scale in SCALES:
+                try:
+                    v = spec.model.retract(scale * bump, 1e-3, tol)
+                except InfeasibleError:
+                    continue
+                assert np.all(np.isfinite(v))
+                assert abs(spec.model.U(v) - 1e-3) <= tol * 1e-3
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_hardy_non_finite_profile_is_infeasible(self, bad):
+        spec = next(hardy_retraction_specs())
+        x = np.exp(-((spec.grid.nodes / 2.0) ** 2))
+        x[3] = bad
+        with pytest.raises(InfeasibleError):
+            spec.model.retract(x, 1.0, MinimizeOptions().constraint_tol)
+
+    @pytest.mark.parametrize(
+        "m,q,lam", [(1e4, 2.01, 1.0), (1e-12, 2.01, 5e-324), (1.0, 2.5, 1e308)]
+    )
+    def test_hardy_amplitude_out_of_float_range_is_infeasible(self, m, q, lam):
+        # the root is about (q m / 2)^(1/(q-2)), here past 1e308 (overflow)
+        # and, with lam subnormal as well, below the smallest float (a0 = 0);
+        # at lam = 1e308, 2 lam / B is inf and U of the image is NaN
+        spec = hardy_n3(m, q)
+        with pytest.raises(InfeasibleError), np.errstate(over="ignore", invalid="ignore"):
+            spec.model.retract(np.exp(-((spec.grid.nodes / 2.0) ** 2)), lam, 1e-10)
 
     def test_zero_seed_is_infeasible(self, hardy_small):
         zero = GridFunction(hardy_small.grid, np.zeros(hardy_small.grid.m))

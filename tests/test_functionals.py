@@ -69,17 +69,6 @@ class TestNonlinearity:
         nl = NonlinearitySpec(1.0, 3.0)
         assert nl.g(2.0) == pytest.approx(-2.0 + 4.0)
         assert nl.G(2.0) == pytest.approx(-2.0 + 8.0 / 3.0)
-        assert nl.G(nl.xi0) > 0
-
-    @pytest.mark.parametrize("m,q", [(1.0, 8.0 / 3.0), (1.0, 3.0), (2.5, 2.5), (0.1, 4.0), (7.0, 2.2)])
-    def test_xi0_matches_the_scan_loop(self, m, q):
-        nl = NonlinearitySpec(m, q)
-        scan = next(float(s) for s in np.logspace(-3, 6, 4000) if nl.G(s) > 0)
-        assert nl.xi0 == scan
-
-    def test_xi0_without_a_positive_level(self):
-        with pytest.raises(ValidationError):
-            NonlinearitySpec(1e20, 2.5).xi0
 
     def test_oddness(self):
         nl = NonlinearitySpec(2.0, 2.7)
@@ -113,8 +102,8 @@ class TestNonlinearity:
         assert r.i_value > 0
 
     def test_positive_level_beyond_the_scan_is_admissible(self):
-        # G > 0 only from (q m / 2)^(1/(q-2)) = 1.5625e6, past the end of
-        # the xi0 scan
+        # G > 0 only from (q m / 2)^(1/(q-2)) = 1.5625e6; no sampled scan
+        # of s decides admissibility
         spec = ProblemSpec(
             variant="hardy-subcritical", p=2.0, n=5,
             nonlinearity=NonlinearitySpec(1e3, 2.5), grid=build_radial_grid(5, 30.0, 60, 1.0),
@@ -381,6 +370,20 @@ class TestProblemSpecValidation:
         with pytest.raises(ValidationError):
             ProblemSpec(variant="critical-bounded", p=2.0, n=5, mu=100.0, grid=grid)
 
+    @pytest.mark.parametrize("fraction,admissible", [(0.99, True), (1.01, False), (60.0, False)])
+    def test_first_eigenvalue_gates_mu_at_p_not_2(self, fraction, admissible):
+        # mu_p is about 16.4 on this ball at p = 1.8: the gate is the first
+        # Dirichlet eigenvalue at the spec's p, at every p
+        grid = build_radial_grid(5, 1.0, 150, 1.0)
+        probe = ProblemSpec(variant="critical-bounded", p=1.8, n=5, mu=1.0, grid=grid)
+        mu_p = estimate_mu_p(probe)
+        assert probe.mu_limit == mu_p
+        if admissible:
+            ProblemSpec(variant="critical-bounded", p=1.8, n=5, mu=fraction * mu_p, grid=grid)
+        else:
+            with pytest.raises(ValidationError):
+                ProblemSpec(variant="critical-bounded", p=1.8, n=5, mu=fraction * mu_p, grid=grid)
+
     def test_p_range(self):
         with pytest.raises(ValidationError):
             hardy_spec(p=5.0)
@@ -411,6 +414,21 @@ class TestConfigRoundtrip:
         }
         spec = problem_from_config(cfg)
         assert spec.mu == pytest.approx(0.5 * hardy_constant(2.0, 5))
+
+    def test_mu_fraction_of_limit_at_p_not_2(self):
+        # the limit is the first Dirichlet eigenvalue at the spec's p, not
+        # the p = 2 one, which is 1.23 times larger here
+        cfg = {
+            "variant": "critical-bounded",
+            "p": 1.8,
+            "n": 5,
+            "mu_fraction_of_limit": 0.5,
+            "grid": {"n": 5, "R": 1.0, "m": 150, "stretch": 1.0},
+        }
+        spec = problem_from_config(cfg)
+        mu_p = estimate_mu_p(spec)
+        assert mu_p == pytest.approx(16.404, rel=1e-4)
+        assert spec.mu == 0.5 * mu_p
 
     @pytest.mark.parametrize(
         "duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
