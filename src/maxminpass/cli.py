@@ -158,8 +158,8 @@ def _sweep_lambdas(cfg: dict) -> np.ndarray:
     lo = float(block.get("lambda_min", 0.1))
     hi = float(block.get("lambda_max", 10.0))
     count = int(block.get("count", 40))
-    if not (0 < lo < hi) or count < 3:
-        raise ValidationError("sweep needs 0 < lambda_min < lambda_max and count >= 3")
+    if not (0 < lo < hi < math.inf) or count < 3:
+        raise ValidationError("sweep needs finite 0 < lambda_min < lambda_max and count >= 3")
     return np.geomspace(lo, hi, count)
 
 

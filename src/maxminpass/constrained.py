@@ -64,8 +64,8 @@ class MinimizeResult:
 
 def retract_to_level(spec: ProblemSpec, u, lam: float, constraint_tol: float = 1e-10):
     """Project u onto {U = lam} along the problem's exact group action."""
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError("lambda must be positive and finite")
     model = spec.model
     return model.wrap(model.retract(model.unwrap(u), lam, constraint_tol))
 
@@ -100,8 +100,8 @@ def minimize_on_level(
     non-finite value."""
     opts = opts or MinimizeOptions()
     gtol, tol = opts.resolved_grad_tol(spec), opts.constraint_tol
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError("lambda must be positive and finite")
     model = spec.model
     x = model.unwrap(default_seed(spec, lam) if u0 is None else u0)
     if not np.all(np.isfinite(x)):
@@ -175,8 +175,9 @@ def continuation_sweep(
     the previous minimizer transported along the group action.  Failures are
     recorded as non-converged entries and the sweep continues."""
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1 or np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
-        raise ValidationError("lambdas must be positive and strictly increasing")
+    ok = lambdas.ndim == 1 and np.all(np.isfinite(lambdas) & (lambdas > 0))
+    if not ok or np.any(np.diff(lambdas) <= 0):
+        raise ValidationError("lambdas must be positive, finite and strictly increasing")
     results: list[MinimizeResult] = []
     prev = None
     for lam in lambdas:

@@ -57,8 +57,8 @@ def build_level_curve(samples, i_fn=None, tie_tol: float = TIE_TOL) -> LevelCurv
     i_values = np.asarray([s[1] for s in samples], dtype=float)
     if lambdas.ndim != 1 or lambdas.size < 3:
         raise ValidationError("need at least three samples")
-    if np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
-        raise ValidationError("lambdas must be positive and strictly increasing")
+    if not np.all(np.isfinite(lambdas) & (lambdas > 0)) or np.any(np.diff(lambdas) <= 0):
+        raise ValidationError("lambdas must be positive, finite and strictly increasing")
     if not np.all(np.isfinite(i_values)):
         raise ValidationError("i values must be finite")
 
@@ -150,8 +150,8 @@ def scaling_exponent(spec: ProblemSpec) -> float:
 
 def scaling_path(spec: ProblemSpec, v, lam: float):
     """Transport the level-1 minimizer v to the level lam by the group action."""
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError("lambda must be positive and finite")
     return spec.model.transport(v, lam)
 
 

@@ -1,17 +1,14 @@
 """Weak-residual verification that scaled minimizers solve the
 unconstrained Euler-Lagrange equation with multiplier one.
 
-The unit-multiplier level is found by Brent's method on log theta as a
-function of log lambda.  Along the scaling path theta is proportional to
-lambda^(alpha-1), so that function is affine up to the re-minimization's
-error and the search converges in a few steps; each level it visits is
-solved once per call."""
+The unit-multiplier level is found by Newton's method on log theta as a
+function of log lambda, with the slope alpha - 1 that the scaling law
+i(lambda) = lambda^alpha i(1) fixes; each level it visits is solved once
+per call."""
 
 from __future__ import annotations
 
 import math
-
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .constrained import MinimizeOptions, minimize_on_level, multiplier_and_residual
@@ -52,27 +49,26 @@ def _theta_at_level(spec: ProblemSpec, v, lam: float, opts):
     return multiplier_of(spec, u), u, converged
 
 
-def pick_solution_scale(
-    spec: ProblemSpec,
-    v,
-    opts: MinimizeOptions | None = None,
-    bisect_tol: float = 1e-10,
-) -> dict:
+def pick_solution_scale(spec: ProblemSpec, v, opts: MinimizeOptions | None = None) -> dict:
     """Locate the level with unit multiplier along the scaling path of the
     level-1 minimizer v, and tabulate residuals at the printed and derived
     closed-form candidates.
 
-    The multiplier is proportional to lambda^(alpha-1) along the path, with
-    alpha < 1, so log theta is affine and decreasing in t = log lambda.  A
-    bracket with theta(t_lo) > 1 > theta(t_hi) > 0 is grown by factors of
-    16 around the derived argmax, then Brent's method finds the root of
-    log theta to ``bisect_tol`` in t.  Its secant steps land on the root of
-    an affine function at once, so it takes a few evaluations where a
-    bisection takes ~36.  Each level is solved once, and the
-    unit-multiplier candidate reuses the root's solve.  The report counts
-    the distinct levels re-minimized (``solves``, 0 where the transport is
-    exact) and those whose re-minimization did not converge
-    (``unconverged``).
+    Along the path theta is proportional to lambda^(alpha-1), alpha < 1, so
+    log theta is affine in t = log lambda with the known slope alpha - 1.
+    Newton's method with that slope steps lambda <- lambda theta^(1/(1-alpha))
+    from the derived argmax: it lands on the root at once where the transport
+    is exact, and gains several digits a step where the level is
+    re-minimized.  There theta carries the re-minimization's error, set by
+    ``grad_tol``: a noise floor below which log theta no longer follows t.
+    So the loop stops at 1e-10 in t, or at the first level no closer to
+    theta = 1 than the best so far, which the floor has reached.  A theta
+    that is not positive and finite, or a best level farther than
+    ``grad_tol`` from the root in t, raises ValidationError.  Each level is
+    solved once, and the unit-multiplier candidate reuses the best level's
+    solve.  The report counts the distinct levels re-minimized (``solves``,
+    0 where the transport is exact) and those whose re-minimization did not
+    converge (``unconverged``).
     """
     opts = opts or MinimizeOptions()
     i_1 = eval_T(spec, v)
@@ -84,28 +80,21 @@ def pick_solution_scale(
             solved[lam] = _theta_at_level(spec, v, lam, opts)
         return solved[lam]
 
-    def theta_at(t):
-        return level(math.exp(t))[0]
-
-    step = math.log(16.0)
-    t_guess = math.log(forms["derived_argmax"])
-    t_lo, t_hi = t_guess - step, t_guess + step
-    th_lo, th_hi = theta_at(t_lo), theta_at(t_hi)
-    if not (th_lo > 1.0 > th_hi > 0.0):
-        for _ in range(8):
-            if th_lo <= 1.0:
-                t_lo -= step
-                th_lo = theta_at(t_lo)
-            if th_hi >= 1.0:
-                t_hi += step
-                th_hi = theta_at(t_hi)
-            if th_lo > 1.0 > th_hi > 0.0:
-                break
-        else:
-            raise ValidationError("could not bracket the unit-multiplier level")
-
-    t_unit = brentq(lambda t: math.log(theta_at(t)), t_lo, t_hi, xtol=bisect_tol)
-    lam_unit = math.exp(t_unit)
+    slope = 1.0 - spec.model.scaling_exponent
+    lam, lam_unit, dist = forms["derived_argmax"], None, math.inf
+    for _ in range(16):
+        theta = level(lam)[0]
+        if not 0.0 < theta < math.inf:
+            raise ValidationError(f"no unit-multiplier level: theta = {theta} at {lam}")
+        step = math.log(theta) / slope  # Newton step in log lambda
+        if abs(step) >= dist:  # no closer than the best: the noise floor
+            break
+        lam_unit, dist = lam, abs(step)
+        if dist <= 1e-10:
+            break
+        lam *= math.exp(step)
+    if dist > opts.resolved_grad_tol(spec):
+        raise ValidationError(f"unit-multiplier level not resolved: {dist:.3g} in log lambda")
     theta_unit, u_unit, _ = level(lam_unit)
     res_unit = el_residual(spec, u_unit)
 

@@ -210,8 +210,10 @@ def minimize_oracle():
 def _bisect_solution_scale(spec, v, opts=None, bisect_tol=1e-10):
     """The unit-multiplier search by log-bisection, re-minimizing at every
     level it visits (Hardy), plus the candidate table: the reference the
-    Brent search of ``pick_solution_scale`` is checked against.  Returns
-    the same keys, without the solve counts."""
+    Newton search of ``pick_solution_scale`` is checked against.  It uses
+    only that theta decreases along the scaling path, not the scaling law's
+    slope the Newton steps take.  Returns the same keys, without the solve
+    counts."""
     opts = opts or MinimizeOptions()
 
     def theta_at_level(lam):

@@ -14,6 +14,7 @@ from maxminpass import (
     ProblemSpec,
     ToyProblem,
     ValidationError,
+    build_level_curve,
     build_radial_grid,
     continuation_sweep,
     default_seed,
@@ -22,8 +23,10 @@ from maxminpass import (
     hardy_constant,
     minimize_on_level,
     retract_to_level,
+    scaling_path,
     toy_i_lambda,
 )
+from maxminpass.cli import _sweep_lambdas
 
 RNG = np.random.default_rng(7)
 
@@ -312,6 +315,28 @@ class TestNonFiniteSeed:
     def test_sweep_seed_rejected(self):
         with pytest.raises(ValidationError):
             continuation_sweep(toy_spec(), [1.0, 2.0, 3.0], u0=np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("variant", ["toy", "hardy", "critical"])
+def test_non_finite_level_rejected(request, variant, bad):
+    # every edge that takes a level refuses a NaN or infinite one, before
+    # the variant's retraction or transport sees it
+    spec = toy_spec() if variant == "toy" else request.getfixturevalue(f"{variant}_small")
+    u = default_seed(spec, 1.0)
+    one, many = "lambda must be positive and finite", "lambdas must be positive, finite"
+    calls = [
+        (one, lambda: retract_to_level(spec, u, bad)),
+        (one, lambda: minimize_on_level(spec, bad)),
+        (one, lambda: minimize_on_level(spec, bad, u)),
+        (one, lambda: scaling_path(spec, u, bad)),
+        (many, lambda: continuation_sweep(spec, [1.0, bad], u0=u)),
+        (many, lambda: build_level_curve([(1.0, 3.0), (2.0, 2.5), (bad, 1.0)])),
+        ("finite", lambda: _sweep_lambdas({"sweep": {"lambda_min": 1.0, "lambda_max": bad}})),
+    ]
+    for match, call in calls:
+        with pytest.raises(ValidationError, match=match):
+            call()
 
 
 class TestOptionsValidation:
