@@ -1,9 +1,15 @@
 """Constrained minimization of T on the level set U(u) = lambda.
 
-Descent on the constraint manifold: the gradient of T, preconditioned by
-the variant (Sobolev for the PDE variants), is projected against the
-gradient of U, a backtracking line search decreases T, and every trial
-point is retracted back onto the level set by the variant's ``retract``.
+Newton's method with a retraction (Nocedal & Wright, Numerical Optimization,
+ch. 18; Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+Manifolds, ch. 6).  With theta the least-squares multiplier, r the residual
+and H the tridiagonal Hessian of T - theta U, one factor of H gives H z1 = r,
+H z2 = grad U and the tangent step s = -z1 + (grad U . z1 / grad U . z2) z2.
+It is taken where the reduced Hessian is positive definite (by Sylvester and
+Haynsworth: H has no negative pivot, or one and grad U . z2 < 0) and r . s <
+0; elsewhere, and on the toy, the step is the variant's preconditioned
+gradient of T projected against grad U.  A backtracking line search from
+the unit step decreases T, retracting each trial point onto the level set.
 
 Arrays inside, points at the edges: ``minimize_on_level`` checks and
 unwraps its seed once, runs the descent on ndarrays through the variant's
@@ -19,6 +25,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .functionals import ProblemSpec, eval_U, norm  # noqa: F401 (eval_U: traced binding)
+from .functionals import factor_tridiagonal, solve_tridiagonal
 
 __all__ = [
     "MinimizeOptions",
@@ -35,7 +42,6 @@ class MinimizeOptions:
     max_iters: int = 2000
     grad_tol: float | None = None  # default: the variant's grad_tol
     constraint_tol: float = 1e-10
-    step: float = 1.0
     backtrack: float = 0.5
 
     def __post_init__(self):
@@ -89,6 +95,21 @@ def multiplier_and_residual(model, x):
     return theta, res, gT, gU, res_vec
 
 
+def newton_direction(model, x, theta, gU, res_vec):
+    """-s for the Newton-KKT step s at the array x, or None where the guard
+    refuses it; ``gU`` and ``res_vec`` are weighted, H takes W times them."""
+    bands = model.hessian(x, theta)
+    factor = None if bands is None else factor_tridiagonal(*bands)
+    if factor is None:
+        return None
+    z1, z2 = solve_tridiagonal(factor, model.grid.weights * np.stack((res_vec, gU)))
+    uz2 = model.inner(gU, z2)
+    if not (uz2 < 0.0 if factor[2] else uz2 > 0.0):
+        return None
+    d = z1 - model.inner(gU, z1) / uz2 * z2
+    return d if model.inner(res_vec, d) > 0.0 else None
+
+
 def minimize_on_level(
     spec: ProblemSpec,
     lam: float,
@@ -111,30 +132,22 @@ def minimize_on_level(
     x = model.retract(model.mask(x), lam, tol)
     T_cur = float(model.T(x))
 
-    step = opts.step
     theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
     iterations = 0
     converged = res <= gtol
-    prev_x = prev_d = None
     while not converged and iterations < opts.max_iters:
         iterations += 1
-        pT = model.precondition(gT)
-        pU = model.precondition(gU)
-        denom = model.inner(pU, gU)
-        alpha = model.inner(pT, gU) / denom if denom != 0 else 0.0
-        d = pT - alpha * pU
-        # Barzilai-Borwein secant step, safeguarded by the monotone line
-        # search below; plain unit steps give an impractically slow tail.
-        if prev_x is not None:
-            s = x - prev_x
-            y = d - prev_d
-            sy = model.inner(s, y)
-            if sy > 0:
-                step = min(max(float(model.inner(s, s) / sy), 1e-10), 1e6)
+        d = newton_direction(model, x, theta, gU, res_vec)
+        if d is None:
+            pT = model.precondition(gT)
+            pU = model.precondition(gU)
+            denom = model.inner(pU, gU)
+            alpha = model.inner(pT, gU) / denom if denom != 0 else 0.0
+            d = pT - alpha * pU
         slope = max(float(model.inner(d, res_vec)), 0.0)
 
         accepted = False
-        t = step
+        t = 1.0
         for _ in range(60):
             try:
                 xt = model.retract(x - t * d, lam, tol)
@@ -148,9 +161,7 @@ def minimize_on_level(
             t *= opts.backtrack
         if not accepted:
             break
-        prev_x, prev_d = x, d
         x, T_cur = xt, Tt
-        step = t / opts.backtrack
         theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
         converged = res <= gtol
 

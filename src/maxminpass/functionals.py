@@ -19,10 +19,11 @@ along the last axis, one image ``(m,)`` or a stack ``(k, m)`` (toy: ``(d,)``
 or ``(k, d)``), and return one value per image.  Their sums are
 ``np.vecdot``, one BLAS dot per image, so a stacked call sums each row
 exactly as a single-image call does.  ``retract(x, lam, tol)`` scales one
-image onto the level set {U = lam}.  Methods on points (``GridFunction``
-for the radial variants, arrays for the toy): ``seed``; ``transport(u,
-ratio)`` from level lam to ratio * lam; ``unwrap`` (grid check) and
-``wrap``.  Also ``paper_lambda_bar``; ``to_config`` / ``from_config``.
+image onto the level set {U = lam}; ``hessian(x, theta)`` gives the bands of
+the tridiagonal Euclidean Hessian of T - theta U at one image (None on the
+toy).  Methods on points (``GridFunction`` for the radial variants, arrays
+for the toy): ``seed``; ``transport(u, ratio)`` from level lam to ratio *
+lam; ``unwrap`` (grid check) and ``wrap``.  Also ``paper_lambda_bar``; ``to_config`` / ``from_config``.
 Attributes: ``scaling_exponent``, ``grad_tol``, ``c_tol``,
 ``exact_transport``, ``amplitude_exponents``.  The module-level functions
 (``eval_T`` ... ``norm``) take points, unwrap them and call the array
@@ -40,7 +41,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
 from .grids import GridFunction, RadialGrid, ScalingAction, apply_scaling, build_radial_grid
@@ -172,6 +174,11 @@ def _dphi(du: np.ndarray, p: float) -> np.ndarray:
     return (du * du + GRAD_REG_DELTA**2) ** ((p - 2.0) / 2.0) * du
 
 
+def _ddphi(du: np.ndarray, p: float) -> np.ndarray:
+    """(p-1)|t|^(p-2), the derivative of ``_dphi``, with its regularization."""
+    return (p - 1.0) * (du * du + (GRAD_REG_DELTA**2 if p < 2.0 else 0.0)) ** (p / 2.0 - 1.0)
+
+
 # --- the variants ----------------------------------------------------------
 
 
@@ -190,6 +197,9 @@ class Variant:
 
     def precondition(self, g):
         return g
+
+    def hessian(self, x, theta):
+        return None
 
     def unwrap(self, u) -> np.ndarray:
         return np.asarray(u, dtype=float)
@@ -309,6 +319,16 @@ class _Radial(Variant):
     def inner(self, a, b):
         return np.vecdot(a * b, self.grid.weights)
 
+    def hessian(self, x, theta):
+        grid = self.grid
+        k = grid.we * _ddphi(np.diff(x) / grid.dr, self.p) / grid.dr**2
+        d = -theta * grid.weights * self.dgrad_U(x)
+        if self.mu:
+            d -= self.mu * grid.weights * self.potential * _ddphi(x, self.p)
+        d[:-1] += k
+        d[1:] += k
+        return d, -k
+
     def precondition(self, g):
         return self._prec.apply(g)
 
@@ -359,6 +379,9 @@ class Hardy(_Radial):
 
     def grad_U(self, x):
         return self.nl.g(x)
+
+    def dgrad_U(self, x):
+        return (self.nl.q - 1.0) * np.abs(x) ** (self.nl.q - 2.0) - self.nl.m
 
     def retract(self, x, lam: float, tol: float):
         # Scale the amplitude so that U(a y) = lam, y = x / max|x|.  This is
@@ -463,10 +486,18 @@ class Critical(_Radial):
     def grad_U(self, x):
         return np.abs(x) ** (self.pstar - 2.0) * x
 
+    def dgrad_U(self, x):
+        return (self.pstar - 1.0) * np.abs(x) ** (self.pstar - 2.0)
+
     def mask(self, g):
         g = g.copy()
         g[..., -1] = 0.0
         return g
+
+    def hessian(self, x, theta):
+        d, e = super().hessian(x, theta)
+        d[-1], e[-1] = 1.0, 0.0  # the Dirichlet row is the identity
+        return d, e
 
     def retract(self, x, lam: float, tol: float):
         Uv = float(self.U(x))
@@ -549,11 +580,34 @@ def precondition(spec: ProblemSpec, g):
     return model.wrap(model.precondition(model.unwrap(g)))
 
 
-# --- preconditioning -------------------------------------------------------
+# --- tridiagonal solves and preconditioning ---------------------------------
+
+
+def factor_tridiagonal(d, e):
+    """LDL^T without pivoting of the symmetric tridiagonal (d, e): (pivots,
+    multipliers, count of negative pivots, which is that of negative
+    eigenvalues), or None at a zero pivot or a second negative one.  dpttrf
+    stops at a pivot <= 0; past a negative one the trailing block goes on."""
+    d, e, info = dpttrf(d, e)
+    if info == 0:
+        return d, e, 0
+    k = info - 1
+    if d[k] < 0.0 and k < len(d) - 1:
+        d[k + 1] -= e[k] ** 2 / d[k]
+        e[k] /= d[k]
+        if k < len(d) - 2:
+            d[k + 1 :], e[k + 1 :], _ = dpttrf(d[k + 1 :], e[k + 1 :])
+    return (d, e, 1) if d[k] < 0.0 and np.all(d[k + 1 :] > 0.0) else None
+
+
+def solve_tridiagonal(factor, b):
+    """Solve with ``factor_tridiagonal``'s factor for b, (m,) or one row per
+    right-hand side (k, m); dpttrs solves a stacked row bit for bit alike."""
+    return dpttrs(factor[0], factor[1], b.T)[0].T
 
 
 class Preconditioner:
-    """Sobolev (H^1-like) preconditioner: banded Cholesky of K + M.
+    """Sobolev (H^1-like) preconditioner: the tridiagonal factor of K + M.
 
     K is the p=2 stiffness form of the discrete gradient energy and M the
     quadrature mass matrix.  Applied to a weighted gradient it returns the
@@ -565,18 +619,13 @@ class Preconditioner:
 
     def __init__(self, grid: RadialGrid, dirichlet: bool):
         c = grid.we / grid.dr**2
-        m = grid.m
         diag = grid.weights.copy()
         diag[:-1] += c
         diag[1:] += c
-        sub = -c.copy()
+        sub = -c
         if dirichlet:
-            diag[-1] = 1.0
-            sub[-1] = 0.0
-        ab = np.zeros((2, m))
-        ab[0] = diag
-        ab[1, :-1] = sub
-        self._factor = cholesky_banded(ab, lower=True)
+            diag[-1], sub[-1] = 1.0, 0.0
+        self._factor = factor_tridiagonal(diag, sub)
         self._weights = grid.weights
         self._dirichlet = dirichlet
 
@@ -584,14 +633,14 @@ class Preconditioner:
         """Map weighted gradients to the preconditioned directions.
 
         ``g`` is a GridFunction, or an array with one gradient per row
-        (shape ``(m,)`` or ``(k, m)``), all solved in one banded solve with a
-        right-hand side of shape ``(m, k)``; the result is of the same kind.
+        (shape ``(m,)`` or ``(k, m)``), all solved in one tridiagonal solve;
+        the result is of the same kind.
         """
         point = isinstance(g, GridFunction)
         rhs = self._weights * (g.values if point else g)
         if self._dirichlet:
             rhs[..., -1] = 0.0
-        z = cho_solve_banded((self._factor, True), rhs.T).T
+        z = solve_tridiagonal(self._factor, rhs)
         return GridFunction(g.grid, z) if point else z
 
 
@@ -670,8 +719,7 @@ def _mu_p_descent_general(grid, p, prec, tol=1e-12, max_iters=5000) -> float:
     ray, r = ratio_and_grad(u)
     step = 1.0
     for _ in range(max_iters):
-        z = cho_solve_banded((prec._factor, True), r)
-        z[-1] = 0.0
+        z = prec.apply(r / W)
         accepted = False
         t = step
         for _ in range(40):

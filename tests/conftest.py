@@ -157,7 +157,7 @@ def _point_minimize(spec, lam, u0=None, opts=None):
         res_vec = gT - theta * gU
         return theta, norm(spec, res_vec) / (1.0 + norm(spec, gT)), gT, gU, res_vec
 
-    step = opts.step
+    step = 1.0
     theta, res, gT, gU, res_vec = multiplier_and_residual(u)
     iterations = 0
     converged = res <= gtol

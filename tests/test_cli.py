@@ -111,6 +111,7 @@ class TestExitCodes:
             ("problem", "mu_fraction_of_limit", 0.5),  # next to mu
             ("grid", "mm", 100),
             (None, "sweeps", {}),
+            ("minimize", "step", 1.0),  # the secant step's start, gone with it
         ],
     )
     def test_unknown_or_conflicting_key_rejected(self, tmp_path, capsys, block, key, value):
@@ -304,7 +305,10 @@ def problem_block(out):
 
 
 def readme_config(tmp_path, name, **problem_overrides):
-    """The README ``hardy.json`` on a coarse grid, with a capped iteration budget."""
+    """The README ``hardy.json`` on a coarse grid, with no iteration budget,
+    since a warm-started Newton solve converges within one or two steps.  The
+    sweep then runs on the retracted seed's scaling path, whose I = i - lambda
+    changes sign only past lambda = 1e5, so it reaches 1e6."""
     problem = {
         "variant": "hardy-subcritical",
         "p": 2.0,
@@ -317,8 +321,8 @@ def readme_config(tmp_path, name, **problem_overrides):
     problem.update(problem_overrides)
     cfg = {
         "problem": problem,
-        "sweep": {"lambda_min": 1.0, "lambda_max": 30000.0, "count": 12},
-        "minimize": {"max_iters": 3},
+        "sweep": {"lambda_min": 1.0, "lambda_max": 1e6, "count": 12},
+        "minimize": {"max_iters": 0},
     }
     return write_config(tmp_path / name, cfg)
 
@@ -360,12 +364,12 @@ class TestUnconvergedRuns:
 
     def test_verify_exits_nonzero_and_counts(self, tmp_path, monkeypatch):
         # the level-1 solve keeps the config's budget; verify's re-solves get
-        # one iteration each
+        # none, since a warm-started Newton solve converges within one step
         inner = maxminpass.verify.minimize_on_level
         monkeypatch.setattr(
             maxminpass.verify,
             "minimize_on_level",
-            lambda spec, lam, u0, opts: inner(spec, lam, u0, MinimizeOptions(max_iters=1)),
+            lambda spec, lam, u0, opts: inner(spec, lam, u0, MinimizeOptions(max_iters=0)),
         )
         cfg = hardy_config(tmp_path)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE

@@ -31,7 +31,12 @@ from maxminpass import (
     problem_to_config,
     retract_to_level,
 )
-from maxminpass.functionals import Preconditioner, _mu_p_gate
+from maxminpass.functionals import (
+    Preconditioner,
+    _mu_p_gate,
+    factor_tridiagonal,
+    solve_tridiagonal,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -241,6 +246,83 @@ class TestGradients:
         assert np.allclose(grad_U(spec, u), 4.0 * 9.0 * u)
 
 
+def dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+class TestHessian:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: hardy_spec(m=60),
+            lambda: hardy_spec(mu=0.5 * hardy_constant(2.0, 5), m=60),
+            lambda: hardy_spec(mu=0.5 * hardy_constant(3.0, 5), p=3.0, q=5.0, m=60),
+            # p < 2: the weight carries the gradients' regularization
+            lambda: hardy_spec(mu=0.5 * hardy_constant(1.8, 5), p=1.8, q=2.5, m=60),
+            lambda: critical_spec(m=60),
+        ],
+    )
+    def test_bands_match_central_differences(self, make_spec):
+        # columns of the Jacobian of the Euclidean gradient W (grad T - theta
+        # grad U), at a profile whose slope and values stay away from 0
+        spec = make_spec()
+        model, grid, theta = spec.model, spec.grid, 0.7
+        dirichlet = spec.variant == "critical-bounded"
+        x = (1.0 - grid.nodes / grid.R) * (1.0 + np.exp(-((4.0 * grid.nodes / grid.R) ** 2)))
+        x += 0.0 if dirichlet else 0.5
+        d, e = model.hessian(x, theta)
+        H = dense(d, e)
+        J = np.empty_like(H)
+        for j in range(grid.m):
+            h = 1e-6 * max(1.0, abs(x[j]))
+            step = np.zeros(grid.m)
+            step[j] = h
+            gp, gm = (grid.weights * (model.grad_T(y) - theta * model.grad_U(y))
+                      for y in (x + step, x - step))
+            J[:, j] = (gp - gm) / (2.0 * h)
+        n = grid.m - 1 if dirichlet else grid.m
+        err = np.abs(H - J)[:n, :n].max(axis=1) / np.abs(H[:n, :n]).max(axis=1)
+        assert err.max() <= 1e-6
+        if dirichlet:  # the boundary row is the identity
+            assert d[-1] == 1.0 and e[-1] == 0.0
+
+    def test_toy_has_none(self):
+        from maxminpass import ToyProblem
+
+        spec = ProblemSpec(variant="toy", toy=ToyProblem(3, 4.0))
+        assert spec.model.hessian(np.ones(3), 0.5) is None
+
+
+class TestTridiagonalKernel:
+    @pytest.mark.parametrize("where", [0, 17, 38, 39])
+    @pytest.mark.parametrize("negatives", [0, 1, 2])
+    def test_inertia_and_solve_against_dense(self, where, negatives):
+        # a diagonally dominant matrix with `negatives` rows pushed below 0,
+        # the first at `where`, including the last and next-to-last rows
+        m = 40
+        d = 3.0 + RNG.random(m)
+        e = -RNG.random(m - 1)
+        for k in range(negatives):
+            d[(where + 11 * k) % m] -= 8.0
+        H = dense(d, e)
+        assert (np.linalg.eigvalsh(H) < 0).sum() == negatives
+        factor = factor_tridiagonal(d, e)
+        if negatives == 2:
+            assert factor is None
+            return
+        assert factor[2] == negatives
+        b = RNG.standard_normal((3, m))
+        x = solve_tridiagonal(factor, b)
+        assert np.allclose(x @ H, b, rtol=0.0, atol=1e-12 * np.abs(x).max() * np.abs(H).max())
+        # a stack's rows are solved bit for bit as single right-hand sides
+        for row, rhs in zip(x, b):
+            assert np.array_equal(row, solve_tridiagonal(factor, rhs))
+
+    def test_zero_pivot_is_refused(self):
+        assert factor_tridiagonal(np.array([0.0, 1.0]), np.array([1.0])) is None
+        assert factor_tridiagonal(np.array([1.0, 1.0]), np.array([1.0])) is None
+
+
 class TestPreconditioner:
     def test_positive_definite_on_gradients(self):
         spec = hardy_spec()
@@ -258,6 +340,15 @@ class TestPreconditioner:
         lhs = prec.apply(g1 + 2.0 * g2)
         rhs = prec.apply(g1) + 2.0 * prec.apply(g2)
         assert np.allclose(lhs.values, rhs.values, rtol=1e-10)
+
+    def test_stacked_rows_bit_identical_and_zero_at_the_boundary(self):
+        spec = critical_spec()
+        prec = Preconditioner(spec.grid, dirichlet=True)
+        g = np.stack([grad_T(spec, gaussian(spec.grid, w)).values for w in (0.2, 0.3, 0.4)])
+        z = prec.apply(g)
+        assert np.all(z[:, -1] == 0.0)
+        for row, gi in zip(z, g):
+            assert np.array_equal(row, prec.apply(gi))
 
 
 def mp_mu_p(grid, dps=40):

@@ -175,7 +175,8 @@ class TestBrentAgainstBisection:
 
 def test_unconverged_re_minimizations_counted(hardy_small):
     v = minimize_on_level(hardy_small, 1.0).minimizer
-    report = pick_solution_scale(hardy_small, v, MinimizeOptions(max_iters=1))
+    # no budget: a warm-started Newton re-minimization converges in one step
+    report = pick_solution_scale(hardy_small, v, MinimizeOptions(max_iters=0))
     assert 0 < report["unconverged"] <= report["solves"]
 
 
