@@ -59,11 +59,13 @@ MAXMIN_SUMMARY_SCHEMA = {
 }
 MPA_SUMMARY_SCHEMA = {
     "type": "object",
-    "required": ["c_mpa", "sweeps", "converged", "config_sha256"],
+    "required": ["c_mpa", "sweeps", "converged", "certified", "sup_residual", "config_sha256"],
     "properties": {
         "c_mpa": {"type": "number"},
         "sweeps": {"type": "integer"},
         "converged": {"type": "boolean"},
+        "certified": {"type": "boolean"},
+        "sup_residual": {"type": "number"},
         "config_sha256": {"type": "string"},
     },
 }
@@ -79,7 +81,7 @@ COMPARISON_SCHEMA = {
 TOY_SUMMARY_SCHEMA = {
     "type": "object",
     "required": ["c_closed_form", "c_bruteforce", "c_maxmin", "c_mpa",
-                 "mpa_converged", "mpa_sweeps"],
+                 "mpa_converged", "mpa_sweeps", "mpa_certified", "mpa_sup_residual"],
     "properties": {
         "c_closed_form": {"type": "number"},
         "c_bruteforce": {"type": "number"},
@@ -87,6 +89,8 @@ TOY_SUMMARY_SCHEMA = {
         "c_mpa": {"type": "number"},
         "mpa_converged": {"type": "boolean"},
         "mpa_sweeps": {"type": "integer", "minimum": 0},
+        "mpa_certified": {"type": "boolean"},
+        "mpa_sup_residual": {"type": "number"},
         "lambda_bar": {"type": "number"},
         "lambda_star_star": {"type": "number"},
     },
@@ -213,10 +217,20 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
     _write_sweep_csv(out / "sweep.csv", results)
     good = [r for r in results if r.minimizer is not None and math.isfinite(r.i_value)]
     refined: list = []
-    curve = build_level_curve(
-        [(r.lam, r.i_value) for r in good],
-        i_fn=_refining_i_fn(spec, good, opts, refined),
-    )
+    try:
+        curve = build_level_curve(
+            [(r.lam, r.i_value) for r in good],
+            i_fn=_refining_i_fn(spec, good, opts, refined),
+        )
+    except ValidationError as e:
+        # Unconverged solves, not the sweep range, are then the likely cause.
+        unconverged = sum(not r.converged for r in [*results, *refined, r1])
+        if unconverged:
+            raise ConvergenceError(
+                f"{unconverged} of {len(results) + len(refined) + 1} solves did not converge,"
+                f" so the level curve could not be built ({e})"
+            ) from e
+        raise
     with open(out / "level_curve.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["lambda", "i", "I"])
@@ -299,6 +313,7 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
     k = int(cfg.get("mpa", {}).get("k", 32))
     result = estimate_c(spec, endpoint, mpa_opts, k=k, trace_path=out / "mpa_trace.csv")
     summary = {"c_mpa": result.c_mpa, "sweeps": result.sweeps, "converged": result.converged,
+               "certified": result.certified, "sup_residual": result.sup_residual,
                "config_sha256": _config_sha256(cfg)}
     _write_json(out / "mpa_summary.json", summary)
     _maybe_comparison(out)
@@ -345,6 +360,8 @@ def cmd_toy(q: float, d: int, out: Path) -> int:
         "c_mpa": mpa.c_mpa,
         "mpa_converged": mpa.converged,
         "mpa_sweeps": mpa.sweeps,
+        "mpa_certified": mpa.certified,
+        "mpa_sup_residual": mpa.sup_residual,
         "lambda_bar": curve.lambda_bar,
         "lambda_star_star": curve.lambda_star_star,
     }

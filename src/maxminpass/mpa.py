@@ -4,7 +4,10 @@ A discrete path from 0 to a negative-energy endpoint is deformed by damped
 steepest descent of F on the interior images (elastic-string style), with
 arc-length re-parameterization each sweep.  The max of F over the images,
 refined by one local bounded search on the broken line through the argmax
-image, gives a monotone sequence of upper bounds on the pass level.
+image, gives a monotone sequence of upper bounds on the pass level.  A run
+stops after a plateau sweep whose sup point is a critical point of F (residual
+within ``grad_tol``) of Morse index 1, or after ``patience`` plateau sweeps;
+a sup on an end segment is never reported converged.
 
 The path is one stacked array, one image per row: ``(k+2, m)`` on a radial
 grid, ``(k+2, d)`` for the toy.  A sweep moves the whole string at once, as
@@ -25,8 +28,10 @@ from scipy.optimize import minimize_scalar
 
 from .errors import GridMismatchError, ValidationError
 from .functionals import ProblemSpec, eval_F, eval_T, eval_U  # noqa: F401 (eval_U: traced binding)
+from .functionals import factor_tridiagonal
 from .grids import GridFunction, RadialGrid
 from .levelcurve import scaling_exponent, scaling_path
+from .verify import el_residual
 
 __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
            "crosses_all_levels", "find_endpoint"]
@@ -171,24 +176,43 @@ def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
     return DiscretePath(images, energies, path.grid)
 
 
-def _path_sup(path: DiscretePath, spec: ProblemSpec) -> float:
-    """Sup of F over the polygonal path near its argmax image x_j: the
-    discrete max, refined by one bounded Brent search of the broken line
-    psi(s) = F(x_j + |s| (x_{j-1} - x_j)) for s < 0, F(x_j + s (x_{j+1} - x_j))
-    for s >= 0, with s clipped to 0 where x_j ends the path.  The search is
-    local: it finds a local max of psi, not a certified global sup.  Each value
-    is F on the admissible polygonal path, so it bounds the pass level above."""
+def _path_sup(path: DiscretePath, spec: ProblemSpec):
+    """Sup of F over the polygonal path near its argmax image x_j, and the
+    point attaining it: the discrete max (point x_j), refined by one bounded
+    Brent search of the broken line psi(s) = F(x_j + |s| (x_{j-1} - x_j)) for
+    s < 0, F(x_j + s (x_{j+1} - x_j)) for s >= 0, with s clipped to 0 where x_j
+    ends the path.  The search is local: it finds a local max of psi, not a
+    certified global sup.  Each value is F on the admissible polygonal path,
+    so it bounds the pass level above."""
     x, j, last = path.images, path.argmax_index, len(path.images) - 1
     F = spec.model.F
     left = x[max(j - 1, 0)] - x[j]
     right = x[min(j + 1, last)] - x[j]
+    def along(s):
+        return x[j] + s * right if s >= 0.0 else x[j] - s * left
     r = minimize_scalar(
-        lambda s: -F(x[j] + s * right if s >= 0.0 else x[j] - s * left),
+        lambda s: -F(along(s)),
         bounds=(-1.0 if j > 0 else 0.0, 1.0 if j < last else 0.0),
         method="bounded",
         options={"xatol": 1e-12},
     )
-    return max(path.max_energy, float(-r.fun))
+    if float(-r.fun) > path.max_energy:
+        return float(-r.fun), along(r.x)
+    return path.max_energy, x[j]
+
+
+def _certify(path: DiscretePath, spec: ProblemSpec, top) -> tuple[bool, float]:
+    """(certified, residual) of the sup point ``top``: certified when the
+    argmax image is interior, ``el_residual`` at ``top`` is within the
+    variant's ``grad_tol`` and, where the variant has a Hessian, F'' there has
+    exactly one negative eigenvalue (Morse index 1, the mountain-pass sign)."""
+    model = spec.model
+    res = el_residual(spec, model.wrap(top))
+    if not (0 < path.argmax_index < len(path.images) - 1 and res <= model.grad_tol):
+        return False, res
+    bands = model.hessian(top, 1.0)
+    factor = None if bands is None else factor_tridiagonal(*bands)
+    return bands is None or (factor is not None and factor[2] == 1), res
 
 
 @dataclass
@@ -198,6 +222,8 @@ class MpaResult:
     sweeps: int
     converged: bool
     stagnant: bool
+    certified: bool  # the run stopped on a certified sup point
+    sup_residual: float  # weighted residual of F' = 0 at the returned sup point
     path: DiscretePath
     trace: list = field(default_factory=list)
 
@@ -209,26 +235,29 @@ def estimate_c(
     k: int = 32,
     trace_path=None,
 ) -> MpaResult:
-    """Drive the path's max energy down until sweep improvements fall below
-    the tolerance; returns the final upper bound and the maximizing image."""
+    """Drive the path's sup of F down; returns the final upper bound and the
+    maximizing image.  After each plateau sweep (rejected, or improving by
+    less than ``c_tol``) the run stops on a certified sup point (``_certify``,
+    once per accepted path) or on ``patience`` plateau sweeps in a row; it is
+    converged only if the argmax image is interior."""
     opts = opts or MpaOptions()
     c_tol = opts.resolved_c_tol(spec)
 
     path = init_path(spec, endpoint, k=k)
-    c_cur = _path_sup(path, spec)
+    c_cur, top = _path_sup(path, spec)
+    verdict = None  # (certified, residual) of the current path's sup point
     step = opts.step
     plateau = 0
-    converged = False
-    stagnant = False
+    converged = certified = stagnant = False
     trace = []
     sweeps = 0
     while sweeps < opts.max_sweeps:
         sweeps += 1
         new = deform(path, spec, step)
-        c_new = _path_sup(new, spec)
+        c_new, top_new = _path_sup(new, spec)
         if math.isfinite(c_new) and c_new <= c_cur + 1e-12 * max(1.0, abs(c_cur)):
             improvement = c_cur - c_new
-            path, c_cur = new, c_new
+            path, c_cur, top, verdict = new, c_new, top_new, None
             step = min(step * 1.1, opts.step * 10.0)
             plateau = plateau + 1 if improvement < c_tol * max(abs(c_cur), 1e-12) else 0
         else:
@@ -238,9 +267,12 @@ def estimate_c(
                 stagnant = True
                 break
         trace.append((sweeps, c_cur, path.argmax_index))
-        if plateau >= opts.patience:
-            converged = True
-            break
+        if plateau:
+            verdict = verdict or _certify(path, spec, top)
+            certified = verdict[0]
+            if certified or plateau >= opts.patience:
+                converged = 0 < path.argmax_index < len(path.images) - 1
+                break
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as f:
@@ -253,6 +285,8 @@ def estimate_c(
         sweeps=sweeps,
         converged=converged,
         stagnant=stagnant,
+        certified=certified,
+        sup_residual=(verdict or _certify(path, spec, top))[1],
         path=path,
         trace=trace,
     )

@@ -12,7 +12,7 @@ import math
 
 from .errors import ValidationError
 from .constrained import MinimizeOptions, minimize_on_level, multiplier_and_residual
-from .functionals import ProblemSpec, eval_T, grad_T, grad_U, mask, norm
+from .functionals import ProblemSpec, eval_T
 from .levelcurve import closed_form_lambda_bar, scaling_path
 
 __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
@@ -21,9 +21,12 @@ __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
 def el_residual(spec: ProblemSpec, u) -> float:
     """Relative weak residual ||grad T - grad U|| / (1 + ||grad T||) of
     F'(u) = 0 in the quadrature-weighted pairing."""
-    gT = grad_T(spec, u)
-    gU = grad_U(spec, u)
-    return norm(spec, mask(spec, gT - gU)) / (1.0 + norm(spec, gT))
+    model = spec.model
+    x = model.unwrap(u)
+    gT = model.grad_T(x)
+    r = model.mask(gT - model.grad_U(x))
+    res = math.sqrt(max(model.inner(r, r), 0.0))
+    return res / (1.0 + math.sqrt(max(model.inner(gT, gT), 0.0)))
 
 
 def multiplier_of(spec: ProblemSpec, u) -> float:

@@ -110,8 +110,9 @@ def deform_oracle():
 
 def _two_segment_sup(path, spec):
     """Sup of F over the polygonal path by two bounded Brent searches, one
-    on each straight segment next to the argmax image: the reference the
-    single broken-line search of ``_path_sup`` is checked against."""
+    on each straight segment next to the argmax image, and the point where
+    it is attained: the reference the single broken-line search of
+    ``_path_sup`` is checked against."""
     x = path.images
     j = path.argmax_index
     F = spec.model.F
@@ -123,14 +124,14 @@ def _two_segment_sup(path, spec):
             method="bounded",
             options={"xatol": 1e-12},
         )
-        return float(-r.fun)
+        return float(-r.fun), (1.0 - r.x) * a + r.x * b
 
-    sup = path.max_energy
+    best = (path.max_energy, x[j])
     if j > 0:
-        sup = max(sup, segment_sup(x[j - 1], x[j]))
+        best = max(best, segment_sup(x[j - 1], x[j]), key=lambda vp: vp[0])
     if j < len(x) - 1:
-        sup = max(sup, segment_sup(x[j], x[j + 1]))
-    return sup
+        best = max(best, segment_sup(x[j], x[j + 1]), key=lambda vp: vp[0])
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,7 @@ class TestPipelines:
         payload = json.loads((outputs / "mpa_summary.json").read_text())
         jsonschema.validate(payload, MPA_SUMMARY_SCHEMA)
         assert payload["converged"]
+        assert payload["sup_residual"] >= 0.0
 
     def test_comparison_schema_and_gap(self, outputs):
         payload = json.loads((outputs / "comparison.json").read_text())
@@ -230,6 +231,9 @@ class TestPipelines:
         assert payload["c_mpa"] == pytest.approx(0.25, abs=1e-3)
         assert payload["mpa_converged"] is True
         assert payload["mpa_sweeps"] > 0
+        # the straight path's top is already the toy's saddle
+        assert payload["mpa_certified"] is True
+        assert payload["mpa_sup_residual"] <= 1e-8
 
 
 def spy_level1_solves(monkeypatch):
@@ -378,14 +382,38 @@ class TestUnconvergedRuns:
         assert 0 < payload["unconverged"] <= payload["solves"]
 
     def test_toy_exits_nonzero_when_mpa_does_not_converge(self, tmp_path, monkeypatch):
+        # one sweep certifies the toy's path top, so the run gets none
         monkeypatch.setattr(
-            maxminpass.cli, "MpaOptions", functools.partial(MpaOptions, max_sweeps=1)
+            maxminpass.cli, "MpaOptions", functools.partial(MpaOptions, max_sweeps=0)
         )
         assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         payload = json.loads((tmp_path / "toy_summary.json").read_text())
         jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)
         assert payload["mpa_converged"] is False
+        assert payload["mpa_certified"] is False
+        assert payload["mpa_sweeps"] == 0
+
+    def test_one_sweep_certifies_the_toy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            maxminpass.cli, "MpaOptions", functools.partial(MpaOptions, max_sweeps=1)
+        )
+        assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_OK
+        payload = json.loads((tmp_path / "toy_summary.json").read_text())
+        jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)
+        assert payload["mpa_converged"] is True and payload["mpa_certified"] is True
         assert payload["mpa_sweeps"] == 1
+
+    def test_unconverged_maxmin_without_a_level_curve_exits_3(self, tmp_path, capsys):
+        # The README sweep (to 3e4) on unconverged solves has no sign change
+        # of I; the failure is the solves', so the exit is 3, not 2.
+        path = readme_config(tmp_path, "hardy.json")
+        cfg = json.loads(Path(path).read_text())
+        cfg["sweep"] = {"lambda_min": 1.0, "lambda_max": 30000.0, "count": 40}
+        write_config(Path(path), cfg)
+        assert main(["maxmin", "--config", path, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "41 of 41 solves did not converge" in err and "no sign change" in err
+        assert not (tmp_path / "maxmin_summary.json").exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import maxminpass.mpa
 from maxminpass import (
     DiscretePath,
+    GridFunction,
     MpaOptions,
     ProblemSpec,
     ToyProblem,
@@ -13,11 +15,13 @@ from maxminpass import (
     deform,
     estimate_c,
     eval_F,
+    find_endpoint,
     init_path,
     minimize_on_level,
     scaling_exponent,
     scaling_path,
 )
+from maxminpass.functionals import factor_tridiagonal
 
 
 def toy_spec(q=4.0):
@@ -141,6 +145,60 @@ class TestEstimateC:
         lines = out.read_text().splitlines()
         assert lines[0] == "sweep,max_energy,argmax_index"
         assert len(lines) > 1
+
+
+class TestCertifiedStop:
+    @pytest.mark.parametrize("case", ["toy", "critical"])
+    def test_one_sweep_certifies_the_straight_path(self, case, critical_small, monkeypatch):
+        # the straight path's top is already an index-1 critical point; the
+        # patience run only adds drift within the acceptance slack
+        if case == "toy":
+            spec, args = toy_spec(), (toy_endpoint(toy_spec()), MpaOptions(step=0.05), 48)
+        else:
+            spec = critical_small
+            endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+            args = (endpoint, MpaOptions(), 32)
+        result = estimate_c(spec, *args)
+        assert result.sweeps == 1
+        assert result.certified and result.converged
+        assert result.sup_residual <= spec.model.grad_tol
+        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan))
+        patience = estimate_c(spec, *args)
+        assert patience.converged and not patience.certified
+        assert patience.sweeps == MpaOptions().patience
+        assert result.c_mpa <= patience.c_mpa
+
+    def test_hardy_straight_path_not_certified(self, hardy_small):
+        endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        result = estimate_c(hardy_small, endpoint, MpaOptions(max_sweeps=1), k=32)
+        assert result.sweeps == 1
+        assert not result.certified and not result.converged
+        assert result.sup_residual > hardy_small.model.grad_tol
+
+    def test_index_zero_point_refused(self, hardy_small):
+        # near 0, F = T + (m/2) int u^2 + ... is convex: a tiny multiple of the
+        # level-1 minimizer has a tiny residual but Morse index 0
+        v = minimize_on_level(hardy_small, 1.0).minimizer
+        x = 1e-9 * v.values
+        images = np.array([np.zeros_like(x), x, find_endpoint(hardy_small, v).values])
+        path = DiscretePath(images, [0.0, 1.0, -1.0], hardy_small.grid)  # made-up energies
+        assert path.argmax_index == 1
+        certified, res = maxminpass.mpa._certify(path, hardy_small, path.images[1])
+        assert res <= hardy_small.model.grad_tol
+        assert factor_tridiagonal(*hardy_small.model.hessian(x, 1.0))[2] == 0
+        assert not certified
+
+    def test_end_segment_sup_is_not_convergence(self, hardy_mu_half):
+        # From the wide seed bump the sup stays on the first segment, which
+        # no sweep refines, about 2% above c: patience runs out there.
+        spec = hardy_mu_half["spec"]
+        u = spec.model.seed(spec.grid.R / 4.0)
+        while eval_F(spec, u) >= 0:
+            u = GridFunction(spec.grid, 1.5 * u.values)
+        result = estimate_c(spec, u, MpaOptions(), k=32)
+        assert result.path.argmax_index == 0
+        assert result.c_mpa > 1.01 * hardy_mu_half["curve"].c_maxmin
+        assert not result.converged and not result.certified
 
 
 class TestLevelCrossing:
