@@ -7,7 +7,6 @@ estimate, for two radial p-Laplacian model problems and exact toy problems.
 """
 
 from .constrained import (
-    MinimizeOptions,
     MinimizeResult,
     continuation_sweep,
     default_seed,

@@ -17,14 +17,13 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .constrained import MinimizeOptions, continuation_sweep, minimize_on_level
+from .constrained import continuation_sweep, minimize_on_level
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .functionals import ProblemSpec, check_keys, problem_from_config
+from .functionals import ProblemSpec, check_keys, config_number, problem_from_config
 from .grids import GridFunction, gridfunction_from_csv, gridfunction_to_csv
 from .levelcurve import build_level_curve, closed_form_lambda_bar
 from .mpa import MpaOptions, estimate_c, find_endpoint
@@ -114,8 +113,7 @@ VERIFY_REPORT_SCHEMA = {
 # Known keys of each config block; ``problem`` is checked by its variant.
 CONFIG_BLOCKS = {
     "sweep": ("lambda_min", "lambda_max", "count"),
-    "minimize": tuple(f.name for f in fields(MinimizeOptions)),
-    "mpa": (*(f.name for f in fields(MpaOptions)), "k"),
+    "mpa": ("step", "k"),
 }
 
 
@@ -128,15 +126,11 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _minimize_options(cfg: dict) -> MinimizeOptions:
-    block = cfg.get("minimize", {})
-    return MinimizeOptions(**block)
-
-
-def _mpa_options(cfg: dict) -> MpaOptions:
-    block = dict(cfg.get("mpa", {}))
-    block.pop("k", None)
-    return MpaOptions(**block)
+def _mpa_options(cfg: dict) -> tuple[MpaOptions, int]:
+    """The ``mpa`` block: the options and the number of interior images."""
+    block = cfg.get("mpa", {})
+    k = config_number(block, "k", "mpa", 32, integer=True)
+    return MpaOptions(step=config_number(block, "step", "mpa", 0.2)), k
 
 
 def _config_sha256(cfg: dict) -> str:
@@ -159,9 +153,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _sweep_lambdas(cfg: dict) -> np.ndarray:
     block = cfg.get("sweep", {})
-    lo = float(block.get("lambda_min", 0.1))
-    hi = float(block.get("lambda_max", 10.0))
-    count = int(block.get("count", 40))
+    lo = config_number(block, "lambda_min", "sweep", 0.1)
+    hi = config_number(block, "lambda_max", "sweep", 10.0)
+    count = config_number(block, "count", "sweep", 40, integer=True)
     if not (0 < lo < hi < math.inf) or count < 3:
         raise ValidationError("sweep needs finite 0 < lambda_min < lambda_max and count >= 3")
     return np.geomspace(lo, hi, count)
@@ -177,7 +171,7 @@ def _write_sweep_csv(path: Path, results) -> None:
             )
 
 
-def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions, solves: list):
+def _refining_i_fn(spec: ProblemSpec, results, solves: list):
     """Re-minimize at queried levels, warm-started from the nearest sweep
     minimizer, so the argmax refinement is not limited by interpolation.
     Each refinement's MinimizeResult is appended to ``solves``."""
@@ -186,17 +180,17 @@ def _refining_i_fn(spec: ProblemSpec, results, opts: MinimizeOptions, solves: li
 
     def i_fn(lam: float) -> float:
         k = float(keys[np.argmin(np.abs(np.log(keys) - np.log(lam)))])
-        r = minimize_on_level(spec, lam, spec.model.transport(mins[k], lam / k), opts)
+        r = minimize_on_level(spec, lam, spec.model.transport(mins[k], lam / k))
         solves.append(r)
         return r.i_value
 
     return i_fn
 
 
-def _level1_minimum(spec: ProblemSpec, cfg: dict, out: Path, opts: MinimizeOptions):
-    """Solve lambda = 1, seeded by the minimizer that ``maxmin`` saved in
-    ``out`` when the summary next to it has this config's hash; from the
-    cold seed otherwise, or when the saved files do not load."""
+def _level1_minimum(spec: ProblemSpec, cfg: dict, out: Path):
+    """Solve lambda = 1 from the minimizer ``maxmin`` saved in ``out`` when the
+    summary there has this config's hash, else (or when it does not load) from
+    the cold seed; ConvergenceError if the solve does not converge."""
     seed = None
     try:
         summary = json.loads((out / "maxmin_summary.json").read_text())
@@ -204,23 +198,26 @@ def _level1_minimum(spec: ProblemSpec, cfg: dict, out: Path, opts: MinimizeOptio
             seed = gridfunction_from_csv(spec.grid, out / LEVEL1_CSV)
     except (OSError, ValueError, LookupError, TypeError):
         pass
-    return minimize_on_level(spec, 1.0, seed, opts)
+    r1 = minimize_on_level(spec, 1.0, seed)
+    if not r1.converged:
+        raise ConvergenceError("level-1 minimization failed", best=r1)
+    return r1
 
 
 def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
-    lambdas, opts = _sweep_lambdas(cfg), _minimize_options(cfg)
+    lambdas = _sweep_lambdas(cfg)
     (out / LEVEL1_CSV).unlink(missing_ok=True)  # rewritten after the summary vouching for it
     # The level-1 minimizer seeds the sweep: at lambda_min = 1 the first
     # point is then already solved.
-    r1 = minimize_on_level(spec, 1.0, None, opts)
-    results = continuation_sweep(spec, lambdas, opts, r1.minimizer)
+    r1 = minimize_on_level(spec, 1.0)
+    results = continuation_sweep(spec, lambdas, r1.minimizer)
     _write_sweep_csv(out / "sweep.csv", results)
     good = [r for r in results if r.minimizer is not None and math.isfinite(r.i_value)]
     refined: list = []
     try:
         curve = build_level_curve(
             [(r.lam, r.i_value) for r in good],
-            i_fn=_refining_i_fn(spec, good, opts, refined),
+            i_fn=_refining_i_fn(spec, good, refined),
         )
     except ValidationError as e:
         # Unconverged solves, not the sweep range, are then the likely cause.
@@ -273,8 +270,7 @@ def _maybe_comparison(out: Path) -> None:
 
 def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    opts = _minimize_options(cfg)
-    result = minimize_on_level(spec, lam, None, opts)
+    result = minimize_on_level(spec, lam)
     payload = {
         "lambda": result.lam,
         "i_value": result.i_value,
@@ -291,7 +287,7 @@ def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    results = continuation_sweep(spec, _sweep_lambdas(cfg), _minimize_options(cfg))
+    results = continuation_sweep(spec, _sweep_lambdas(cfg))
     _write_sweep_csv(out / "sweep.csv", results)
     return EXIT_OK if all(r.converged for r in results) else EXIT_CONVERGENCE
 
@@ -305,12 +301,8 @@ def cmd_maxmin(cfg: dict, out: Path) -> int:
 
 def cmd_mpa(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    r1 = _level1_minimum(spec, cfg, out, _minimize_options(cfg))
-    if not r1.converged:
-        raise ConvergenceError("level-1 minimization failed", best=r1)
-    endpoint = find_endpoint(spec, r1.minimizer)
-    mpa_opts = _mpa_options(cfg)
-    k = int(cfg.get("mpa", {}).get("k", 32))
+    mpa_opts, k = _mpa_options(cfg)
+    endpoint = find_endpoint(spec, _level1_minimum(spec, cfg, out).minimizer)
     result = estimate_c(spec, endpoint, mpa_opts, k=k, trace_path=out / "mpa_trace.csv")
     summary = {"c_mpa": result.c_mpa, "sweeps": result.sweeps, "converged": result.converged,
                "certified": result.certified, "sup_residual": result.sup_residual,
@@ -322,11 +314,7 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
 
 def cmd_verify(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    opts = _minimize_options(cfg)
-    r1 = _level1_minimum(spec, cfg, out, opts)
-    if not r1.converged:
-        return EXIT_CONVERGENCE
-    report = pick_solution_scale(spec, r1.minimizer, opts)
+    report = pick_solution_scale(spec, _level1_minimum(spec, cfg, out).minimizer)
     payload = {
         "theta": report["theta"],
         "residual": report["residual"],
@@ -348,10 +336,7 @@ def cmd_toy(q: float, d: int, out: Path) -> int:
         [(lam, toy_i_lambda(prob, lam)) for lam in lambdas],
         i_fn=lambda lam: toy_i_lambda(prob, lam),
     )
-    r = 2.0
-    while r**2 - r**q >= 0:
-        r *= 2.0
-    endpoint = r * spec.model.seed()
+    endpoint = 2.0 * spec.model.seed()  # q > 2, so F(2 e_1) = 4 - 2^q < 0
     mpa = estimate_c(spec, endpoint, MpaOptions(step=0.05), k=48)
     payload = {
         "c_closed_form": closed["c"],

@@ -28,7 +28,6 @@ from .functionals import ProblemSpec, eval_U, norm  # noqa: F401 (eval_U: traced
 from .functionals import factor_tridiagonal, solve_tridiagonal
 
 __all__ = [
-    "MinimizeOptions",
     "MinimizeResult",
     "minimize_on_level",
     "continuation_sweep",
@@ -37,23 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class MinimizeOptions:
-    max_iters: int = 2000
-    grad_tol: float | None = None  # default: the variant's grad_tol
-    constraint_tol: float = 1e-10
-    backtrack: float = 0.5
-
-    def __post_init__(self):
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValidationError("grad_tol must be positive")
-        if self.constraint_tol <= 0:
-            raise ValidationError("constraint_tol must be positive")
-        if not 0 < self.backtrack < 1:
-            raise ValidationError("backtrack factor must lie in (0, 1)")
-
-    def resolved_grad_tol(self, spec: ProblemSpec) -> float:
-        return self.grad_tol if self.grad_tol is not None else spec.model.grad_tol
+MAX_ITERS = 2000  # Newton or gradient steps per solve
+BACKTRACK = 0.5  # line-search contraction of the trial step
 
 
 @dataclass
@@ -68,12 +52,12 @@ class MinimizeResult:
     warm_distance: float | None = None
 
 
-def retract_to_level(spec: ProblemSpec, u, lam: float, constraint_tol: float = 1e-10):
+def retract_to_level(spec: ProblemSpec, u, lam: float):
     """Project u onto {U = lam} along the problem's exact group action."""
     if not 0 < lam < math.inf:
         raise ValidationError("lambda must be positive and finite")
     model = spec.model
-    return model.wrap(model.retract(model.unwrap(u), lam, constraint_tol))
+    return model.wrap(model.retract(model.unwrap(u), lam))
 
 
 def default_seed(spec: ProblemSpec, lam: float, width: float | None = None):
@@ -110,17 +94,11 @@ def newton_direction(model, x, theta, gU, res_vec):
     return d if model.inner(res_vec, d) > 0.0 else None
 
 
-def minimize_on_level(
-    spec: ProblemSpec,
-    lam: float,
-    u0=None,
-    opts: MinimizeOptions | None = None,
-) -> MinimizeResult:
+def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
     """Minimize T over {U = lam} from the seed u0 (default bump), taken as 0
-    on a Dirichlet boundary.  Raises ValidationError for a seed with a
-    non-finite value."""
-    opts = opts or MinimizeOptions()
-    gtol, tol = opts.resolved_grad_tol(spec), opts.constraint_tol
+    on a Dirichlet boundary, to the variant's ``grad_tol`` within
+    ``MAX_ITERS`` steps.  Raises ValidationError for a seed with a non-finite
+    value."""
     if not 0 < lam < math.inf:
         raise ValidationError("lambda must be positive and finite")
     model = spec.model
@@ -129,13 +107,13 @@ def minimize_on_level(
         raise ValidationError("seed values must be finite")
     # The descent direction is 0 on the Dirichlet boundary and the retraction
     # only rescales, so the seed's boundary value is set here, once.
-    x = model.retract(model.mask(x), lam, tol)
+    x = model.retract(model.mask(x), lam)
     T_cur = float(model.T(x))
 
     theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
     iterations = 0
-    converged = res <= gtol
-    while not converged and iterations < opts.max_iters:
+    converged = res <= model.grad_tol
+    while not converged and iterations < MAX_ITERS:
         iterations += 1
         d = newton_direction(model, x, theta, gU, res_vec)
         if d is None:
@@ -150,20 +128,20 @@ def minimize_on_level(
         t = 1.0
         for _ in range(60):
             try:
-                xt = model.retract(x - t * d, lam, tol)
+                xt = model.retract(x - t * d, lam)
             except InfeasibleError:
-                t *= opts.backtrack
+                t *= BACKTRACK
                 continue
             Tt = float(model.T(xt))
             if Tt <= T_cur - 1e-4 * t * slope + 1e-14 * (1.0 + abs(T_cur)):
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= BACKTRACK
         if not accepted:
             break
         x, T_cur = xt, Tt
         theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
-        converged = res <= gtol
+        converged = res <= model.grad_tol
 
     return MinimizeResult(
         lam=lam,
@@ -176,12 +154,7 @@ def minimize_on_level(
     )
 
 
-def continuation_sweep(
-    spec: ProblemSpec,
-    lambdas,
-    opts: MinimizeOptions | None = None,
-    u0=None,
-) -> list[MinimizeResult]:
+def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResult]:
     """Solve a whole increasing lambda sweep, warm-starting each level with
     the previous minimizer transported along the group action.  Failures are
     recorded as non-converged entries and the sweep continues."""
@@ -194,7 +167,7 @@ def continuation_sweep(
     for lam in lambdas:
         seed = u0 if prev is None else spec.model.transport(prev.minimizer, lam / prev.lam)
         try:
-            r = minimize_on_level(spec, float(lam), seed, opts)
+            r = minimize_on_level(spec, float(lam), seed)
         except InfeasibleError:
             r = MinimizeResult(
                 lam=float(lam),

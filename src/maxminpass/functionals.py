@@ -18,7 +18,7 @@ Methods on plain arrays: ``T``, ``U``, ``F``, ``grad_T``, ``grad_U``,
 along the last axis, one image ``(m,)`` or a stack ``(k, m)`` (toy: ``(d,)``
 or ``(k, d)``), and return one value per image.  Their sums are
 ``np.vecdot``, one BLAS dot per image, so a stacked call sums each row
-exactly as a single-image call does.  ``retract(x, lam, tol)`` scales one
+exactly as a single-image call does.  ``retract(x, lam)`` scales one
 image onto the level set {U = lam}; ``hessian(x, theta)`` gives the bands of
 the tridiagonal Euclidean Hessian of T - theta U at one image (None on the
 toy).  Methods on points (``GridFunction`` for the radial variants, arrays
@@ -88,6 +88,21 @@ def check_keys(block, known, where: str) -> None:
         raise ValidationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def config_number(block: dict, key: str, where: str, default=None, integer: bool = False):
+    """``block[key]``, or ``default`` when the key is absent, as a float (an
+    int when ``integer``); ValidationError naming ``where.key`` when it is
+    not such a number (a required key has no default)."""
+    value = block.get(key, default)
+    try:
+        x = float(value)
+        if integer and not x.is_integer():
+            raise ValueError
+    except (TypeError, ValueError):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"{where}.{key} must be {kind}, got {value!r}") from None
+    return int(x) if integer else x
+
+
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """The model odd nonlinearity g(s) = -m s + |s|^(q-2) s.
@@ -140,7 +155,7 @@ class ProblemSpec:
     nonlinearity: NonlinearitySpec | None = None
     grid: RadialGrid | None = None
     toy: ToyProblem | None = None
-    mu_limit: float | None = field(default=None, compare=False)
+    mu_limit: float | None = field(default=None, init=False, compare=False)
     model: Variant = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,7 +165,7 @@ class ProblemSpec:
         # Copies and pickles are rebuilt through __init__, so that the model
         # and its proxy back to the spec are built afresh.
         args = (self.variant, self.p, self.n, self.mu, self.nonlinearity, self.grid, self.toy)
-        return (ProblemSpec, (*args, self.mu_limit))
+        return (ProblemSpec, args)
 
     @property
     def pstar(self) -> float:
@@ -239,7 +254,7 @@ class Toy(Variant):
     def inner(self, a, b):
         return np.vecdot(a, b)
 
-    def retract(self, x, lam: float, tol: float):
+    def retract(self, x, lam: float):
         r = np.linalg.norm(x)
         if r == 0.0:
             raise InfeasibleError("cannot rescale the zero vector onto the level")
@@ -263,7 +278,8 @@ class Toy(Variant):
     @classmethod
     def from_config(cls, cfg: dict) -> ProblemSpec:
         check_keys(cfg, cls.config_keys, "problem")
-        toy = ToyProblem(d=int(cfg.get("d", 2)), q=float(cfg["q"]))
+        d = config_number(cfg, "d", "problem", 2, integer=True)
+        toy = ToyProblem(d=d, q=config_number(cfg, "q", "problem"))
         return ProblemSpec(variant=cls.name, toy=toy)
 
 
@@ -342,16 +358,24 @@ class _Radial(Variant):
         check_keys(cfg, cls.config_keys, "problem")
         if "mu" in cfg and "mu_fraction_of_limit" in cfg:
             raise ValidationError("set mu or mu_fraction_of_limit, not both")
-        g = cfg["grid"]
-        check_keys(g, ("n", "R", "m", "stretch"), "problem.grid")
+        g, where = cfg.get("grid"), "problem.grid"
+        check_keys(g, ("n", "R", "m", "stretch"), where)
         grid = build_radial_grid(
-            n=int(g["n"]), R=float(g["R"]), m=int(g["m"]), stretch=float(g.get("stretch", 1.05))
+            n=config_number(g, "n", where, integer=True),
+            R=config_number(g, "R", where),
+            m=config_number(g, "m", where, integer=True),
+            stretch=config_number(g, "stretch", where, 1.05),
         )
-        p, n = float(cfg.get("p", 2.0)), int(cfg["n"])
-        mu = float(cfg.get("mu", 0.0))
+        p = config_number(cfg, "p", "problem", 2.0)
+        n = config_number(cfg, "n", "problem", integer=True)
+        mu = config_number(cfg, "mu", "problem", 0.0)
         if "mu_fraction_of_limit" in cfg:
-            mu = float(cfg["mu_fraction_of_limit"]) * cls.mu_limit_of(p, n, grid)
+            frac = config_number(cfg, "mu_fraction_of_limit", "problem")
+            mu = frac * cls.mu_limit_of(p, n, grid)
         return ProblemSpec(variant=cls.name, p=p, n=n, mu=mu, grid=grid, **extra)
+
+
+RETRACT_TOL = 1e-10  # |U - lam| / lam on the grid after Hardy's retraction
 
 
 class Hardy(_Radial):
@@ -383,7 +407,7 @@ class Hardy(_Radial):
     def dgrad_U(self, x):
         return (self.nl.q - 1.0) * np.abs(x) ** (self.nl.q - 2.0) - self.nl.m
 
-    def retract(self, x, lam: float, tol: float):
+    def retract(self, x, lam: float):
         # Scale the amplitude so that U(a y) = lam, y = x / max|x|.  This is
         # exact on the grid (no resampling), unlike a dilation, whose
         # interpolation error would put a noise floor under the line search.
@@ -395,7 +419,7 @@ class Hardy(_Radial):
         # is increasing and convex (there a^(q-2) > A/B, and q(q-1) > 2), so
         # Newton's iterates from a0 decrease monotonically to a*; they stop
         # at the first step that does not decrease a, where rounding takes
-        # over.  The result is then checked on the grid.
+        # over.  The result is then checked on the grid to RETRACT_TOL.
         top = float(np.max(np.abs(x)))
         if not 0.0 < top < math.inf:
             raise InfeasibleError("cannot scale a zero or non-finite function onto the level")
@@ -413,14 +437,14 @@ class Hardy(_Radial):
             raise InfeasibleError("the level's amplitude is out of floating-point range") from None
         v = prev * y
         err = float(self.U(v)) - lam
-        if not abs(err) <= tol * lam:
+        if not abs(err) <= RETRACT_TOL * lam:
             # When lam is tiny against either term of U, the closed form and
             # the grid sum cancel differently by more than the tolerance; one
             # Newton step on the grid value, d/da U(a y) = <g(a y), y>,
             # closes the gap.
             v = v - err / float(self.inner(self.grad_U(v), y)) * y
             err = float(self.U(v)) - lam
-        if not abs(err) <= tol * lam:
+        if not abs(err) <= RETRACT_TOL * lam:
             raise InfeasibleError("amplitude retraction did not reach the level")
         return v
 
@@ -451,9 +475,11 @@ class Hardy(_Radial):
 
     @classmethod
     def from_config(cls, cfg: dict) -> ProblemSpec:
-        p, n = float(cfg.get("p", 2.0)), int(cfg["n"])
-        q = float(cfg.get("q", 0.5 * (p + n * p / (n - p))))  # default: midway to p*
-        return super().from_config(cfg, nonlinearity=NonlinearitySpec(float(cfg.get("m", 1.0)), q))
+        p = config_number(cfg, "p", "problem", 2.0)
+        n = config_number(cfg, "n", "problem", integer=True)
+        q = config_number(cfg, "q", "problem", 0.5 * (p + n * p / (n - p)))  # midway to p*
+        nl = NonlinearitySpec(config_number(cfg, "m", "problem", 1.0), q)
+        return super().from_config(cfg, nonlinearity=nl)
 
 
 class Critical(_Radial):
@@ -466,8 +492,7 @@ class Critical(_Radial):
         super().__init__(spec)
         if not 1 < spec.p**2 < spec.n:
             raise ValidationError("need 1 < p^2 < n")
-        if spec.mu_limit is None:
-            object.__setattr__(spec, "mu_limit", self.mu_limit_of(spec.p, spec.n, spec.grid))
+        object.__setattr__(spec, "mu_limit", self.mu_limit_of(spec.p, spec.n, spec.grid))
         if not 0 < spec.mu < spec.mu_limit:
             raise ValidationError(f"mu must lie in (0, {spec.mu_limit}) (first eigenvalue)")
         self.pstar = pstar = spec.pstar
@@ -499,7 +524,7 @@ class Critical(_Radial):
         d[-1], e[-1] = 1.0, 0.0  # the Dirichlet row is the identity
         return d, e
 
-    def retract(self, x, lam: float, tol: float):
+    def retract(self, x, lam: float):
         Uv = float(self.U(x))
         if Uv <= 0.0:
             raise InfeasibleError("seed has U <= 0; amplitude scaling cannot reach the level")
@@ -520,10 +545,17 @@ class Critical(_Radial):
 
     @staticmethod
     def mu_limit_of(p: float, n: int, grid: RadialGrid) -> float:
-        # The first Dirichlet eigenvalue mu_p at this p.
-        if math.isclose(p, 2.0):
-            return _mu_p_gate(grid)
-        return _mu_p_descent_general(grid, p, Preconditioner(grid, True))
+        # The first Dirichlet eigenvalue mu_p at this p (see estimate_mu_p).
+        # At p = 2, the Rayleigh quotient of u = D^(-1/2) y, y the lowest
+        # eigenvector of D^(-1/2) K D^(-1/2): a ratio of positive sums, it is
+        # accurate to rounding where the eigenvalue itself is not.
+        if not math.isclose(p, 2.0):
+            return _mu_p_descent_general(grid, p)
+        d, e, w = _dirichlet_tridiagonal(grid)
+        _, y = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        u = np.zeros(grid.m)
+        u[:-1] = y[:, 0] / np.sqrt(w)
+        return float(np.dot(grid.we, (np.diff(u) / grid.dr) ** 2) / np.dot(grid.weights, u * u))
 
 
 VARIANTS = {cls.name: cls for cls in (Toy, Hardy, Critical)}
@@ -659,45 +691,20 @@ def _dirichlet_tridiagonal(grid: RadialGrid):
     return diag / w, off, w
 
 
-def _mu_p_gate(grid: RadialGrid) -> float:
-    """Smallest eigenvalue of the Dirichlet p=2 stiffness against the mass:
-    the O(m) admissibility gate for mu.
-
-    It keeps the raw eigenvalue, whose error is about eps * ||D^(-1/2) K
-    D^(-1/2)|| and grows as the first cell shrinks, so that the gate stays
-    equal to the dense generalized solve, which carries the same error;
-    ``estimate_mu_p`` is accurate to rounding."""
-    d, e, _ = _dirichlet_tridiagonal(grid)
-    vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))
-    return float(vals[0])
-
-
-def estimate_mu_p(spec: ProblemSpec, tol: float = 1e-12, max_iters: int = 5000) -> float:
-    """Minimum of int |grad u|^p / int |u|^p over the Dirichlet grid space.
-
-    For p = 2 it is direct: the lowest eigenvector y of the tridiagonal
-    D^(-1/2) K D^(-1/2) gives u = D^(-1/2) y, and the value returned is its
-    Rayleigh quotient, a ratio of sums of positive terms, so it is accurate
-    to rounding where the eigenvalue itself is not.  For p != 2 it is a
-    preconditioned gradient descent with normalization, run until the
-    relative decrease is at most ``tol``; only this descent reads ``tol``
-    and ``max_iters``, and it raises ConvergenceError (carrying the best
-    value) if the budget runs out.
-    """
+def estimate_mu_p(spec: ProblemSpec) -> float:
+    """First Dirichlet eigenvalue mu_p, the minimum of int |grad u|^p / int
+    |u|^p over the Dirichlet grid space: the spec's ``mu_limit``, which gates
+    mu and is computed once per spec by ``Critical.mu_limit_of``."""
     if not isinstance(spec.model, Critical):
         raise ValidationError("mu_p is defined for the critical-bounded variant")
-    grid, p = spec.grid, spec.p
-    if math.isclose(p, 2.0):
-        d, e, w = _dirichlet_tridiagonal(grid)
-        _, y = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-        u = np.zeros(grid.m)
-        u[:-1] = y[:, 0] / np.sqrt(w)
-        return float(np.dot(grid.we, (np.diff(u) / grid.dr) ** 2) / np.dot(grid.weights, u * u))
-    return _mu_p_descent_general(grid, p, spec.model._prec, tol, max_iters)
+    return spec.mu_limit
 
 
-def _mu_p_descent_general(grid, p, prec, tol=1e-12, max_iters=5000) -> float:
-    """The descent of ``estimate_mu_p`` for p != 2, from 1 - (r/R)^2."""
+def _mu_p_descent_general(grid, p) -> float:
+    """mu_p for p != 2: preconditioned gradient descent with normalization
+    from 1 - (r/R)^2, to a relative decrease of 1e-12; ConvergenceError,
+    carrying the best value, if 5000 steps do not get there."""
+    prec = Preconditioner(grid, True)
     dr, we, W = grid.dr, grid.we, grid.weights
     u = 1.0 - (grid.nodes / grid.R) ** 2
     u[-1] = 0.0
@@ -718,7 +725,7 @@ def _mu_p_descent_general(grid, p, prec, tol=1e-12, max_iters=5000) -> float:
 
     ray, r = ratio_and_grad(u)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(5000):
         z = prec.apply(r / W)
         accepted = False
         t = step
@@ -739,7 +746,7 @@ def _mu_p_descent_general(grid, p, prec, tol=1e-12, max_iters=5000) -> float:
         u, improve = ut, ray - ray_t
         ray, r = ray_t, r_t
         step = min(t * 2.0, 4.0)
-        if improve <= tol * ray:
+        if improve <= 1e-12 * ray:
             return ray
     raise ConvergenceError("Rayleigh quotient descent did not converge", best=ray)
 

@@ -28,7 +28,7 @@ __all__ = [
     "scaling_exponent",
 ]
 
-TIE_TOL = 1e-9
+TIE_TOL = 1e-9  # sampled I this close to its max (relative) ties for the argmax
 
 
 @dataclass
@@ -43,7 +43,7 @@ class LevelCurve:
     c_maxmin: float
 
 
-def build_level_curve(samples, i_fn=None, tie_tol: float = TIE_TOL) -> LevelCurve:
+def build_level_curve(samples, i_fn=None) -> LevelCurve:
     """Build the level curve from (lambda, i) samples.
 
     ``i_fn``, when given, is a callable lambda -> i used to refine the
@@ -98,7 +98,7 @@ def build_level_curve(samples, i_fn=None, tie_tol: float = TIE_TOL) -> LevelCurv
     I_in = np.where(inside, I_values, -np.inf)
     I_max = float(np.max(I_in))
     scale = max(1.0, abs(I_max))
-    argmax_set = [int(i) for i in np.flatnonzero(I_in >= I_max - tie_tol * scale)]
+    argmax_set = [int(i) for i in np.flatnonzero(I_in >= I_max - TIE_TOL * scale)]
 
     if len(argmax_set) > 1:
         # Degenerate plateau: report its midpoint, no refinement.

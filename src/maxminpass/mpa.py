@@ -2,12 +2,12 @@
 
 A discrete path from 0 to a negative-energy endpoint is deformed by damped
 steepest descent of F on the interior images (elastic-string style), with
-arc-length re-parameterization each sweep.  The max of F over the images,
-refined by one local bounded search on the broken line through the argmax
-image, gives a monotone sequence of upper bounds on the pass level.  A run
-stops after a plateau sweep whose sup point is a critical point of F (residual
-within ``grad_tol``) of Morse index 1, or after ``patience`` plateau sweeps;
-a sup on an end segment is never reported converged.
+arc-length re-parameterization each sweep.  Each path's sup of F bounds the
+pass level above; the max of F over the images, refined by one local bounded
+search on the two segments at the argmax image, reaches that sup only when
+it lies on those segments.  A run stops after a plateau sweep whose sup point
+is an index-1 critical point of F (residual within ``grad_tol``), or after
+``PATIENCE`` plateau sweeps; a sup on an end segment never counts as converged.
 
 The path is one stacked array, one image per row: ``(k+2, m)`` on a radial
 grid, ``(k+2, d)`` for the toy.  A sweep moves the whole string at once, as
@@ -35,6 +35,9 @@ from .verify import el_residual
 
 __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
            "crosses_all_levels", "find_endpoint"]
+
+MAX_SWEEPS = 10_000
+PATIENCE = 25  # plateau sweeps in a row that end an uncertified run
 
 
 class DiscretePath:
@@ -84,13 +87,11 @@ class DiscretePath:
 
 @dataclass
 class MpaOptions:
-    step: float = 0.2
-    c_tol: float | None = None  # default: the variant's c_tol
-    max_sweeps: int = 10_000
-    patience: int = 25
+    step: float = 0.2  # initial descent step of a sweep
 
-    def resolved_c_tol(self, spec: ProblemSpec) -> float:
-        return self.c_tol if self.c_tol is not None else spec.model.c_tol
+    def __post_init__(self):
+        if not 0.0 < self.step < math.inf:
+            raise ValidationError(f"mpa.step must be positive and finite, got {self.step!r}")
 
 
 def find_endpoint(spec: ProblemSpec, v):
@@ -182,8 +183,9 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec):
     Brent search of the broken line psi(s) = F(x_j + |s| (x_{j-1} - x_j)) for
     s < 0, F(x_j + s (x_{j+1} - x_j)) for s >= 0, with s clipped to 0 where x_j
     ends the path.  The search is local: it finds a local max of psi, not a
-    certified global sup.  Each value is F on the admissible polygonal path,
-    so it bounds the pass level above."""
+    certified global sup.  The value is F at a point of the path, so it is at
+    most the path's sup, which bounds the pass level above; it equals that
+    sup only when the sup lies on the two segments at x_j."""
     x, j, last = path.images, path.argmax_index, len(path.images) - 1
     F = spec.model.F
     left = x[max(j - 1, 0)] - x[j]
@@ -235,13 +237,12 @@ def estimate_c(
     k: int = 32,
     trace_path=None,
 ) -> MpaResult:
-    """Drive the path's sup of F down; returns the final upper bound and the
+    """Drive the path's sup of F down; returns the final ``_path_sup`` and the
     maximizing image.  After each plateau sweep (rejected, or improving by
-    less than ``c_tol``) the run stops on a certified sup point (``_certify``,
-    once per accepted path) or on ``patience`` plateau sweeps in a row; it is
-    converged only if the argmax image is interior."""
+    less than the variant's ``c_tol``) the run stops on a certified sup point
+    (``_certify``, once per accepted path) or on ``PATIENCE`` plateau sweeps
+    in a row; it is converged only if the argmax image is interior."""
     opts = opts or MpaOptions()
-    c_tol = opts.resolved_c_tol(spec)
 
     path = init_path(spec, endpoint, k=k)
     c_cur, top = _path_sup(path, spec)
@@ -251,7 +252,7 @@ def estimate_c(
     converged = certified = stagnant = False
     trace = []
     sweeps = 0
-    while sweeps < opts.max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         new = deform(path, spec, step)
         c_new, top_new = _path_sup(new, spec)
@@ -259,7 +260,7 @@ def estimate_c(
             improvement = c_cur - c_new
             path, c_cur, top, verdict = new, c_new, top_new, None
             step = min(step * 1.1, opts.step * 10.0)
-            plateau = plateau + 1 if improvement < c_tol * max(abs(c_cur), 1e-12) else 0
+            plateau = plateau + 1 if improvement < spec.model.c_tol * max(abs(c_cur), 1e-12) else 0
         else:
             step *= 0.5
             plateau += 1
@@ -270,7 +271,7 @@ def estimate_c(
         if plateau:
             verdict = verdict or _certify(path, spec, top)
             certified = verdict[0]
-            if certified or plateau >= opts.patience:
+            if certified or plateau >= PATIENCE:
                 converged = 0 < path.argmax_index < len(path.images) - 1
                 break
 

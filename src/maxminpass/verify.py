@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .constrained import MinimizeOptions, minimize_on_level, multiplier_and_residual
+from .constrained import minimize_on_level, multiplier_and_residual
 from .functionals import ProblemSpec, eval_T
 from .levelcurve import closed_form_lambda_bar, scaling_path
 
@@ -38,7 +38,7 @@ def multiplier_of(spec: ProblemSpec, u) -> float:
     return theta
 
 
-def _theta_at_level(spec: ProblemSpec, v, lam: float, opts):
+def _theta_at_level(spec: ProblemSpec, v, lam: float):
     """Multiplier along the scaling path; where the transport is inexact
     (the dilation, which interpolates) its error would swamp the residual,
     so the transported point is re-minimized at the target level first.
@@ -47,12 +47,12 @@ def _theta_at_level(spec: ProblemSpec, v, lam: float, opts):
     u = scaling_path(spec, v, lam)
     converged = True
     if not spec.model.exact_transport:
-        res = minimize_on_level(spec, lam, u, opts)
+        res = minimize_on_level(spec, lam, u)
         u, converged = res.minimizer, res.converged
     return multiplier_of(spec, u), u, converged
 
 
-def pick_solution_scale(spec: ProblemSpec, v, opts: MinimizeOptions | None = None) -> dict:
+def pick_solution_scale(spec: ProblemSpec, v) -> dict:
     """Locate the level with unit multiplier along the scaling path of the
     level-1 minimizer v, and tabulate residuals at the printed and derived
     closed-form candidates.
@@ -73,14 +73,13 @@ def pick_solution_scale(spec: ProblemSpec, v, opts: MinimizeOptions | None = Non
     0 where the transport is exact) and those whose re-minimization did not
     converge (``unconverged``).
     """
-    opts = opts or MinimizeOptions()
     i_1 = eval_T(spec, v)
     forms = closed_form_lambda_bar(spec, i_1)
     solved = {}
 
     def level(lam):
         if lam not in solved:
-            solved[lam] = _theta_at_level(spec, v, lam, opts)
+            solved[lam] = _theta_at_level(spec, v, lam)
         return solved[lam]
 
     slope = 1.0 - spec.model.scaling_exponent
@@ -96,7 +95,7 @@ def pick_solution_scale(spec: ProblemSpec, v, opts: MinimizeOptions | None = Non
         if dist <= 1e-10:
             break
         lam *= math.exp(step)
-    if dist > opts.resolved_grad_tol(spec):
+    if dist > spec.model.grad_tol:
         raise ValidationError(f"unit-multiplier level not resolved: {dist:.3g} in log lambda")
     theta_unit, u_unit, _ = level(lam_unit)
     res_unit = el_residual(spec, u_unit)

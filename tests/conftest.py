@@ -9,9 +9,9 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
+from maxminpass import constrained
 from maxminpass import (
     InfeasibleError,
-    MinimizeOptions,
     MinimizeResult,
     MpaOptions,
     NonlinearitySpec,
@@ -46,9 +46,8 @@ HARDY_MU_HALF = 0.5 * 2.25  # half the Hardy constant ((n-p)/p)^p for p=2, n=5
 
 
 def _dense_mu_p(grid):
-    """Dense generalized-eigenvalue value of the p=2 Rayleigh quotient: the
-    direct solver the library's tridiagonal gate and its iterative estimate
-    are checked against."""
+    """Dense generalized-eigenvalue value of the p=2 Rayleigh quotient: an
+    independent direct solver the library's mu_p is checked against."""
     c = grid.we / grid.dr**2
     m = grid.m
     K = np.zeros((m, m))
@@ -139,15 +138,15 @@ def path_sup_oracle():
     return _two_segment_sup
 
 
-def _point_minimize(spec, lam, u0=None, opts=None):
+def _point_minimize(spec, lam, u0=None):
     """Constrained descent on points, every step through the point-level
     dispatchers and ``retract_to_level``: the reference the array loop of
-    ``minimize_on_level`` is checked against.  Returns the same fields."""
-    opts = opts or MinimizeOptions()
-    gtol = opts.resolved_grad_tol(spec)
+    ``minimize_on_level`` is checked against.  It reads the same budget and
+    line-search constants, at call time.  Returns the same fields."""
+    gtol, backtrack = spec.model.grad_tol, constrained.BACKTRACK
     if u0 is None:
         u0 = default_seed(spec, lam)
-    u = retract_to_level(spec, u0, lam, opts.constraint_tol)
+    u = retract_to_level(spec, u0, lam)
     T_cur = eval_T(spec, u)
 
     def multiplier_and_residual(u):
@@ -163,7 +162,7 @@ def _point_minimize(spec, lam, u0=None, opts=None):
     iterations = 0
     converged = res <= gtol
     prev_u = prev_d = None
-    while not converged and iterations < opts.max_iters:
+    while not converged and iterations < constrained.MAX_ITERS:
         iterations += 1
         pT = precondition(spec, gT)
         pU = precondition(spec, gU)
@@ -181,20 +180,20 @@ def _point_minimize(spec, lam, u0=None, opts=None):
         t = step
         for _ in range(60):
             try:
-                ut = retract_to_level(spec, u - t * d, lam, opts.constraint_tol)
+                ut = retract_to_level(spec, u - t * d, lam)
             except InfeasibleError:
-                t *= opts.backtrack
+                t *= backtrack
                 continue
             Tt = eval_T(spec, ut)
             if Tt <= T_cur - 1e-4 * t * slope + 1e-14 * (1.0 + abs(T_cur)):
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= backtrack
         if not accepted:
             break
         prev_u, prev_d = u, d
         u, T_cur = ut, Tt
-        step = t / opts.backtrack
+        step = t / backtrack
         theta, res, gT, gU, res_vec = multiplier_and_residual(u)
         converged = res <= gtol
     return MinimizeResult(
@@ -208,19 +207,18 @@ def minimize_oracle():
     return _point_minimize
 
 
-def _bisect_solution_scale(spec, v, opts=None, bisect_tol=1e-10):
+def _bisect_solution_scale(spec, v, bisect_tol=1e-10):
     """The unit-multiplier search by log-bisection, re-minimizing at every
     level it visits (Hardy), plus the candidate table: the reference the
     Newton search of ``pick_solution_scale`` is checked against.  It uses
     only that theta decreases along the scaling path, not the scaling law's
     slope the Newton steps take.  Returns the same keys, without the solve
     counts."""
-    opts = opts or MinimizeOptions()
 
     def theta_at_level(lam):
         u = scaling_path(spec, v, lam)
         if not spec.model.exact_transport:
-            u = minimize_on_level(spec, lam, u, opts).minimizer
+            u = minimize_on_level(spec, lam, u).minimizer
         return multiplier_of(spec, u), u
 
     forms = closed_form_lambda_bar(spec, eval_T(spec, v))

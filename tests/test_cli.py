@@ -1,7 +1,7 @@
 """Command-line interface: exit codes, artifacts, schemas."""
 
+import contextlib
 import csv
-import functools
 import json
 import os
 import shutil
@@ -13,10 +13,10 @@ import jsonschema
 import pytest
 
 import maxminpass.cli
+import maxminpass.constrained
+import maxminpass.mpa
 import maxminpass.verify
 from maxminpass import (
-    MinimizeOptions,
-    MpaOptions,
     eval_T,
     gridfunction_from_csv,
     gridfunction_to_csv,
@@ -112,18 +112,51 @@ class TestExitCodes:
             ("grid", "mm", 100),
             (None, "sweeps", {}),
             ("minimize", "step", 1.0),  # the secant step's start, gone with it
+            ("mpa", "c_tol", 1e-3),  # the variant's c_tol
+            ("mpa", "max_sweeps", 100),
+            ("mpa", "patience", 25),
         ],
     )
     def test_unknown_or_conflicting_key_rejected(self, tmp_path, capsys, block, key, value):
-        with open(hardy_config(tmp_path, minimize={}, mpa={})) as f:
+        with open(hardy_config(tmp_path, mpa={})) as f:
             cfg = json.load(f)
         blocks = {None: cfg, "problem": cfg["problem"], "grid": cfg["problem"]["grid"],
-                  "minimize": cfg["minimize"], "mpa": cfg["mpa"]}
-        blocks[block][key] = value
+                  "mpa": cfg["mpa"]}
+        if block == "minimize":  # the block is gone: any key in it names it
+            cfg["minimize"], key = {key: value}, "minimize"
+        else:
+            blocks[block][key] = value
         path = write_config(tmp_path / "typo.json", cfg)
         assert main(["minimize", "--config", path, "--out", str(tmp_path)]) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
         assert not (tmp_path / "minimize_result.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, block, key, value",
+        [
+            ("sweep", "sweep", "lambda_min", "abc"),
+            ("sweep", "sweep", "count", 7.5),
+            ("minimize", "grid", "m", "x"),
+            ("minimize", "problem", "mu", [0.0]),
+            ("mpa", "mpa", "step", "fast"),
+            ("mpa", "mpa", "step", 0),
+            ("mpa", "mpa", "k", None),
+        ],
+    )
+    def test_wrong_value_rejected_before_compute(
+        self, tmp_path, capsys, monkeypatch, command, block, key, value
+    ):
+        with open(hardy_config(tmp_path, mpa={})) as f:
+            cfg = json.load(f)
+        blocks = {"sweep": cfg["sweep"], "problem": cfg["problem"],
+                  "grid": cfg["problem"]["grid"], "mpa": cfg["mpa"]}
+        blocks[block][key] = value
+        path = write_config(tmp_path / "typed.json", cfg)
+        calls = spy_level1_solves(monkeypatch)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        where = {"grid": "problem.grid"}.get(block, block)
+        assert f"{where}.{key}" in capsys.readouterr().err
+        assert calls == [] and not list(tmp_path.glob("*.csv"))
 
     def test_sweep_not_bracketing_threshold(self, tmp_path):
         cfg_path = hardy_config(
@@ -242,8 +275,8 @@ def spy_level1_solves(monkeypatch):
     calls = []
     inner = maxminpass.cli.minimize_on_level
 
-    def spy(spec, lam, u0, opts):
-        r = inner(spec, lam, u0, opts)
+    def spy(spec, lam, u0=None):
+        r = inner(spec, lam, u0)
         calls.append((u0 is not None, r))
         return r
 
@@ -299,7 +332,9 @@ class TestLevelOneReuse:
         stale = tmp_path / LEVEL1_CSV
         stale.write_text("r,value\n")
         cfg = readme_config(tmp_path, "hardy.json")
-        assert main(["maxmin", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        with no_solver_budget():
+            code = main(["maxmin", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
         assert not stale.exists()
 
 
@@ -308,10 +343,18 @@ def problem_block(out):
     return json.loads((out / "config.json").read_text())["problem"]
 
 
+@contextlib.contextmanager
+def no_solver_budget():
+    """Starve every constrained solve: none may take a step, since a
+    warm-started Newton solve converges within one or two."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maxminpass.constrained, "MAX_ITERS", 0)
+        yield
+
+
 def readme_config(tmp_path, name, **problem_overrides):
-    """The README ``hardy.json`` on a coarse grid, with no iteration budget,
-    since a warm-started Newton solve converges within one or two steps.  The
-    sweep then runs on the retracted seed's scaling path, whose I = i - lambda
+    """The README ``hardy.json`` on a coarse grid.  Under ``no_solver_budget``
+    the sweep runs on the retracted seed's scaling path, whose I = i - lambda
     changes sign only past lambda = 1e5, so it reaches 1e6."""
     problem = {
         "variant": "hardy-subcritical",
@@ -326,7 +369,6 @@ def readme_config(tmp_path, name, **problem_overrides):
     cfg = {
         "problem": problem,
         "sweep": {"lambda_min": 1.0, "lambda_max": 1e6, "count": 12},
-        "minimize": {"max_iters": 0},
     }
     return write_config(tmp_path / name, cfg)
 
@@ -334,7 +376,8 @@ def readme_config(tmp_path, name, **problem_overrides):
 @pytest.fixture(scope="module")
 def starved_maxmin(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("starved")
-    code = main(["maxmin", "--config", readme_config(tmp, "hardy.json"), "--out", str(tmp)])
+    with no_solver_budget():
+        code = main(["maxmin", "--config", readme_config(tmp, "hardy.json"), "--out", str(tmp)])
     return code, tmp
 
 
@@ -358,7 +401,6 @@ class TestUnconvergedRuns:
         stale.write_text("{}")
         other = json.loads((maxmin_out / "hardy.json").read_text())
         other["problem"]["mu"] = 1.0
-        del other["minimize"]
         path = write_config(tmp_path / "other.json", other)
         assert main(["mpa", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
         maxmin = json.loads((tmp_path / "maxmin_summary.json").read_text())
@@ -367,25 +409,31 @@ class TestUnconvergedRuns:
         assert not stale.exists()
 
     def test_verify_exits_nonzero_and_counts(self, tmp_path, monkeypatch):
-        # the level-1 solve keeps the config's budget; verify's re-solves get
-        # none, since a warm-started Newton solve converges within one step
+        # the level-1 solve keeps its budget; verify's re-solves get none
         inner = maxminpass.verify.minimize_on_level
-        monkeypatch.setattr(
-            maxminpass.verify,
-            "minimize_on_level",
-            lambda spec, lam, u0, opts: inner(spec, lam, u0, MinimizeOptions(max_iters=0)),
-        )
+
+        def starved(*args):
+            with no_solver_budget():
+                return inner(*args)
+
+        monkeypatch.setattr(maxminpass.verify, "minimize_on_level", starved)
         cfg = hardy_config(tmp_path)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         payload = json.loads((tmp_path / "verify_report.json").read_text())
         jsonschema.validate(payload, VERIFY_REPORT_SCHEMA)
         assert 0 < payload["unconverged"] <= payload["solves"]
 
+    def test_verify_level1_failure_is_reported(self, tmp_path, capsys):
+        cfg = hardy_config(tmp_path)
+        with no_solver_budget():
+            code = main(["verify", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
+        assert "level-1 minimization failed" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_toy_exits_nonzero_when_mpa_does_not_converge(self, tmp_path, monkeypatch):
         # one sweep certifies the toy's path top, so the run gets none
-        monkeypatch.setattr(
-            maxminpass.cli, "MpaOptions", functools.partial(MpaOptions, max_sweeps=0)
-        )
+        monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 0)
         assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         payload = json.loads((tmp_path / "toy_summary.json").read_text())
         jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)
@@ -394,9 +442,7 @@ class TestUnconvergedRuns:
         assert payload["mpa_sweeps"] == 0
 
     def test_one_sweep_certifies_the_toy(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            maxminpass.cli, "MpaOptions", functools.partial(MpaOptions, max_sweeps=1)
-        )
+        monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 1)
         assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_OK
         payload = json.loads((tmp_path / "toy_summary.json").read_text())
         jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)
@@ -410,7 +456,9 @@ class TestUnconvergedRuns:
         cfg = json.loads(Path(path).read_text())
         cfg["sweep"] = {"lambda_min": 1.0, "lambda_max": 30000.0, "count": 40}
         write_config(Path(path), cfg)
-        assert main(["maxmin", "--config", path, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        with no_solver_budget():
+            code = main(["maxmin", "--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
         err = capsys.readouterr().err
         assert "41 of 41 solves did not converge" in err and "no sign change" in err
         assert not (tmp_path / "maxmin_summary.json").exists()

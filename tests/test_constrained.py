@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from maxminpass import constrained
 from maxminpass import (
     GridFunction,
     InfeasibleError,
-    MinimizeOptions,
     NonlinearitySpec,
     ProblemSpec,
     ToyProblem,
@@ -29,7 +29,7 @@ from maxminpass import (
 )
 from maxminpass.cli import _sweep_lambdas
 from maxminpass.constrained import multiplier_and_residual, newton_direction
-from maxminpass.functionals import factor_tridiagonal
+from maxminpass.functionals import RETRACT_TOL, factor_tridiagonal
 
 RNG = np.random.default_rng(7)
 
@@ -105,40 +105,37 @@ class TestRetraction:
                 assert eval_U(spec, u) == pytest.approx(lam, rel=1e-9)
 
     def test_hardy_amplitude_matches_grid_root(self):
-        tol = MinimizeOptions().constraint_tol
         for spec in hardy_variants():
             u0 = default_seed(spec, 1.0)
             k = int(np.argmax(np.abs(u0.values)))
             for lam in (1e-2, 1.0, 3e4):
-                v = retract_to_level(spec, u0, lam, tol)
+                v = retract_to_level(spec, u0, lam)
                 a = v.values[k] / u0.values[k]
                 assert a == pytest.approx(retract_by_grid_root(spec, u0, lam), rel=1e-12)
-                assert abs(eval_U(spec, v) - lam) <= tol * lam
+                assert abs(eval_U(spec, v) - lam) <= RETRACT_TOL * lam
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_hardy_lands_at_any_input_scale(self, scale):
         # the amplitude solve runs on x / max|x|: the scale of the input
         # neither overflows nor underflows its moments
-        tol = MinimizeOptions().constraint_tol
         for spec in hardy_retraction_specs():
             u = GridFunction(spec.grid, scale * np.exp(-((spec.grid.nodes / 2.0) ** 2)))
             for lam in (1.0, 1e4, 1e12):
-                v = retract_to_level(spec, u, lam, tol)
-                assert abs(eval_U(spec, v) - lam) <= tol * lam
+                v = retract_to_level(spec, u, lam)
+                assert abs(eval_U(spec, v) - lam) <= RETRACT_TOL * lam
 
     def test_hardy_below_the_cancellation_floor_is_infeasible(self):
         # at lam = 1e-3 the two terms of U cancel below the grid's rounding
         # for some specs: the retraction either lands or says so
-        tol = MinimizeOptions().constraint_tol
         for spec in hardy_retraction_specs():
             bump = np.exp(-((spec.grid.nodes / 2.0) ** 2))
             for scale in SCALES:
                 try:
-                    v = spec.model.retract(scale * bump, 1e-3, tol)
+                    v = spec.model.retract(scale * bump, 1e-3)
                 except InfeasibleError:
                     continue
                 assert np.all(np.isfinite(v))
-                assert abs(spec.model.U(v) - 1e-3) <= tol * 1e-3
+                assert abs(spec.model.U(v) - 1e-3) <= RETRACT_TOL * 1e-3
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_hardy_non_finite_profile_is_infeasible(self, bad):
@@ -146,7 +143,7 @@ class TestRetraction:
         x = np.exp(-((spec.grid.nodes / 2.0) ** 2))
         x[3] = bad
         with pytest.raises(InfeasibleError):
-            spec.model.retract(x, 1.0, MinimizeOptions().constraint_tol)
+            spec.model.retract(x, 1.0)
 
     @pytest.mark.parametrize(
         "m,q,lam", [(1e4, 2.01, 1.0), (1e-12, 2.01, 5e-324), (1.0, 2.5, 1e308)]
@@ -157,7 +154,7 @@ class TestRetraction:
         # at lam = 1e308, 2 lam / B is inf and U of the image is NaN
         spec = hardy_n3(m, q)
         with pytest.raises(InfeasibleError), np.errstate(over="ignore", invalid="ignore"):
-            spec.model.retract(np.exp(-((spec.grid.nodes / 2.0) ** 2)), lam, 1e-10)
+            spec.model.retract(np.exp(-((spec.grid.nodes / 2.0) ** 2)), lam)
 
     def test_zero_seed_is_infeasible(self, hardy_small):
         zero = GridFunction(hardy_small.grid, np.zeros(hardy_small.grid.m))
@@ -262,7 +259,7 @@ class TestInertiaGuard:
         model, grid = spec.model, spec.grid
         x = np.exp(-((grid.nodes / (0.2 * grid.R)) ** 2))
         x *= 1.05 + np.cos(2.0 * np.pi * grid.nodes / (0.1 * grid.R))
-        x = model.retract(model.mask(x), 1.0, 1e-10)
+        x = model.retract(model.mask(x), 1.0)
         theta, _, _, gU, res_vec = multiplier_and_residual(model, x)
         d, e = model.hessian(x, theta)
         H = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
@@ -306,7 +303,7 @@ def assert_same_minimum(spec, new, old):
     """Two converged solves of one level agree to what grad_tol implies: i to
     1e-10 relative, theta and the minimizer (weighted norm) to 10 grad_tol
     relative."""
-    tol = 10.0 * MinimizeOptions().resolved_grad_tol(spec)
+    tol = 10.0 * spec.model.grad_tol
     assert new.lam == old.lam
     assert new.converged and old.converged
     assert new.i_value == pytest.approx(old.i_value, rel=1e-10)
@@ -344,15 +341,15 @@ class TestArrayLoopMatchesPointLoop:
         assert 0 < new.iterations <= old.iterations
         assert_same_minimum(critical_small, new, old)
 
-    def test_starved_budget(self, hardy_small, minimize_oracle):
+    def test_starved_budget(self, hardy_small, minimize_oracle, monkeypatch):
         # three steps from the cold seed are too few for either loop: both
         # spend the budget and report a point on the level, unconverged
-        opts = MinimizeOptions(max_iters=3)
-        new = minimize_on_level(hardy_small, 1.0, None, opts)
-        old = minimize_oracle(hardy_small, 1.0, None, opts)
+        monkeypatch.setattr(constrained, "MAX_ITERS", 3)
+        new = minimize_on_level(hardy_small, 1.0)
+        old = minimize_oracle(hardy_small, 1.0)
         assert new.iterations == old.iterations == 3
         assert not new.converged and not old.converged
-        assert new.residual > opts.resolved_grad_tol(hardy_small)
+        assert new.residual > hardy_small.model.grad_tol
         assert eval_U(hardy_small, new.minimizer) == pytest.approx(1.0, rel=1e-9)
 
     def test_continuation_sweep(self, hardy_small, minimize_oracle):
@@ -399,13 +396,6 @@ def test_non_finite_level_rejected(request, variant, bad):
 
 
 class TestOptionsValidation:
-    def test_bad_options_rejected(self):
-        with pytest.raises(ValidationError):
-            MinimizeOptions(grad_tol=-1.0)
-        with pytest.raises(ValidationError):
-            MinimizeOptions(backtrack=1.5)
-
     def test_default_tolerance_by_variant(self, hardy_small):
-        opts = MinimizeOptions()
-        assert opts.resolved_grad_tol(toy_spec()) == 1e-8
-        assert opts.resolved_grad_tol(hardy_small) == 1e-6
+        assert toy_spec().model.grad_tol == 1e-8
+        assert hardy_small.model.grad_tol == 1e-6

@@ -33,7 +33,6 @@ from maxminpass import (
 )
 from maxminpass.functionals import (
     Preconditioner,
-    _mu_p_gate,
     factor_tridiagonal,
     solve_tridiagonal,
 )
@@ -408,10 +407,15 @@ class TestMuP:
         assert abs(est - dense) / dense <= 1e-6
 
     @pytest.mark.parametrize("stretch", [1.0, 1.003])
-    def test_gate_matches_dense_oracle(self, mu_p_dense, stretch):
+    def test_gate_matches_dense_oracle(self, stretch):
+        # the gate is the spec's one mu_p, held to the 40-digit reference: the
+        # dense oracle, like LAPACK's raw eigenvalue, carries an error of eps
+        # times ||D^(-1/2) K D^(-1/2)||, which grows as the first cell shrinks
         grid = build_radial_grid(5, 1.0, 200, stretch)
-        dense = mu_p_dense(grid)
-        assert abs(_mu_p_gate(grid) - dense) / dense <= 1e-12
+        spec = ProblemSpec(variant="critical-bounded", p=2.0, n=5, mu=3.0, grid=grid)
+        ref = mp_mu_p(grid)
+        assert abs(spec.mu_limit - ref) / ref <= 1e-14
+        assert estimate_mu_p(spec) == spec.mu_limit
 
     @pytest.mark.parametrize("m,stretch", [(200, 1.0), (200, 1.003), (800, 1.0049)])
     def test_matches_high_precision_reference(self, m, stretch):
@@ -444,8 +448,7 @@ class TestMuP:
             for R in (1.0, 2.0):
                 grid = build_radial_grid(5, R, 150, 1.0)
                 spec = ProblemSpec(
-                    variant="critical-bounded", p=p, n=5, mu=1.0, mu_limit=np.inf,
-                    grid=grid,
+                    variant="critical-bounded", p=p, n=5, mu=1.0, grid=grid,
                 )
                 vals[R] = estimate_mu_p(spec)
             assert vals[2.0] == pytest.approx(vals[1.0] * 2.0**-p, rel=1e-3)

@@ -1,5 +1,7 @@
 """Path deformation estimate of the pass level."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,12 +167,13 @@ class TestCertifiedStop:
         monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan))
         patience = estimate_c(spec, *args)
         assert patience.converged and not patience.certified
-        assert patience.sweeps == MpaOptions().patience
+        assert patience.sweeps == maxminpass.mpa.PATIENCE
         assert result.c_mpa <= patience.c_mpa
 
-    def test_hardy_straight_path_not_certified(self, hardy_small):
+    def test_hardy_straight_path_not_certified(self, hardy_small, monkeypatch):
         endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
-        result = estimate_c(hardy_small, endpoint, MpaOptions(max_sweeps=1), k=32)
+        monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 1)
+        result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
         assert result.sweeps == 1
         assert not result.certified and not result.converged
         assert result.sup_residual > hardy_small.model.grad_tol
@@ -199,6 +202,18 @@ class TestCertifiedStop:
         assert result.path.argmax_index == 0
         assert result.c_mpa > 1.01 * hardy_mu_half["curve"].c_maxmin
         assert not result.converged and not result.certified
+
+
+class TestOptions:
+    def test_only_the_step_is_settable(self):
+        assert [f.name for f in dataclasses.fields(MpaOptions)] == ["step"]
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        # step = 0 would hold the path still: the straight path's sup, 35%
+        # above c on Hardy mu = 0, would be reported converged
+        with pytest.raises(ValidationError, match="step"):
+            MpaOptions(step=step)
 
 
 class TestLevelCrossing:

@@ -91,7 +91,3 @@ class TestToyBruteforce:
         assert toy_c_bruteforce(prob) == pytest.approx(
             toy_closed_form(prob)["c"], abs=1e-6
         )
-
-    def test_rejects_tiny_resolution(self):
-        with pytest.raises(ValidationError):
-            toy_c_bruteforce(ToyProblem(2, 4.0), resolution=10)

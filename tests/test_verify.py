@@ -5,10 +5,10 @@ import zlib
 import numpy as np
 import pytest
 
+import maxminpass.constrained
 import maxminpass.verify
 from maxminpass import (
     GridFunction,
-    MinimizeOptions,
     NonlinearitySpec,
     ProblemSpec,
     ToyProblem,
@@ -173,10 +173,11 @@ class TestBrentAgainstBisection:
             assert calls == []
 
 
-def test_unconverged_re_minimizations_counted(hardy_small):
+def test_unconverged_re_minimizations_counted(hardy_small, monkeypatch):
     v = minimize_on_level(hardy_small, 1.0).minimizer
     # no budget: a warm-started Newton re-minimization converges in one step
-    report = pick_solution_scale(hardy_small, v, MinimizeOptions(max_iters=0))
+    monkeypatch.setattr(maxminpass.constrained, "MAX_ITERS", 0)
+    report = pick_solution_scale(hardy_small, v)
     assert 0 < report["unconverged"] <= report["solves"]
 
 
@@ -274,7 +275,7 @@ def test_envelope_matches_oracle(bisect_oracle, n, fraction):
     v = minimize_on_level(spec, 1.0).minimizer
     report = pick_solution_scale(spec, v)
     oracle = bisect_oracle(spec, v)
-    gtol = MinimizeOptions().resolved_grad_tol(spec)
+    gtol = spec.model.grad_tol
     assert report["lambda_at_unit_multiplier"] == pytest.approx(
         oracle["lambda_at_unit_multiplier"], rel=1e-6
     )
