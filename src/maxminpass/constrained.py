@@ -12,8 +12,9 @@ gradient of T projected against grad U.  A backtracking line search from
 the unit step decreases T, retracting each trial point onto the level set.
 
 Arrays inside, points at the edges: ``minimize_on_level`` checks and
-unwraps its seed once, runs the descent on ndarrays through the variant's
-array methods, and wraps only the result.
+unwraps its seed once, runs the descent (``descend``) on ndarrays through
+the variant's array methods, and wraps only the result.  ``descend`` also
+computes the first Dirichlet eigenvalue on a Rayleigh model.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .functionals import ProblemSpec, eval_U, norm  # noqa: F401 (eval_U: traced binding)
+from .functionals import ProblemSpec, eval_U  # noqa: F401 (eval_U: traced binding)
 from .functionals import factor_tridiagonal, solve_tridiagonal
 
 __all__ = [
@@ -49,7 +50,6 @@ class MinimizeResult:
     iterations: int
     converged: bool
     residual: float
-    warm_distance: float | None = None
 
 
 def retract_to_level(spec: ProblemSpec, u, lam: float):
@@ -105,6 +105,22 @@ def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
     x = model.unwrap(default_seed(spec, lam) if u0 is None else u0)
     if not np.all(np.isfinite(x)):
         raise ValidationError("seed values must be finite")
+    x, T_cur, theta, res, iterations, converged = descend(model, x, lam)
+    return MinimizeResult(
+        lam=lam,
+        i_value=T_cur,
+        minimizer=model.wrap(x),
+        multiplier=theta,
+        iterations=iterations,
+        converged=converged,
+        residual=res,
+    )
+
+
+def descend(model, x, lam: float):
+    """``minimize_on_level``'s descent on the array x for the variant
+    ``model``: (minimizer, T there, multiplier, residual, iterations,
+    converged)."""
     # The descent direction is 0 on the Dirichlet boundary and the retraction
     # only rescales, so the seed's boundary value is set here, once.
     x = model.retract(model.mask(x), lam)
@@ -142,16 +158,7 @@ def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
         x, T_cur = xt, Tt
         theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
         converged = res <= model.grad_tol
-
-    return MinimizeResult(
-        lam=lam,
-        i_value=T_cur,
-        minimizer=model.wrap(x),
-        multiplier=theta,
-        iterations=iterations,
-        converged=bool(converged),
-        residual=res,
-    )
+    return x, T_cur, theta, res, iterations, bool(converged)
 
 
 def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResult]:
@@ -179,8 +186,6 @@ def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResu
                 residual=math.inf,
             )
         if r.minimizer is not None:
-            if prev is not None:
-                r.warm_distance = norm(spec, r.minimizer - prev.minimizer)
             prev = r
         results.append(r)
     return results

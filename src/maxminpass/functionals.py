@@ -41,7 +41,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
@@ -477,6 +476,8 @@ class Hardy(_Radial):
     def from_config(cls, cfg: dict) -> ProblemSpec:
         p = config_number(cfg, "p", "problem", 2.0)
         n = config_number(cfg, "n", "problem", integer=True)
+        if not 1 < p < n:  # before p* = n p / (n - p) in the default q
+            raise ValidationError("need 1 < p < n")
         q = config_number(cfg, "q", "problem", 0.5 * (p + n * p / (n - p)))  # midway to p*
         nl = NonlinearitySpec(config_number(cfg, "m", "problem", 1.0), q)
         return super().from_config(cfg, nonlinearity=nl)
@@ -545,17 +546,33 @@ class Critical(_Radial):
 
     @staticmethod
     def mu_limit_of(p: float, n: int, grid: RadialGrid) -> float:
-        # The first Dirichlet eigenvalue mu_p at this p (see estimate_mu_p).
-        # At p = 2, the Rayleigh quotient of u = D^(-1/2) y, y the lowest
-        # eigenvector of D^(-1/2) K D^(-1/2): a ratio of positive sums, it is
-        # accurate to rounding where the eigenvalue itself is not.
-        if not math.isclose(p, 2.0):
-            return _mu_p_descent_general(grid, p)
-        d, e, w = _dirichlet_tridiagonal(grid)
-        _, y = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-        u = np.zeros(grid.m)
-        u[:-1] = y[:, 0] / np.sqrt(w)
-        return float(np.dot(grid.we, (np.diff(u) / grid.dr) ** 2) / np.dot(grid.weights, u * u))
+        # The first Dirichlet eigenvalue mu_p at this p (see estimate_mu_p):
+        # T / U at the minimizer of the Rayleigh model on a level of U, from
+        # one inverse iteration on the seed.  constrained imports this module,
+        # so its descent is imported at the call.
+        from .constrained import descend
+
+        model = _Rayleigh(grid, p)
+        x, T, *_, converged = descend(model, model.precondition(model.seed().values), 1.0)
+        mu_p = float(T / model.U(x))
+        if not converged:
+            raise ConvergenceError(f"first Dirichlet eigenvalue at p={p}: no convergence", best=mu_p)
+        return mu_p
+
+
+class _Rayleigh(Critical):
+    """The Rayleigh model of mu_p: ``Critical`` with mu = 0 and the exponent
+    p in place of p*, so T = (1/p) int |grad u|^p and U = (1/p) int |u|^p."""
+
+    def __init__(self, grid: RadialGrid, p: float):
+        self.grid, self.p, self.pstar, self.mu = grid, p, p, 0.0
+        self._prec = Preconditioner(grid, True)
+
+    def grad_U(self, x):
+        return _dphi(x, self.p)  # finite at the Dirichlet node for p < 2
+
+    def dgrad_U(self, x):
+        return _ddphi(x, self.p)
 
 
 VARIANTS = {cls.name: cls for cls in (Toy, Hardy, Critical)}
@@ -676,79 +693,17 @@ class Preconditioner:
         return GridFunction(g.grid, z) if point else z
 
 
-# --- first eigenvalue / Rayleigh quotient ----------------------------------
-
-
-def _dirichlet_tridiagonal(grid: RadialGrid):
-    """Diagonal and off-diagonal of D^(-1/2) K D^(-1/2), with K the p=2
-    stiffness and D the diagonal mass on the interior nodes 0..m-2 (Dirichlet
-    at R), and those masses."""
-    c = grid.we / grid.dr**2
-    w = grid.weights[:-1]
-    diag = c.copy()
-    diag[1:] += c[:-1]
-    off = -c[:-1] / np.sqrt(w[:-1] * w[1:])
-    return diag / w, off, w
+# --- first eigenvalue -------------------------------------------------------
 
 
 def estimate_mu_p(spec: ProblemSpec) -> float:
     """First Dirichlet eigenvalue mu_p, the minimum of int |grad u|^p / int
     |u|^p over the Dirichlet grid space: the spec's ``mu_limit``, which gates
-    mu and is computed once per spec by ``Critical.mu_limit_of``."""
+    mu and is computed once per spec by ``Critical.mu_limit_of``, with the
+    constrained minimizer's descent on the Rayleigh model."""
     if not isinstance(spec.model, Critical):
         raise ValidationError("mu_p is defined for the critical-bounded variant")
     return spec.mu_limit
-
-
-def _mu_p_descent_general(grid, p) -> float:
-    """mu_p for p != 2: preconditioned gradient descent with normalization
-    from 1 - (r/R)^2, to a relative decrease of 1e-12; ConvergenceError,
-    carrying the best value, if 5000 steps do not get there."""
-    prec = Preconditioner(grid, True)
-    dr, we, W = grid.dr, grid.we, grid.weights
-    u = 1.0 - (grid.nodes / grid.R) ** 2
-    u[-1] = 0.0
-
-    def ratio_and_grad(u):
-        du = np.diff(u) / dr
-        A = float(np.dot(we, np.abs(du) ** p))
-        B = float(np.dot(W, np.abs(u) ** p))
-        ray = A / B
-        s = we * _dphi(du, p) / dr * p
-        eA = np.zeros(grid.m)
-        eA[:-1] -= s
-        eA[1:] += s
-        eB = p * W * _dphi(u, p)
-        r = eA - ray * eB
-        r[-1] = 0.0
-        return ray, r
-
-    ray, r = ratio_and_grad(u)
-    step = 1.0
-    for _ in range(5000):
-        z = prec.apply(r / W)
-        accepted = False
-        t = step
-        for _ in range(40):
-            ut = u - t * z
-            if np.max(np.abs(ut)) == 0.0:
-                t *= 0.5
-                continue
-            ray_t, r_t = ratio_and_grad(ut)
-            if ray_t < ray:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            # Monotone and bounded below: a stalled line search means the
-            # quotient has converged to floating-point resolution.
-            return ray
-        u, improve = ut, ray - ray_t
-        ray, r = ray_t, r_t
-        step = min(t * 2.0, 4.0)
-        if improve <= 1e-12 * ray:
-            return ray
-    raise ConvergenceError("Rayleigh quotient descent did not converge", best=ray)
 
 
 # --- ProblemSpec serialization ---------------------------------------------

@@ -88,6 +88,41 @@ class TestExitCodes:
             EXIT_VALIDATION
         )
 
+    def test_hardy_p_equal_n_rejected_before_the_default_q(self, tmp_path, capsys):
+        # the default q lies midway to p* = n p / (n - p), which has no value at p = n
+        cfg = {
+            "problem": {
+                "variant": "hardy-subcritical",
+                "p": 2.0,
+                "n": 2,
+                "grid": {"n": 2, "R": 30.0, "m": 50, "stretch": 1.05},
+            }
+        }
+        path = write_config(tmp_path / "p_is_n.json", cfg)
+        assert main(["minimize", "--config", path, "--out", str(tmp_path)]) == (
+            EXIT_VALIDATION
+        )
+        assert "1 < p < n" in capsys.readouterr().err
+
+    def test_unconverged_first_eigenvalue_exits_3(self, tmp_path, capsys):
+        # at p = 1.35 on this grid the Rayleigh model's descent, like the
+        # critical problem's own, stops unconverged: the spec is refused
+        cfg = {
+            "problem": {
+                "variant": "critical-bounded",
+                "p": 1.35,
+                "n": 5,
+                "mu": 1.0,
+                "grid": {"n": 5, "R": 1.0, "m": 200, "stretch": 1.0},
+            }
+        }
+        path = write_config(tmp_path / "small_p.json", cfg)
+        assert main(["minimize", "--config", path, "--out", str(tmp_path)]) == (
+            EXIT_CONVERGENCE
+        )
+        assert "first Dirichlet eigenvalue" in capsys.readouterr().err
+        assert not (tmp_path / "minimize_result.json").exists()
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_VALIDATION
 

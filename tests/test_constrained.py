@@ -280,11 +280,6 @@ class TestContinuationSweep:
         for r in results:
             assert r.i_value == pytest.approx(r.lam**0.5, abs=1e-8)
 
-    def test_warm_distance_recorded(self, hardy_small):
-        results = continuation_sweep(hardy_small, np.geomspace(1.0, 10.0, 5))
-        assert results[0].warm_distance is None
-        assert all(r.warm_distance >= 0 for r in results[1:])
-
     def test_rejects_unsorted_levels(self, hardy_small):
         with pytest.raises(ValidationError):
             continuation_sweep(hardy_small, [2.0, 1.0])

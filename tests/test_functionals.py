@@ -31,8 +31,11 @@ from maxminpass import (
     problem_to_config,
     retract_to_level,
 )
+from maxminpass.constrained import descend
 from maxminpass.functionals import (
+    Critical,
     Preconditioner,
+    _Rayleigh,
     factor_tridiagonal,
     solve_tridiagonal,
 )
@@ -439,6 +442,22 @@ class TestMuP:
             errs.append(abs(estimate_mu_p(spec) - exact))
         assert errs[1] < errs[0] / 3.0
         assert errs[2] < errs[1] / 3.0
+
+    @pytest.mark.parametrize("p,m", [(1.8, 150), (2.2, 150), (1.5, 60)])
+    def test_stopping_rule_at_p_not_2(self, monkeypatch, p, m):
+        # mu_p stops at the variant's grad_tol; the same Rayleigh model,
+        # continued from its answer to a residual of 1e-12, moves it by less
+        # than 1e-13
+        grid = build_radial_grid(5, 1.0, m, 1.0)
+        mu_p = Critical.mu_limit_of(p, 5, grid)
+        model = _Rayleigh(grid, p)
+        x = descend(model, model.precondition(model.seed().values), 1.0)[0]
+        assert float(model.T(x) / model.U(x)) == mu_p
+        monkeypatch.setattr(_Rayleigh, "grad_tol", 1e-12)
+        x, *_, converged = descend(model, x, 1.0)
+        assert converged
+        ref = float(model.T(x) / model.U(x))
+        assert abs(mu_p - ref) / ref <= 1e-13
 
     def test_radius_scaling(self):
         # continuum scaling: the eigenvalue on the R-ball is R^-p times the
