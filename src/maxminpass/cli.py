@@ -58,9 +58,11 @@ MAXMIN_SUMMARY_SCHEMA = {
 }
 MPA_SUMMARY_SCHEMA = {
     "type": "object",
-    "required": ["c_mpa", "sweeps", "converged", "certified", "sup_residual", "config_sha256"],
+    "required": ["c_mpa", "path_sup", "sweeps", "converged", "certified", "sup_residual",
+                 "config_sha256"],
     "properties": {
         "c_mpa": {"type": "number"},
+        "path_sup": {"type": "number"},
         "sweeps": {"type": "integer"},
         "converged": {"type": "boolean"},
         "certified": {"type": "boolean"},
@@ -268,6 +270,12 @@ def _maybe_comparison(out: Path) -> None:
     comparison.unlink(missing_ok=True)
 
 
+def _exit_code(ok: bool, what: str) -> int:
+    if not ok:
+        print(f"error: {what} did not converge", file=sys.stderr)
+    return EXIT_OK if ok else EXIT_CONVERGENCE
+
+
 def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
     result = minimize_on_level(spec, lam)
@@ -282,21 +290,24 @@ def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
     _write_json(out / "minimize_result.json", payload)
     if isinstance(result.minimizer, GridFunction):
         gridfunction_to_csv(result.minimizer, out / "minimizer.csv")
-    return EXIT_OK if result.converged else EXIT_CONVERGENCE
+    return _exit_code(result.converged, f"the solve at lambda={lam:g} ({result.iterations}"
+                      f" steps, residual {result.residual:.3g})")
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
     results = continuation_sweep(spec, _sweep_lambdas(cfg))
     _write_sweep_csv(out / "sweep.csv", results)
-    return EXIT_OK if all(r.converged for r in results) else EXIT_CONVERGENCE
+    bad = sum(not r.converged for r in results)
+    return _exit_code(bad == 0, f"{bad} of {len(results)} sweep levels")
 
 
 def cmd_maxmin(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
     summary = _maxmin_summary(spec, cfg, out)
     _maybe_comparison(out)
-    return EXIT_OK if summary["unconverged"] == 0 else EXIT_CONVERGENCE
+    return _exit_code(summary["unconverged"] == 0,
+                      f"{summary['unconverged']} of the level curve's solves")
 
 
 def cmd_mpa(cfg: dict, out: Path) -> int:
@@ -304,12 +315,13 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
     mpa_opts, k = _mpa_options(cfg)
     endpoint = find_endpoint(spec, _level1_minimum(spec, cfg, out).minimizer)
     result = estimate_c(spec, endpoint, mpa_opts, k=k, trace_path=out / "mpa_trace.csv")
-    summary = {"c_mpa": result.c_mpa, "sweeps": result.sweeps, "converged": result.converged,
-               "certified": result.certified, "sup_residual": result.sup_residual,
-               "config_sha256": _config_sha256(cfg)}
+    summary = {"c_mpa": result.c_mpa, "path_sup": result.path_sup, "sweeps": result.sweeps,
+               "converged": result.converged, "certified": result.certified,
+               "sup_residual": result.sup_residual, "config_sha256": _config_sha256(cfg)}
     _write_json(out / "mpa_summary.json", summary)
     _maybe_comparison(out)
-    return EXIT_OK if result.converged else EXIT_CONVERGENCE
+    return _exit_code(result.converged, f"the path deformation ({result.sweeps} sweeps, path_sup"
+                      f" {result.path_sup:.12g}, sup_residual {result.sup_residual:.3g})")
 
 
 def cmd_verify(cfg: dict, out: Path) -> int:
@@ -324,7 +336,8 @@ def cmd_verify(cfg: dict, out: Path) -> int:
         "unconverged": report["unconverged"],
     }
     _write_json(out / "verify_report.json", payload)
-    return EXIT_OK if report["unconverged"] == 0 else EXIT_CONVERGENCE
+    return _exit_code(report["unconverged"] == 0,
+                      f"{report['unconverged']} of {report['solves']} re-minimizations")
 
 
 def cmd_toy(q: float, d: int, out: Path) -> int:
@@ -351,7 +364,8 @@ def cmd_toy(q: float, d: int, out: Path) -> int:
         "lambda_star_star": curve.lambda_star_star,
     }
     _write_json(out / "toy_summary.json", payload)
-    return EXIT_OK if mpa.converged else EXIT_CONVERGENCE
+    return _exit_code(mpa.converged, f"the path deformation ({mpa.sweeps} sweeps, path_sup"
+                      f" {mpa.path_sup:.12g}, sup_residual {mpa.sup_residual:.3g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,15 +409,9 @@ def main(argv=None) -> int:
         out = _out_dir(cfg, args.out)
         if args.command == "minimize":
             return cmd_minimize(cfg, args.lam, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out)
-        if args.command == "maxmin":
-            return cmd_maxmin(cfg, out)
-        if args.command == "mpa":
-            return cmd_mpa(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        return EXIT_VALIDATION
+        # looked up at the call, so that a rebound module function is used
+        commands = {"sweep": cmd_sweep, "maxmin": cmd_maxmin, "mpa": cmd_mpa, "verify": cmd_verify}
+        return commands[args.command](cfg, out)
     except (ValidationError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,9 +5,10 @@ steepest descent of F on the interior images (elastic-string style), with
 arc-length re-parameterization each sweep.  Each path's sup of F bounds the
 pass level above; the max of F over the images, refined by one local bounded
 search on the two segments at the argmax image, reaches that sup only when
-it lies on those segments.  A run stops after a plateau sweep whose sup point
-is an index-1 critical point of F (residual within ``grad_tol``), or after
-``PATIENCE`` plateau sweeps; a sup on an end segment never counts as converged.
+it lies on those segments.  A run stops, converged, at the first plateau
+sweep whose sup point polishes (Newton on F' = 0) to an index-1 critical
+point within ``c_tol`` below that sup, and reports F there; ``PATIENCE``
+plateau sweeps end an uncertified run, which is never converged.
 
 The path is one stacked array, one image per row: ``(k+2, m)`` on a radial
 grid, ``(k+2, d)`` for the toy.  A sweep moves the whole string at once, as
@@ -28,16 +29,17 @@ from scipy.optimize import minimize_scalar
 
 from .errors import GridMismatchError, ValidationError
 from .functionals import ProblemSpec, eval_F, eval_T, eval_U  # noqa: F401 (eval_U: traced binding)
-from .functionals import factor_tridiagonal
+from .functionals import factor_tridiagonal, solve_tridiagonal
 from .grids import GridFunction, RadialGrid
 from .levelcurve import scaling_exponent, scaling_path
-from .verify import el_residual
+from .verify import weighted_residual
 
 __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
            "crosses_all_levels", "find_endpoint"]
 
 MAX_SWEEPS = 10_000
 PATIENCE = 25  # plateau sweeps in a row that end an uncertified run
+POLISH_STEPS = 20  # Newton steps on F' = 0 from a sup point
 
 
 class DiscretePath:
@@ -203,29 +205,45 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec):
     return path.max_energy, x[j]
 
 
-def _certify(path: DiscretePath, spec: ProblemSpec, top) -> tuple[bool, float]:
-    """(certified, residual) of the sup point ``top``: certified when the
-    argmax image is interior, ``el_residual`` at ``top`` is within the
-    variant's ``grad_tol`` and, where the variant has a Hessian, F'' there has
-    exactly one negative eigenvalue (Morse index 1, the mountain-pass sign)."""
+def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
+    """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
+    or None).  Newton steps H s = W r on F' = 0 polish ``top`` to x* while the
+    residual decreases.  x* is certified if the argmax image is interior, its
+    residual is within ``grad_tol``, its Morse index is 1 and 0 <= c_sup - F(x*)
+    <= ``c_tol`` |F(x*)| up to rounding.  The toy (no Hessian) is not polished."""
     model = spec.model
-    res = el_residual(spec, model.wrap(top))
-    if not (0 < path.argmax_index < len(path.images) - 1 and res <= model.grad_tol):
-        return False, res
-    bands = model.hessian(top, 1.0)
-    factor = None if bands is None else factor_tridiagonal(*bands)
-    return bands is None or (factor is not None and factor[2] == 1), res
+    interior = 0 < path.argmax_index < len(path.images) - 1
+    x, star, residuals = top, top, []
+    for _ in range(POLISH_STEPS + 1):
+        r, res = weighted_residual(model, x)
+        if residuals and not res < residuals[-1]:
+            break
+        star = x
+        residuals.append(res)
+        bands = model.hessian(x, 1.0) if interior else None
+        factor = None if bands is None else factor_tridiagonal(*bands)
+        if factor is None:
+            break
+        x = x - solve_tridiagonal(factor, model.grid.weights * r)
+    ok = interior and residuals[-1] <= model.grad_tol
+    if not ok or bands is None:
+        return ok, residuals[0], None
+    F_star = float(model.F(star))
+    ok = (factor is not None and factor[2] == 1
+          and -1e-12 * max(1.0, abs(c_sup)) <= c_sup - F_star <= model.c_tol * abs(F_star))
+    return ok, residuals[0], F_star if ok else None
 
 
 @dataclass
 class MpaResult:
-    c_mpa: float
+    c_mpa: float  # F at the certified saddle, else the path's sup
     argmax_point: object
     sweeps: int
-    converged: bool
+    converged: bool  # equals certified: a patience stop is never convergence
     stagnant: bool
     certified: bool  # the run stopped on a certified sup point
-    sup_residual: float  # weighted residual of F' = 0 at the returned sup point
+    sup_residual: float  # weighted residual of F' = 0 at the path's sup point
+    path_sup: float  # the final path's sup of F, an upper bound on the pass level
     path: DiscretePath
     trace: list = field(default_factory=list)
 
@@ -237,19 +255,20 @@ def estimate_c(
     k: int = 32,
     trace_path=None,
 ) -> MpaResult:
-    """Drive the path's sup of F down; returns the final ``_path_sup`` and the
-    maximizing image.  After each plateau sweep (rejected, or improving by
-    less than the variant's ``c_tol``) the run stops on a certified sup point
-    (``_certify``, once per accepted path) or on ``PATIENCE`` plateau sweeps
-    in a row; it is converged only if the argmax image is interior."""
+    """Drive the path's sup of F down.  After each plateau sweep (rejected,
+    or improving by less than the variant's ``c_tol``) the sup point is
+    polished and certified (``_certify``, once per accepted path); the run
+    stops on the first certified one, converged, with ``c_mpa`` F at the
+    saddle (the path's sup on the toy).  ``PATIENCE`` plateau sweeps in a row
+    end an uncertified run, which is never converged."""
     opts = opts or MpaOptions()
 
     path = init_path(spec, endpoint, k=k)
     c_cur, top = _path_sup(path, spec)
-    verdict = None  # (certified, residual) of the current path's sup point
+    verdict = None  # _certify's (certified, residual, saddle F) on the current path
     step = opts.step
     plateau = 0
-    converged = certified = stagnant = False
+    stagnant = False
     trace = []
     sweeps = 0
     while sweeps < MAX_SWEEPS:
@@ -269,10 +288,8 @@ def estimate_c(
                 break
         trace.append((sweeps, c_cur, path.argmax_index))
         if plateau:
-            verdict = verdict or _certify(path, spec, top)
-            certified = verdict[0]
-            if certified or plateau >= PATIENCE:
-                converged = 0 < path.argmax_index < len(path.images) - 1
+            verdict = verdict or _certify(path, spec, top, c_cur)
+            if verdict[0] or plateau >= PATIENCE:
                 break
 
     if trace_path is not None:
@@ -280,14 +297,16 @@ def estimate_c(
             w = csv.writer(f)
             w.writerow(["sweep", "max_energy", "argmax_index"])
             w.writerows(trace)
+    certified, res, saddle = verdict or (False, weighted_residual(spec.model, top)[1], None)
     return MpaResult(
-        c_mpa=c_cur,
+        c_mpa=c_cur if saddle is None else saddle,
         argmax_point=path.point(path.argmax_index),
         sweeps=sweeps,
-        converged=converged,
+        converged=certified,
         stagnant=stagnant,
         certified=certified,
-        sup_residual=(verdict or _certify(path, spec, top))[1],
+        sup_residual=res,
+        path_sup=c_cur,
         path=path,
         trace=trace,
     )

@@ -21,12 +21,15 @@ __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
 def el_residual(spec: ProblemSpec, u) -> float:
     """Relative weak residual ||grad T - grad U|| / (1 + ||grad T||) of
     F'(u) = 0 in the quadrature-weighted pairing."""
-    model = spec.model
-    x = model.unwrap(u)
+    return weighted_residual(spec.model, spec.model.unwrap(u))[1]
+
+
+def weighted_residual(model, x):
+    """On the array x: the masked weighted gradient of F and ``el_residual``."""
     gT = model.grad_T(x)
     r = model.mask(gT - model.grad_U(x))
     res = math.sqrt(max(model.inner(r, r), 0.0))
-    return res / (1.0 + math.sqrt(max(model.inner(gT, gT), 0.0)))
+    return r, res / (1.0 + math.sqrt(max(model.inner(gT, gT), 0.0)))
 
 
 def multiplier_of(spec: ProblemSpec, u) -> float:

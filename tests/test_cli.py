@@ -484,6 +484,62 @@ class TestUnconvergedRuns:
         assert payload["mpa_converged"] is True and payload["mpa_certified"] is True
         assert payload["mpa_sweeps"] == 1
 
+    @pytest.mark.parametrize("command, artifact, message", [
+        (["minimize"], "minimize_result.json", "the solve at lambda=1 (0 steps"),
+        (["sweep"], "sweep.csv", "12 of 12 sweep levels did not converge"),
+        (["maxmin"], "maxmin_summary.json", "of the level curve's solves did not converge"),
+    ])
+    def test_starved_run_names_what_did_not_converge(
+        self, command, artifact, message, tmp_path, capsys
+    ):
+        cfg = readme_config(tmp_path, "hardy.json")
+        with no_solver_budget():
+            code = main([*command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
+        assert message in capsys.readouterr().err
+        assert (tmp_path / artifact).exists()
+
+    def test_starved_verify_names_what_did_not_converge(self, tmp_path, monkeypatch, capsys):
+        inner = maxminpass.verify.minimize_on_level
+
+        def starved(*args):
+            with no_solver_budget():
+                return inner(*args)
+
+        monkeypatch.setattr(maxminpass.verify, "minimize_on_level", starved)
+        cfg = hardy_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        assert "re-minimizations did not converge" in capsys.readouterr().err
+
+    def test_uncertified_toy_names_the_sweeps(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 0)
+        assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        assert "the path deformation (0 sweeps" in capsys.readouterr().err
+
+    def test_stalled_mpa_exits_3_with_a_message(self, tmp_path, capsys):
+        # At p = 3 the path stalls about 29% above the unit-multiplier level
+        # and its sup point does not polish to a saddle: a patience stop,
+        # which is never convergence.
+        cfg = {
+            "problem": {
+                "variant": "hardy-subcritical",
+                "p": 3.0,
+                "n": 5,
+                "mu_fraction_of_limit": 0.5,
+                "q": 5.0,
+                "grid": {"n": 5, "R": 30.0, "m": 100, "stretch": 50.0 ** (1.0 / 100)},
+            }
+        }
+        path = write_config(tmp_path / "p3.json", cfg)
+        assert main(["mpa", "--config", path, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        payload = json.loads((tmp_path / "mpa_summary.json").read_text())
+        jsonschema.validate(payload, MPA_SUMMARY_SCHEMA)
+        assert payload["converged"] is False and payload["certified"] is False
+        assert payload["c_mpa"] == payload["path_sup"]
+        assert f"the path deformation ({payload['sweeps']} sweeps, path_sup" in err
+        assert "sup_residual" in err and "did not converge" in err
+
     def test_unconverged_maxmin_without_a_level_curve_exits_3(self, tmp_path, capsys):
         # The README sweep (to 3e4) on unconverged solves has no sign change
         # of I; the failure is the solves', so the exit is 3, not 2.

@@ -10,20 +10,24 @@ from maxminpass import (
     DiscretePath,
     GridFunction,
     MpaOptions,
+    NonlinearitySpec,
     ProblemSpec,
     ToyProblem,
     ValidationError,
+    build_radial_grid,
     crosses_all_levels,
     deform,
     estimate_c,
     eval_F,
     find_endpoint,
+    hardy_constant,
     init_path,
     minimize_on_level,
     scaling_exponent,
     scaling_path,
 )
 from maxminpass.functionals import factor_tridiagonal
+from maxminpass.verify import weighted_residual
 
 
 def toy_spec(q=4.0):
@@ -164,9 +168,9 @@ class TestCertifiedStop:
         assert result.sweeps == 1
         assert result.certified and result.converged
         assert result.sup_residual <= spec.model.grad_tol
-        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan))
+        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None))
         patience = estimate_c(spec, *args)
-        assert patience.converged and not patience.certified
+        assert not patience.converged and not patience.certified
         assert patience.sweeps == maxminpass.mpa.PATIENCE
         assert result.c_mpa <= patience.c_mpa
 
@@ -186,10 +190,10 @@ class TestCertifiedStop:
         images = np.array([np.zeros_like(x), x, find_endpoint(hardy_small, v).values])
         path = DiscretePath(images, [0.0, 1.0, -1.0], hardy_small.grid)  # made-up energies
         assert path.argmax_index == 1
-        certified, res = maxminpass.mpa._certify(path, hardy_small, path.images[1])
+        certified, res, saddle = maxminpass.mpa._certify(path, hardy_small, path.images[1], 1.0)
         assert res <= hardy_small.model.grad_tol
         assert factor_tridiagonal(*hardy_small.model.hessian(x, 1.0))[2] == 0
-        assert not certified
+        assert not certified and saddle is None
 
     def test_end_segment_sup_is_not_convergence(self, hardy_mu_half):
         # From the wide seed bump the sup stays on the first segment, which
@@ -202,6 +206,94 @@ class TestCertifiedStop:
         assert result.path.argmax_index == 0
         assert result.c_mpa > 1.01 * hardy_mu_half["curve"].c_maxmin
         assert not result.converged and not result.certified
+
+
+def seed_bump_endpoint(spec, width):
+    """The variant's seed bump of the given width, grown until F < 0."""
+    u = spec.model.seed(width)
+    while eval_F(spec, u) >= 0:
+        u = GridFunction(spec.grid, 1.5 * u.values)
+    return u
+
+
+def hardy_spec(p, mu_fraction, q, m):
+    grid = build_radial_grid(5, 30.0, m, 50.0 ** (1.0 / m))
+    mu = mu_fraction * hardy_constant(p, 5)
+    return ProblemSpec(variant="hardy-subcritical", p=p, n=5, mu=mu,
+                       nonlinearity=NonlinearitySpec(1.0, q), grid=grid)
+
+
+class TestPolishedSaddle:
+    PIPELINES = ["hardy_mu0", "hardy_mu_half", "critical_pipeline"]
+
+    def test_hardy_half_stops_on_the_saddle(self, hardy_mu_half):
+        result = hardy_mu_half["mpa"]
+        c = hardy_mu_half["curve"].c_maxmin
+        assert result.certified and result.converged
+        assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
+        c_tol = hardy_mu_half["spec"].model.c_tol
+        assert result.c_mpa <= result.path_sup <= (1.0 + c_tol) * result.c_mpa
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_polished_point_is_an_index_one_critical_point(self, pipeline, request, monkeypatch):
+        # Polish the final path's sup point again, recording each residual
+        # and each factor's count of negative pivots.
+        pipe = request.getfixturevalue(pipeline)
+        spec, result = pipe["spec"], pipe["mpa"]
+        residuals, pivots = [], []
+
+        def residual_spy(model, x):
+            out = weighted_residual(model, x)
+            residuals.append(out[1])
+            return out
+
+        def factor_spy(d, e):
+            out = factor_tridiagonal(d, e)
+            pivots.append(None if out is None else out[2])
+            return out
+
+        monkeypatch.setattr(maxminpass.mpa, "weighted_residual", residual_spy)
+        monkeypatch.setattr(maxminpass.mpa, "factor_tridiagonal", factor_spy)
+        c_sup, top = maxminpass.mpa._path_sup(result.path, spec)
+        verdict = maxminpass.mpa._certify(result.path, spec, top, c_sup)
+        assert verdict == (True, result.sup_residual, result.c_mpa)
+        polished = int(np.argmin(residuals))
+        assert residuals[polished] <= 1e-10
+        assert pivots[polished] == 1
+        c = pipe["curve"].c_maxmin
+        assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
+
+    def test_sweep_counts_of_the_reference_pipelines(self, hardy_mu0, hardy_mu_half,
+                                                     critical_pipeline):
+        # the certified stop ends each run at its first polished saddle
+        assert hardy_mu_half["mpa"].sweeps <= 22
+        assert hardy_mu0["mpa"].sweeps <= 23
+        assert critical_pipeline["mpa"].sweeps == 1
+
+    @pytest.mark.parametrize("pipeline", ["hardy_mu0", "hardy_mu_half"])
+    @pytest.mark.parametrize("fraction", [15.0, 40.0])
+    def test_independent_starts_certify_on_one_saddle(self, pipeline, fraction, request):
+        pipe = request.getfixturevalue(pipeline)
+        spec, coupled = pipe["spec"], pipe["mpa"].c_mpa
+        result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / fraction),
+                            MpaOptions(), k=32)
+        assert result.certified and result.converged
+        assert abs(result.c_mpa - coupled) <= 1e-12 * abs(coupled)
+
+    def test_stalled_path_near_the_hardy_constant_is_not_converged(self):
+        # the sup stays about 14% above the unit-multiplier level 8.71
+        spec = hardy_spec(2.0, 0.99, 8.0 / 3.0, 800)
+        result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / 15.0), MpaOptions(), k=32)
+        assert not result.converged and not result.certified
+        assert result.c_mpa == result.path_sup
+
+    def test_stalled_path_at_p_3_is_not_converged(self):
+        # the sup stays about 29% above the unit-multiplier level 74.8
+        spec = hardy_spec(3.0, 0.5, 5.0, 100)
+        endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        result = estimate_c(spec, endpoint, MpaOptions(), k=32)
+        assert not result.converged and not result.certified
+        assert result.sweeps < maxminpass.mpa.MAX_SWEEPS and not result.stagnant
 
 
 class TestOptions:
