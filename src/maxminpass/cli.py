@@ -24,7 +24,7 @@ import numpy as np
 from .constrained import continuation_sweep, minimize_on_level
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .functionals import ProblemSpec, check_keys, config_number, problem_from_config
-from .grids import GridFunction, gridfunction_from_csv, gridfunction_to_csv
+from .grids import GridFunction, gridfunction_to_csv
 from .levelcurve import build_level_curve, closed_form_lambda_bar
 from .mpa import MpaOptions, estimate_c, find_endpoint
 from .toy import ToyProblem, toy_c_bruteforce, toy_closed_form, toy_i_lambda
@@ -34,8 +34,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
-
-LEVEL1_CSV = "level1_minimizer.csv"  # maxmin's level-1 minimizer, seeding mpa and verify
 
 # JSON schemas for the emitted summaries (checked in the test suite).
 MAXMIN_SUMMARY_SCHEMA = {
@@ -175,8 +173,8 @@ def _write_sweep_csv(path: Path, results) -> None:
 
 def _refining_i_fn(spec: ProblemSpec, results, solves: list):
     """Re-minimize at queried levels, warm-started from the nearest sweep
-    minimizer, so the argmax refinement is not limited by interpolation.
-    Each refinement's MinimizeResult is appended to ``solves``."""
+    minimizer transported to the level.  Each refinement's MinimizeResult is
+    appended to ``solves``."""
     mins = {r.lam: r.minimizer for r in results if r.minimizer is not None}
     keys = np.array(sorted(mins))
 
@@ -189,18 +187,10 @@ def _refining_i_fn(spec: ProblemSpec, results, solves: list):
     return i_fn
 
 
-def _level1_minimum(spec: ProblemSpec, cfg: dict, out: Path):
-    """Solve lambda = 1 from the minimizer ``maxmin`` saved in ``out`` when the
-    summary there has this config's hash, else (or when it does not load) from
-    the cold seed; ConvergenceError if the solve does not converge."""
-    seed = None
-    try:
-        summary = json.loads((out / "maxmin_summary.json").read_text())
-        if spec.grid is not None and summary["config_sha256"] == _config_sha256(cfg):
-            seed = gridfunction_from_csv(spec.grid, out / LEVEL1_CSV)
-    except (OSError, ValueError, LookupError, TypeError):
-        pass
-    r1 = minimize_on_level(spec, 1.0, seed)
+def _level1_minimum(spec: ProblemSpec):
+    """Solve lambda = 1 from the cold seed, the same deterministic solve as
+    ``maxmin``'s; ConvergenceError if it does not converge."""
+    r1 = minimize_on_level(spec, 1.0)
     if not r1.converged:
         raise ConvergenceError("level-1 minimization failed", best=r1)
     return r1
@@ -208,7 +198,6 @@ def _level1_minimum(spec: ProblemSpec, cfg: dict, out: Path):
 
 def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
     lambdas = _sweep_lambdas(cfg)
-    (out / LEVEL1_CSV).unlink(missing_ok=True)  # rewritten after the summary vouching for it
     # The level-1 minimizer seeds the sweep: at lambda_min = 1 the first
     # point is then already solved.
     r1 = minimize_on_level(spec, 1.0)
@@ -248,8 +237,6 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
         "config_sha256": _config_sha256(cfg),
     }
     _write_json(out / "maxmin_summary.json", summary)
-    if r1.converged and isinstance(r1.minimizer, GridFunction):
-        gridfunction_to_csv(r1.minimizer, out / LEVEL1_CSV)
     return summary
 
 
@@ -313,7 +300,7 @@ def cmd_maxmin(cfg: dict, out: Path) -> int:
 def cmd_mpa(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
     mpa_opts, k = _mpa_options(cfg)
-    endpoint = find_endpoint(spec, _level1_minimum(spec, cfg, out).minimizer)
+    endpoint = find_endpoint(spec, _level1_minimum(spec).minimizer)
     result = estimate_c(spec, endpoint, mpa_opts, k=k, trace_path=out / "mpa_trace.csv")
     summary = {"c_mpa": result.c_mpa, "path_sup": result.path_sup, "sweeps": result.sweeps,
                "converged": result.converged, "certified": result.certified,
@@ -326,7 +313,7 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
 
 def cmd_verify(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    report = pick_solution_scale(spec, _level1_minimum(spec, cfg, out).minimizer)
+    report = pick_solution_scale(spec, _level1_minimum(spec).minimizer)
     payload = {
         "theta": report["theta"],
         "residual": report["residual"],

@@ -678,19 +678,13 @@ class Preconditioner:
         self._weights = grid.weights
         self._dirichlet = dirichlet
 
-    def apply(self, g):
-        """Map weighted gradients to the preconditioned directions.
-
-        ``g`` is a GridFunction, or an array with one gradient per row
-        (shape ``(m,)`` or ``(k, m)``), all solved in one tridiagonal solve;
-        the result is of the same kind.
-        """
-        point = isinstance(g, GridFunction)
-        rhs = self._weights * (g.values if point else g)
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """Map weighted gradients, one per row (shape ``(m,)`` or ``(k, m)``),
+        to the preconditioned directions, all in one tridiagonal solve."""
+        rhs = self._weights * g
         if self._dirichlet:
             rhs[..., -1] = 0.0
-        z = solve_tridiagonal(self._factor, rhs)
-        return GridFunction(g.grid, z) if point else z
+        return solve_tridiagonal(self._factor, rhs)
 
 
 # --- first eigenvalue -------------------------------------------------------

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ValidationError
@@ -43,14 +42,12 @@ class LevelCurve:
     c_maxmin: float
 
 
-def build_level_curve(samples, i_fn=None) -> LevelCurve:
+def build_level_curve(samples, i_fn) -> LevelCurve:
     """Build the level curve from (lambda, i) samples.
 
-    ``i_fn``, when given, is a callable lambda -> i used to refine the
-    argmax beyond the sampled resolution (e.g. the toy closed form or a
-    warm-started solver), queried at most once per lambda; otherwise a
-    monotone piecewise-cubic interpolant of I on log(lambda) is refined
-    instead.
+    ``i_fn`` is a callable lambda -> i (a float) that refines the thresholds
+    and the argmax beyond the sampled resolution (e.g. the toy closed form or
+    a warm-started solver); it is queried at most once per lambda.
     """
     samples = list(samples)
     lambdas = np.asarray([s[0] for s in samples], dtype=float)
@@ -72,14 +69,9 @@ def build_level_curve(samples, i_fn=None) -> LevelCurve:
             "no sign change of I in the sampled range; widen the sweep toward larger lambda"
         )
 
-    x = np.log(lambdas)
-    interp = PchipInterpolator(x, I_values, extrapolate=False)
-
     solved = {}  # on a strict crossing, lambda** reuses lambda*'s solves
 
     def I_of(lam: float) -> float:
-        if i_fn is None:
-            return float(interp(math.log(lam)))
         if lam not in solved:
             solved[lam] = float(i_fn(lam)) - lam
         return solved[lam]

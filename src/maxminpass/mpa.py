@@ -40,6 +40,7 @@ __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
 MAX_SWEEPS = 10_000
 PATIENCE = 25  # plateau sweeps in a row that end an uncertified run
 POLISH_STEPS = 20  # Newton steps on F' = 0 from a sup point
+POLISH_FLOOR = 1e-3  # residual, in units of grad_tol, at which the polish stops
 
 
 class DiscretePath:
@@ -208,9 +209,11 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec):
 def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
     """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
     or None).  Newton steps H s = W r on F' = 0 polish ``top`` to x* while the
-    residual decreases.  x* is certified if the argmax image is interior, its
-    residual is within ``grad_tol``, its Morse index is 1 and 0 <= c_sup - F(x*)
-    <= ``c_tol`` |F(x*)| up to rounding.  The toy (no Hessian) is not polished."""
+    residual decreases, until it is within ``POLISH_FLOOR`` ``grad_tol``, where
+    a further step moves x* only by rounding.  x* is certified if the argmax
+    image is interior, its residual is within ``grad_tol``, its Morse index is
+    1 and 0 <= c_sup - F(x*) <= ``c_tol`` |F(x*)| up to rounding.  The toy (no
+    Hessian) is not polished."""
     model = spec.model
     interior = 0 < path.argmax_index < len(path.images) - 1
     x, star, residuals = top, top, []
@@ -222,8 +225,8 @@ def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
         residuals.append(res)
         bands = model.hessian(x, 1.0) if interior else None
         factor = None if bands is None else factor_tridiagonal(*bands)
-        if factor is None:
-            break
+        if factor is None or res <= POLISH_FLOOR * model.grad_tol:
+            break  # the factor at x* is kept: it gives the Morse index
         x = x - solve_tridiagonal(factor, model.grid.weights * r)
     ok = interior and residuals[-1] <= model.grad_tol
     if not ok or bands is None:

@@ -16,18 +16,11 @@ import maxminpass.cli
 import maxminpass.constrained
 import maxminpass.mpa
 import maxminpass.verify
-from maxminpass import (
-    eval_T,
-    gridfunction_from_csv,
-    gridfunction_to_csv,
-    problem_from_config,
-)
 from maxminpass.cli import (
     COMPARISON_SCHEMA,
     EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
-    LEVEL1_CSV,
     MAXMIN_SUMMARY_SCHEMA,
     MPA_SUMMARY_SCHEMA,
     TOY_SUMMARY_SCHEMA,
@@ -319,63 +312,38 @@ def spy_level1_solves(monkeypatch):
     return calls
 
 
-class TestLevelOneReuse:
-    def test_maxmin_saves_converged_minimizer(self, outputs):
-        spec = problem_from_config(problem_block(outputs))
-        saved = gridfunction_from_csv(spec.grid, outputs / LEVEL1_CSV)
-        i_1 = json.loads((outputs / "maxmin_summary.json").read_text())["i_1"]
-        assert eval_T(spec, saved) == i_1
-
-    def test_mpa_and_verify_start_at_the_saved_minimizer(self, outputs, tmp_path, monkeypatch):
+class TestLevelOneSolve:
+    def test_mpa_and_verify_solve_level_one_as_maxmin_does(self, outputs, tmp_path, monkeypatch):
         run = shutil.copytree(outputs, tmp_path / "run")
         calls = spy_level1_solves(monkeypatch)
         cfg = str(run / "config.json")
-        assert main(["mpa", "--config", cfg, "--out", str(run)]) == EXIT_OK
-        assert main(["verify", "--config", cfg, "--out", str(run)]) == EXIT_OK
+        for command in ("mpa", "verify"):
+            assert main([command, "--config", cfg, "--out", str(run)]) == EXIT_OK
         i_1 = json.loads((run / "maxmin_summary.json").read_text())["i_1"]
-        assert len(calls) == 2
-        for seeded, r in calls:
-            assert seeded and r.converged and r.iterations == 0
-            assert r.lam == 1.0 and r.i_value == pytest.approx(i_1, rel=1e-13)
+        assert [(seeded, r.lam, r.converged, r.i_value) for seeded, r in calls] == [
+            (False, 1.0, True, i_1)
+        ] * 2
 
-    def test_other_config_hash_starts_cold(self, outputs, tmp_path, monkeypatch):
-        run = shutil.copytree(outputs, tmp_path / "run")
-        cfg = json.loads((run / "config.json").read_text())
-        cfg["sweep"]["count"] += 1  # same problem, different config
-        path = write_config(run / "other.json", cfg)
-        calls = spy_level1_solves(monkeypatch)
-        assert main(["verify", "--config", path, "--out", str(run)]) == EXIT_OK
-        [(seeded, r)] = calls
-        assert not seeded and r.iterations > 0
-
-    @pytest.mark.parametrize("grid", [{"R": 20.0}, {"m": 120}])
-    def test_saved_minimizer_on_another_grid_starts_cold(
-        self, outputs, tmp_path, monkeypatch, grid
-    ):
-        run = shutil.copytree(outputs, tmp_path / "run")
-        problem = problem_block(run)
-        problem["grid"].update(grid)
-        other = problem_from_config(problem)
-        gridfunction_to_csv(other.model.seed(), run / LEVEL1_CSV)
-        calls = spy_level1_solves(monkeypatch)
-        cfg = str(run / "config.json")
-        assert main(["verify", "--config", cfg, "--out", str(run)]) == EXIT_OK
-        [(seeded, r)] = calls
-        assert not seeded and r.iterations > 0
-
-    def test_unconverged_maxmin_removes_the_saved_minimizer(self, tmp_path):
-        stale = tmp_path / LEVEL1_CSV
-        stale.write_text("r,value\n")
-        cfg = readme_config(tmp_path, "hardy.json")
-        with no_solver_budget():
-            code = main(["maxmin", "--config", cfg, "--out", str(tmp_path)])
-        assert code == EXIT_CONVERGENCE
-        assert not stale.exists()
-
-
-def problem_block(out):
-    """The problem block of the config the ``outputs`` run used."""
-    return json.loads((out / "config.json").read_text())["problem"]
+    def test_reports_do_not_depend_on_an_earlier_maxmin(self, tmp_path):
+        # At m = 400 a level-1 start that differs from maxmin's point in the
+        # last bits moves both reports (at m in {120, 200, 800} it does not).
+        cfg = write_config(tmp_path / "critical.json", {
+            "problem": {
+                "variant": "critical-bounded",
+                "p": 2.0,
+                "n": 5,
+                "mu_fraction_of_limit": 0.3,
+                "grid": {"n": 5, "R": 1.0, "m": 400, "stretch": 1.0},
+            },
+            "sweep": {"lambda_min": 1.0, "lambda_max": 4000.0, "count": 30},
+        })
+        after, fresh = tmp_path / "after_maxmin", tmp_path / "fresh"
+        for command in ("maxmin", "mpa", "verify"):
+            assert main([command, "--config", cfg, "--out", str(after)]) == EXIT_OK
+        for command in ("mpa", "verify"):
+            assert main([command, "--config", cfg, "--out", str(fresh)]) == EXIT_OK
+        for name in ("mpa_summary.json", "verify_report.json"):
+            assert (fresh / name).read_bytes() == (after / name).read_bytes()
 
 
 @contextlib.contextmanager

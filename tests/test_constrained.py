@@ -382,7 +382,7 @@ def test_non_finite_level_rejected(request, variant, bad):
         (one, lambda: minimize_on_level(spec, bad, u)),
         (one, lambda: scaling_path(spec, u, bad)),
         (many, lambda: continuation_sweep(spec, [1.0, bad], u0=u)),
-        (many, lambda: build_level_curve([(1.0, 3.0), (2.0, 2.5), (bad, 1.0)])),
+        (many, lambda: build_level_curve([(1.0, 3.0), (2.0, 2.5), (bad, 1.0)], i_fn=float)),
         ("finite", lambda: _sweep_lambdas({"sweep": {"lambda_min": 1.0, "lambda_max": bad}})),
     ]
     for match, call in calls:

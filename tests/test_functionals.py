@@ -27,6 +27,7 @@ from maxminpass import (
     inner,
     minimize_on_level,
     norm,
+    precondition,
     problem_from_config,
     problem_to_config,
     retract_to_level,
@@ -34,7 +35,6 @@ from maxminpass import (
 from maxminpass.constrained import descend
 from maxminpass.functionals import (
     Critical,
-    Preconditioner,
     _Rayleigh,
     factor_tridiagonal,
     solve_tridiagonal,
@@ -328,29 +328,26 @@ class TestTridiagonalKernel:
 class TestPreconditioner:
     def test_positive_definite_on_gradients(self):
         spec = hardy_spec()
-        prec = Preconditioner(spec.grid, dirichlet=False)
         for _ in range(5):
             u = gaussian(spec.grid, RNG.uniform(0.5, 2.0))
             g = grad_T(spec, u)
-            assert inner(spec, g, prec.apply(g)) > 0.0
+            assert inner(spec, g, precondition(spec, g)) > 0.0
 
     def test_linearity(self):
         spec = critical_spec()
-        prec = Preconditioner(spec.grid, dirichlet=True)
         g1 = grad_T(spec, gaussian(spec.grid, 0.4))
         g2 = grad_U(spec, gaussian(spec.grid, 0.3))
-        lhs = prec.apply(g1 + 2.0 * g2)
-        rhs = prec.apply(g1) + 2.0 * prec.apply(g2)
+        lhs = precondition(spec, g1 + 2.0 * g2)
+        rhs = precondition(spec, g1) + 2.0 * precondition(spec, g2)
         assert np.allclose(lhs.values, rhs.values, rtol=1e-10)
 
     def test_stacked_rows_bit_identical_and_zero_at_the_boundary(self):
         spec = critical_spec()
-        prec = Preconditioner(spec.grid, dirichlet=True)
         g = np.stack([grad_T(spec, gaussian(spec.grid, w)).values for w in (0.2, 0.3, 0.4)])
-        z = prec.apply(g)
+        z = spec.model.precondition(g)
         assert np.all(z[:, -1] == 0.0)
         for row, gi in zip(z, g):
-            assert np.array_equal(row, prec.apply(gi))
+            assert np.array_equal(row, spec.model.precondition(gi))
 
 
 def mp_mu_p(grid, dps=40):

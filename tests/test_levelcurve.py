@@ -30,12 +30,16 @@ def toy_spec(q=4.0):
     return ProblemSpec(variant="toy", toy=ToyProblem(2, q))
 
 
-def toy_curve(q=4.0, refine=True):
+def toy_curve(q=4.0, scale=1.0):
+    """The toy's level curve, refined by ``scale`` times its exact i."""
     prob = ToyProblem(2, q)
     lambdas = np.geomspace(1e-3, 4.0, 200)
-    i_fn = (lambda lam: toy_i_lambda(prob, lam)) if refine else None
     return build_level_curve([(lam, toy_i_lambda(prob, lam)) for lam in lambdas],
-                             i_fn=i_fn)
+                             i_fn=lambda lam: scale * toy_i_lambda(prob, lam))
+
+
+def unqueried(lam):
+    raise AssertionError("samples that are refused are never refined")
 
 
 class TestBuildLevelCurve:
@@ -72,28 +76,33 @@ class TestBuildLevelCurve:
         # lambda_bar is its midpoint
         lambdas = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         I = np.array([0.5, 1.0, 1.0, 1.0, 0.5, -1.0])
-        curve = build_level_curve(list(zip(lambdas, I + lambdas)))
+        curve = build_level_curve(list(zip(lambdas, I + lambdas)),
+                                  i_fn=lambda lam: np.interp(lam, lambdas, I + lambdas))
         assert curve.argmax_set == [1, 2, 3]
         assert curve.lambda_bar == pytest.approx(1.5)
         assert curve.c_maxmin == pytest.approx(1.0)
 
     def test_refinement_never_loses_sampled_max(self):
-        curve = toy_curve(refine=False)
-        assert curve.c_maxmin >= np.max(curve.I_values)
+        # an i_fn below the samples: the refined max is lower than the
+        # sampled one, which is kept with its level
+        curve = toy_curve(scale=0.9)
+        k = int(np.argmax(curve.I_values))
+        assert curve.c_maxmin == np.max(curve.I_values)
+        assert curve.lambda_bar == curve.lambdas[k]
 
     def test_widen_sweep_errors(self):
         with pytest.raises(ValidationError, match="smaller lambda"):
-            build_level_curve([(2.0, 1.0), (3.0, 1.2), (4.0, 1.3)])
+            build_level_curve([(2.0, 1.0), (3.0, 1.2), (4.0, 1.3)], i_fn=unqueried)
         with pytest.raises(ValidationError, match="larger lambda"):
-            build_level_curve([(0.1, 0.5), (0.2, 0.7), (0.3, 0.8)])
+            build_level_curve([(0.1, 0.5), (0.2, 0.7), (0.3, 0.8)], i_fn=unqueried)
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ValidationError):
-            build_level_curve([(1.0, 1.0), (2.0, 1.0)])
+            build_level_curve([(1.0, 1.0), (2.0, 1.0)], i_fn=unqueried)
         with pytest.raises(ValidationError):
-            build_level_curve([(2.0, 1.0), (1.0, 1.0), (3.0, 1.0)])
+            build_level_curve([(2.0, 1.0), (1.0, 1.0), (3.0, 1.0)], i_fn=unqueried)
         with pytest.raises(ValidationError):
-            build_level_curve([(1.0, math.nan), (2.0, 1.0), (3.0, 1.0)])
+            build_level_curve([(1.0, math.nan), (2.0, 1.0), (3.0, 1.0)], i_fn=unqueried)
 
 
 class TestScalingExponent:

@@ -1,0 +1,55 @@
+"""The README's code and command block run as printed."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from maxminpass.cli import EXIT_OK, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(heading):
+    """The README's text from ``heading`` to the next heading of its level."""
+    text = README.read_text()
+    start = text.index(f"\n{heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def fenced(section, lang):
+    """The fenced ``lang`` blocks of a README section, in order."""
+    return re.findall(rf"```{lang}\n(.*?)```", section, re.S)
+
+
+def test_library_sketch_routes_agree(capsys):
+    [sketch] = fenced(readme_section("## Library sketch"), "python")
+    scope = {}
+    exec(compile(sketch, "README.md", "exec"), scope)
+    c_maxmin, c_mpa = scope["curve"].c_maxmin, scope["mpa"].c_mpa
+    assert abs(c_maxmin - c_mpa) / abs(c_mpa) <= 1e-9
+    assert capsys.readouterr().out.split() == [repr(c_maxmin), repr(c_mpa)]
+
+
+def test_each_command_writes_the_files_the_readme_lists(tmp_path):
+    # Each line of the command block names, after '#', what that command
+    # writes; comparison.json follows once both summaries exist.
+    section = readme_section("## Command line")
+    config = re.search(r"Example config \(`hardy.json`\):\s*```json\n(.*?)```", section, re.S)
+    (tmp_path / "hardy.json").write_text(config.group(1))
+    [commands] = fenced(section, "sh")
+    out = tmp_path / "results"
+    files = set()
+    for line in commands.splitlines():
+        argv, listed = line.split("#")
+        _prog, *args = shlex.split(argv)
+        args = [str(tmp_path / a) if a in ("hardy.json", "results") else a for a in args]
+        assert main(args) == EXIT_OK, line
+        expected = {name.strip() for name in listed.split(",")}
+        if {"maxmin_summary.json", "mpa_summary.json"} <= files | expected:
+            expected.add("comparison.json")
+        written = {p.name for p in out.iterdir()} - files
+        assert written == expected - files, line
+        files |= written
+    assert json.loads((out / "comparison.json").read_text())["relative_gap"] <= 1e-9
