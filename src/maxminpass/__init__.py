@@ -34,7 +34,6 @@ from .functionals import (
     norm,
     precondition,
     problem_from_config,
-    problem_to_config,
 )
 from .grids import (
     GridFunction,
@@ -43,10 +42,6 @@ from .grids import (
     apply_scaling,
     build_radial_grid,
     check_tail,
-    grid_from_json,
-    grid_to_json,
-    gridfunction_from_csv,
-    gridfunction_to_csv,
     quadrature,
 )
 from .levelcurve import (

@@ -24,7 +24,7 @@ import numpy as np
 from .constrained import continuation_sweep, minimize_on_level
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .functionals import ProblemSpec, check_keys, config_number, problem_from_config
-from .grids import GridFunction, gridfunction_to_csv
+from .grids import GridFunction
 from .levelcurve import build_level_curve, closed_form_lambda_bar
 from .mpa import MpaOptions, estimate_c, find_endpoint
 from .toy import ToyProblem, toy_c_bruteforce, toy_closed_form, toy_i_lambda
@@ -56,14 +56,12 @@ MAXMIN_SUMMARY_SCHEMA = {
 }
 MPA_SUMMARY_SCHEMA = {
     "type": "object",
-    "required": ["c_mpa", "path_sup", "sweeps", "converged", "certified", "sup_residual",
-                 "config_sha256"],
+    "required": ["c_mpa", "path_sup", "sweeps", "converged", "sup_residual", "config_sha256"],
     "properties": {
         "c_mpa": {"type": "number"},
         "path_sup": {"type": "number"},
         "sweeps": {"type": "integer"},
         "converged": {"type": "boolean"},
-        "certified": {"type": "boolean"},
         "sup_residual": {"type": "number"},
         "config_sha256": {"type": "string"},
     },
@@ -80,7 +78,7 @@ COMPARISON_SCHEMA = {
 TOY_SUMMARY_SCHEMA = {
     "type": "object",
     "required": ["c_closed_form", "c_bruteforce", "c_maxmin", "c_mpa",
-                 "mpa_converged", "mpa_sweeps", "mpa_certified", "mpa_sup_residual"],
+                 "mpa_converged", "mpa_sweeps", "mpa_sup_residual"],
     "properties": {
         "c_closed_form": {"type": "number"},
         "c_bruteforce": {"type": "number"},
@@ -88,7 +86,6 @@ TOY_SUMMARY_SCHEMA = {
         "c_mpa": {"type": "number"},
         "mpa_converged": {"type": "boolean"},
         "mpa_sweeps": {"type": "integer", "minimum": 0},
-        "mpa_certified": {"type": "boolean"},
         "mpa_sup_residual": {"type": "number"},
         "lambda_bar": {"type": "number"},
         "lambda_star_star": {"type": "number"},
@@ -121,6 +118,8 @@ def _load_config(path: str) -> dict:
     with open(path) as f:
         cfg = json.load(f)
     check_keys(cfg, ("problem", "output_dir", *CONFIG_BLOCKS), "config")
+    if not isinstance(cfg.get("problem"), dict):
+        raise ValidationError("config needs a `problem` block (a JSON object)")
     for name, known in CONFIG_BLOCKS.items():
         check_keys(cfg.get(name, {}), known, name)
     return cfg
@@ -161,14 +160,17 @@ def _sweep_lambdas(cfg: dict) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _write_sweep_csv(path: Path, results) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["lambda", "i_value", "multiplier", "iterations", "converged", "residual"])
-        for r in results:
-            w.writerow(
-                [r.lam, r.i_value, r.multiplier, r.iterations, int(r.converged), r.residual]
-            )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_sweep_csv(path: Path, results) -> None:
+    _write_csv(path, ["lambda", "i_value", "multiplier", "iterations", "converged", "residual"],
+               ([r.lam, r.i_value, r.multiplier, r.iterations, int(r.converged), r.residual]
+                for r in results))
 
 
 def _refining_i_fn(spec: ProblemSpec, results, solves: list):
@@ -219,11 +221,8 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
                 f" so the level curve could not be built ({e})"
             ) from e
         raise
-    with open(out / "level_curve.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["lambda", "i", "I"])
-        for lam, i, I in zip(curve.lambdas, curve.i_values, curve.I_values):
-            w.writerow([lam, i, I])
+    _write_csv(out / "level_curve.csv", ["lambda", "i", "I"],
+               zip(curve.lambdas, curve.i_values, curve.I_values))
     forms = closed_form_lambda_bar(spec, r1.i_value)
     summary = {
         "lambda_star": curve.lambda_star,
@@ -275,8 +274,10 @@ def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
         "residual": result.residual,
     }
     _write_json(out / "minimize_result.json", payload)
-    if isinstance(result.minimizer, GridFunction):
-        gridfunction_to_csv(result.minimizer, out / "minimizer.csv")
+    u = result.minimizer
+    if isinstance(u, GridFunction):  # repr: every float parses back bit for bit
+        _write_csv(out / "minimizer.csv", ["r", "value"],
+                   ([repr(float(r)), repr(float(v))] for r, v in zip(u.grid.nodes, u.values)))
     return _exit_code(result.converged, f"the solve at lambda={lam:g} ({result.iterations}"
                       f" steps, residual {result.residual:.3g})")
 
@@ -301,10 +302,11 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
     mpa_opts, k = _mpa_options(cfg)
     endpoint = find_endpoint(spec, _level1_minimum(spec).minimizer)
-    result = estimate_c(spec, endpoint, mpa_opts, k=k, trace_path=out / "mpa_trace.csv")
+    result = estimate_c(spec, endpoint, mpa_opts, k=k)
+    _write_csv(out / "mpa_trace.csv", ["sweep", "max_energy", "argmax_index"], result.trace)
     summary = {"c_mpa": result.c_mpa, "path_sup": result.path_sup, "sweeps": result.sweeps,
-               "converged": result.converged, "certified": result.certified,
-               "sup_residual": result.sup_residual, "config_sha256": _config_sha256(cfg)}
+               "converged": result.converged, "sup_residual": result.sup_residual,
+               "config_sha256": _config_sha256(cfg)}
     _write_json(out / "mpa_summary.json", summary)
     _maybe_comparison(out)
     return _exit_code(result.converged, f"the path deformation ({result.sweeps} sweeps, path_sup"
@@ -345,7 +347,6 @@ def cmd_toy(q: float, d: int, out: Path) -> int:
         "c_mpa": mpa.c_mpa,
         "mpa_converged": mpa.converged,
         "mpa_sweeps": mpa.sweeps,
-        "mpa_certified": mpa.certified,
         "mpa_sup_residual": mpa.sup_residual,
         "lambda_bar": curve.lambda_bar,
         "lambda_star_star": curve.lambda_star_star,

@@ -23,7 +23,8 @@ image onto the level set {U = lam}; ``hessian(x, theta)`` gives the bands of
 the tridiagonal Euclidean Hessian of T - theta U at one image (None on the
 toy).  Methods on points (``GridFunction`` for the radial variants, arrays
 for the toy): ``seed``; ``transport(u, ratio)`` from level lam to ratio *
-lam; ``unwrap`` (grid check) and ``wrap``.  Also ``paper_lambda_bar``; ``to_config`` / ``from_config``.
+lam; ``unwrap`` (grid check) and ``wrap``.  Also ``paper_lambda_bar``, and
+the classmethod ``from_config``, which builds a spec from a config block.
 Attributes: ``scaling_exponent``, ``grad_tol``, ``c_tol``,
 ``exact_transport``, ``amplitude_exponents``.  The module-level functions
 (``eval_T`` ... ``norm``) take points, unwrap them and call the array
@@ -65,7 +66,6 @@ __all__ = [
     "mask",
     "precondition",
     "Preconditioner",
-    "problem_to_config",
     "problem_from_config",
 ]
 
@@ -93,6 +93,8 @@ def config_number(block: dict, key: str, where: str, default=None, integer: bool
     not such a number (a required key has no default)."""
     value = block.get(key, default)
     try:
+        if isinstance(value, (bool, str)):  # float() would read true as 1, "0.2" as 0.2
+            raise TypeError
         x = float(value)
         if integer and not x.is_integer():
             raise ValueError
@@ -271,9 +273,6 @@ class Toy(Variant):
         alpha = self.scaling_exponent  # nothing printed: the calculus argmax
         return (alpha * i_1) ** (1.0 / (1.0 - alpha))
 
-    def to_config(self) -> dict:
-        return {"variant": self.name, "q": self.toy.q, "d": self.toy.d}
-
     @classmethod
     def from_config(cls, cfg: dict) -> ProblemSpec:
         check_keys(cfg, cls.config_keys, "problem")
@@ -346,11 +345,6 @@ class _Radial(Variant):
 
     def precondition(self, g):
         return self._prec.apply(g)
-
-    def to_config(self) -> dict:
-        spec, grid = self.spec, self.grid
-        grid_cfg = {"n": grid.n, "R": grid.R, "m": grid.m, "stretch": grid.stretch}
-        return {"variant": self.name, "p": spec.p, "n": spec.n, "mu": spec.mu, "grid": grid_cfg}
 
     @classmethod
     def from_config(cls, cfg: dict, **extra) -> ProblemSpec:
@@ -464,9 +458,6 @@ class Hardy(_Radial):
         # gives (n-p)/n.
         p, n = self.p, self.spec.n
         return (i_1 * (n - p) / p) ** (n / p)
-
-    def to_config(self) -> dict:
-        return {**super().to_config(), "m": self.nl.m, "q": self.nl.q}
 
     @staticmethod
     def mu_limit_of(p: float, n: int, grid: RadialGrid) -> float:
@@ -700,11 +691,7 @@ def estimate_mu_p(spec: ProblemSpec) -> float:
     return spec.mu_limit
 
 
-# --- ProblemSpec serialization ---------------------------------------------
-
-
-def problem_to_config(spec: ProblemSpec) -> dict:
-    return spec.model.to_config()
+# --- config ----------------------------------------------------------------
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:

@@ -7,8 +7,6 @@ n-dimensional integrals of radial integrands.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,10 +25,6 @@ __all__ = [
     "apply_scaling",
     "check_tail",
     "sphere_area",
-    "grid_to_json",
-    "grid_from_json",
-    "gridfunction_to_csv",
-    "gridfunction_from_csv",
 ]
 
 
@@ -234,56 +228,3 @@ def check_tail(u: GridFunction, rel_tol: float = 1e-8) -> bool:
             stacklevel=2,
         )
     return ok
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def grid_to_json(grid: RadialGrid) -> str:
-    return json.dumps(
-        {
-            "n": grid.n,
-            "R": grid.R,
-            "m": grid.m,
-            "stretch": grid.stretch,
-            "nodes": grid.nodes.tolist(),
-            "weights": grid.weights.tolist(),
-        }
-    )
-
-
-def grid_from_json(text: str) -> RadialGrid:
-    d = json.loads(text)
-    grid = RadialGrid(
-        n=int(d["n"]),
-        R=float(d["R"]),
-        stretch=float(d["stretch"]),
-        nodes=np.asarray(d["nodes"], dtype=float),
-        weights=np.asarray(d["weights"], dtype=float),
-    )
-    if grid.m != int(d["m"]):
-        raise ValidationError("node count does not match declared m")
-    return grid
-
-
-def gridfunction_to_csv(u: GridFunction, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["r", "value"])
-        for r, v in zip(u.grid.nodes, u.values):
-            w.writerow([repr(float(r)), repr(float(v))])
-
-
-def gridfunction_from_csv(grid: RadialGrid, path) -> GridFunction:
-    rs, vs = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["r", "value"]:
-            raise ValidationError("expected header 'r,value'")
-        for row in reader:
-            rs.append(float(row[0]))
-            vs.append(float(row[1]))
-    if len(rs) != grid.m or not np.allclose(rs, grid.nodes):
-        raise GridMismatchError("radii in file do not match the grid")
-    return GridFunction(grid, np.asarray(vs))

@@ -20,7 +20,6 @@ arc-length interpolation and one stacked evaluation of F.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -240,15 +239,13 @@ def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
 @dataclass
 class MpaResult:
     c_mpa: float  # F at the certified saddle, else the path's sup
-    argmax_point: object
     sweeps: int
-    converged: bool  # equals certified: a patience stop is never convergence
-    stagnant: bool
-    certified: bool  # the run stopped on a certified sup point
+    converged: bool  # the run stopped on a certified sup point; a patience stop never is
+    stagnant: bool  # the step collapsed before a certified stop
     sup_residual: float  # weighted residual of F' = 0 at the path's sup point
     path_sup: float  # the final path's sup of F, an upper bound on the pass level
     path: DiscretePath
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)  # (sweep, path sup, argmax index) per sweep
 
 
 def estimate_c(
@@ -256,7 +253,6 @@ def estimate_c(
     endpoint,
     opts: MpaOptions | None = None,
     k: int = 32,
-    trace_path=None,
 ) -> MpaResult:
     """Drive the path's sup of F down.  After each plateau sweep (rejected,
     or improving by less than the variant's ``c_tol``) the sup point is
@@ -295,19 +291,12 @@ def estimate_c(
             if verdict[0] or plateau >= PATIENCE:
                 break
 
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["sweep", "max_energy", "argmax_index"])
-            w.writerows(trace)
-    certified, res, saddle = verdict or (False, weighted_residual(spec.model, top)[1], None)
+    converged, res, saddle = verdict or (False, weighted_residual(spec.model, top)[1], None)
     return MpaResult(
         c_mpa=c_cur if saddle is None else saddle,
-        argmax_point=path.point(path.argmax_index),
         sweeps=sweeps,
-        converged=certified,
+        converged=converged,
         stagnant=stagnant,
-        certified=certified,
         sup_residual=res,
         path_sup=c_cur,
         path=path,

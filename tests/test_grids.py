@@ -1,4 +1,4 @@
-"""Radial grid construction, quadrature, scaling actions, serialization."""
+"""Radial grid construction, quadrature and scaling actions."""
 
 import math
 
@@ -16,10 +16,6 @@ from maxminpass import (
     apply_scaling,
     build_radial_grid,
     check_tail,
-    grid_from_json,
-    grid_to_json,
-    gridfunction_from_csv,
-    gridfunction_to_csv,
     quadrature,
 )
 
@@ -153,21 +149,3 @@ class TestTailCheck:
         with pytest.warns(UserWarning):
             ok = check_tail(u)
         assert not ok
-
-
-class TestSerialization:
-    def test_grid_json_roundtrip(self):
-        grid = build_radial_grid(5, 30.0, 37, 1.04)
-        back = grid_from_json(grid_to_json(grid))
-        assert back.same_as(grid)
-        assert np.allclose(back.nodes, grid.nodes)
-        assert np.allclose(back.weights, grid.weights)
-
-    def test_gridfunction_csv_roundtrip(self, tmp_path):
-        grid = build_radial_grid(3, 1.0, 25, 1.01)
-        u = bump(grid)
-        path = tmp_path / "u.csv"
-        gridfunction_to_csv(u, path)
-        assert path.read_text().splitlines()[0] == "r,value"
-        back = gridfunction_from_csv(grid, path)
-        assert np.allclose(back.values, u.values)

@@ -130,10 +130,9 @@ class TestEstimateC:
         # the maximizing image approaches the saddle sphere |u| = (1/4)^(1/4)
         spec = toy_spec()
         result = estimate_c(spec, toy_endpoint(spec), MpaOptions(step=0.05), k=48)
+        top = result.path.point(result.path.argmax_index)
         # accuracy is limited by the image spacing along the path
-        assert np.linalg.norm(result.argmax_point) == pytest.approx(
-            0.25**0.25, abs=0.03
-        )
+        assert np.linalg.norm(top) == pytest.approx(0.25**0.25, abs=0.03)
 
     def test_upper_bound_is_monotone(self):
         spec = toy_spec()
@@ -142,15 +141,6 @@ class TestEstimateC:
         assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
         # every running value is a true upper bound on the pass level
         assert all(s >= 0.25 - 1e-9 for s in sups)
-
-    def test_trace_file(self, tmp_path):
-        spec = toy_spec()
-        out = tmp_path / "trace.csv"
-        estimate_c(spec, toy_endpoint(spec), MpaOptions(step=0.05), k=16,
-                   trace_path=out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "sweep,max_energy,argmax_index"
-        assert len(lines) > 1
 
 
 class TestCertifiedStop:
@@ -166,11 +156,11 @@ class TestCertifiedStop:
             args = (endpoint, MpaOptions(), 32)
         result = estimate_c(spec, *args)
         assert result.sweeps == 1
-        assert result.certified and result.converged
+        assert result.converged
         assert result.sup_residual <= spec.model.grad_tol
         monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None))
         patience = estimate_c(spec, *args)
-        assert not patience.converged and not patience.certified
+        assert not patience.converged
         assert patience.sweeps == maxminpass.mpa.PATIENCE
         assert result.c_mpa <= patience.c_mpa
 
@@ -179,7 +169,7 @@ class TestCertifiedStop:
         monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 1)
         result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
         assert result.sweeps == 1
-        assert not result.certified and not result.converged
+        assert not result.converged
         assert result.sup_residual > hardy_small.model.grad_tol
 
     def test_index_zero_point_refused(self, hardy_small):
@@ -205,7 +195,7 @@ class TestCertifiedStop:
         result = estimate_c(spec, u, MpaOptions(), k=32)
         assert result.path.argmax_index == 0
         assert result.c_mpa > 1.01 * hardy_mu_half["curve"].c_maxmin
-        assert not result.converged and not result.certified
+        assert not result.converged
 
 
 def seed_bump_endpoint(spec, width):
@@ -229,7 +219,7 @@ class TestPolishedSaddle:
     def test_hardy_half_stops_on_the_saddle(self, hardy_mu_half):
         result = hardy_mu_half["mpa"]
         c = hardy_mu_half["curve"].c_maxmin
-        assert result.certified and result.converged
+        assert result.converged
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
         c_tol = hardy_mu_half["spec"].model.c_tol
         assert result.c_mpa <= result.path_sup <= (1.0 + c_tol) * result.c_mpa
@@ -277,14 +267,14 @@ class TestPolishedSaddle:
         spec, coupled = pipe["spec"], pipe["mpa"].c_mpa
         result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / fraction),
                             MpaOptions(), k=32)
-        assert result.certified and result.converged
+        assert result.converged
         assert abs(result.c_mpa - coupled) <= 1e-12 * abs(coupled)
 
     def test_stalled_path_near_the_hardy_constant_is_not_converged(self):
         # the sup stays about 14% above the unit-multiplier level 8.71
         spec = hardy_spec(2.0, 0.99, 8.0 / 3.0, 800)
         result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / 15.0), MpaOptions(), k=32)
-        assert not result.converged and not result.certified
+        assert not result.converged
         assert result.c_mpa == result.path_sup
 
     def test_stalled_path_at_p_3_is_not_converged(self):
@@ -292,7 +282,7 @@ class TestPolishedSaddle:
         spec = hardy_spec(3.0, 0.5, 5.0, 100)
         endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
         result = estimate_c(spec, endpoint, MpaOptions(), k=32)
-        assert not result.converged and not result.certified
+        assert not result.converged
         assert result.sweeps < maxminpass.mpa.MAX_SWEEPS and not result.stagnant
 
 

@@ -181,9 +181,11 @@ def test_unconverged_re_minimizations_counted(hardy_small, monkeypatch):
     assert 0 < report["unconverged"] <= report["solves"]
 
 
-class TestBracket:
+class TestFarStart:
+    """The Newton search from a start far from the unit-multiplier level."""
+
     @pytest.mark.parametrize("factor", [1e-4, 1e4])
-    def test_grows_from_a_far_guess(self, monkeypatch, factor):
+    def test_converges_from_a_far_guess(self, monkeypatch, factor):
         spec = toy_spec()
         v = minimize_on_level(spec, 1.0).minimizer
         forms = maxminpass.verify.closed_form_lambda_bar
@@ -197,6 +199,11 @@ class TestBracket:
         report = pick_solution_scale(spec, v)
         assert report["lambda_at_unit_multiplier"] == pytest.approx(0.25, rel=1e-9)
         assert abs(report["theta"] - 1.0) <= 1e-9
+
+
+class TestBracket:
+    """Multipliers off the scaling law, where the Newton search cannot
+    resolve the unit-multiplier level, are rejected."""
 
     def test_nonpositive_multiplier_rejected(self, monkeypatch):
         # theta crosses 1 but turns negative at larger levels, off the
