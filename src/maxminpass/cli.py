@@ -173,6 +173,12 @@ def _write_sweep_csv(path: Path, results) -> None:
                 for r in results))
 
 
+def _write_gridfunction_csv(path: Path, u: GridFunction) -> None:
+    # repr: every float parses back bit for bit
+    _write_csv(path, ["r", "value"],
+               ([repr(float(r)), repr(float(v))] for r, v in zip(u.grid.nodes, u.values)))
+
+
 def _refining_i_fn(spec: ProblemSpec, results, solves: list):
     """Re-minimize at queried levels, warm-started from the nearest sweep
     minimizer transported to the level.  Each refinement's MinimizeResult is
@@ -274,10 +280,8 @@ def cmd_minimize(cfg: dict, lam: float, out: Path) -> int:
         "residual": result.residual,
     }
     _write_json(out / "minimize_result.json", payload)
-    u = result.minimizer
-    if isinstance(u, GridFunction):  # repr: every float parses back bit for bit
-        _write_csv(out / "minimizer.csv", ["r", "value"],
-                   ([repr(float(r)), repr(float(v))] for r, v in zip(u.grid.nodes, u.values)))
+    if isinstance(result.minimizer, GridFunction):
+        _write_gridfunction_csv(out / "minimizer.csv", result.minimizer)
     return _exit_code(result.converged, f"the solve at lambda={lam:g} ({result.iterations}"
                       f" steps, residual {result.residual:.3g})")
 

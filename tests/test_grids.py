@@ -1,5 +1,6 @@
-"""Radial grid construction, quadrature and scaling actions."""
+"""Radial grid construction, quadrature, scaling actions, serialization."""
 
+import csv
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from maxminpass import (
     check_tail,
     quadrature,
 )
+from maxminpass.cli import _write_gridfunction_csv
 
 
 def bump(grid, width=0.3):
@@ -149,3 +151,17 @@ class TestTailCheck:
         with pytest.warns(UserWarning):
             ok = check_tail(u)
         assert not ok
+
+
+class TestSerialization:
+    def test_gridfunction_csv_roundtrip(self, tmp_path):
+        grid = build_radial_grid(3, 1.0, 25, 1.01)
+        u = bump(grid)
+        path = tmp_path / "u.csv"
+        _write_gridfunction_csv(path, u)
+        with open(path) as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["r", "value"]
+        back = np.array([[float(r), float(v)] for r, v in rows[1:]])
+        assert np.array_equal(back[:, 0], grid.nodes)
+        assert np.array_equal(back[:, 1], u.values)
