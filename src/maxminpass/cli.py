@@ -56,10 +56,12 @@ MAXMIN_SUMMARY_SCHEMA = {
 }
 MPA_SUMMARY_SCHEMA = {
     "type": "object",
-    "required": ["c_mpa", "path_sup", "sweeps", "converged", "sup_residual", "config_sha256"],
+    "required": ["c_mpa", "path_sup", "ray_sup", "sweeps", "converged", "sup_residual",
+                 "config_sha256"],
     "properties": {
         "c_mpa": {"type": "number"},
         "path_sup": {"type": "number"},
+        "ray_sup": {"type": ["number", "null"]},
         "sweeps": {"type": "integer"},
         "converged": {"type": "boolean"},
         "sup_residual": {"type": "number"},
@@ -308,9 +310,9 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
     endpoint = find_endpoint(spec, _level1_minimum(spec).minimizer)
     result = estimate_c(spec, endpoint, mpa_opts, k=k)
     _write_csv(out / "mpa_trace.csv", ["sweep", "max_energy", "argmax_index"], result.trace)
-    summary = {"c_mpa": result.c_mpa, "path_sup": result.path_sup, "sweeps": result.sweeps,
-               "converged": result.converged, "sup_residual": result.sup_residual,
-               "config_sha256": _config_sha256(cfg)}
+    summary = {"c_mpa": result.c_mpa, "path_sup": result.path_sup, "ray_sup": result.ray_sup,
+               "sweeps": result.sweeps, "converged": result.converged,
+               "sup_residual": result.sup_residual, "config_sha256": _config_sha256(cfg)}
     _write_json(out / "mpa_summary.json", summary)
     _maybe_comparison(out)
     return _exit_code(result.converged, f"the path deformation ({result.sweeps} sweeps, path_sup"

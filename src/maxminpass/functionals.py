@@ -21,12 +21,14 @@ or ``(k, d)``), and return one value per image.  Their sums are
 exactly as a single-image call does.  ``retract(x, lam)`` scales one
 image onto the level set {U = lam}; ``hessian(x, theta)`` gives the bands of
 the tridiagonal Euclidean Hessian of T - theta U at one image (None on the
-toy).  Methods on points (``GridFunction`` for the radial variants, arrays
-for the toy): ``seed``; ``transport(u, ratio)`` from level lam to ratio *
-lam; ``unwrap`` (grid check) and ``wrap``.  Also ``paper_lambda_bar``, and
-the classmethod ``from_config``, which builds a spec from a config block.
-Attributes: ``scaling_exponent``, ``grad_tol``, ``c_tol``,
-``exact_transport``, ``amplitude_exponents``.  The module-level functions
+toy); ``ray_sup(x)`` gives the maximum of t -> F(t x) over t > 0 and where
+it is attained (radial variants only).  Methods on points (``GridFunction``
+for the radial variants, arrays for the toy): ``seed``; ``transport(u,
+ratio)`` from level lam to ratio * lam; ``unwrap`` (grid check) and
+``wrap``.  Also ``paper_lambda_bar``, and the classmethod ``from_config``,
+which builds a spec from a config block.  Attributes:
+``scaling_exponent``, ``grad_tol``, ``c_tol``, ``exact_transport``,
+``amplitude_exponents``.  The module-level functions
 (``eval_T`` ... ``norm``) take points, unwrap them and call the array
 methods; they are the public edge, not the inner loops' path.
 
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
 from .grids import GridFunction, RadialGrid, ScalingAction, apply_scaling, build_radial_grid
@@ -283,7 +286,8 @@ class Toy(Variant):
 
 class _Radial(Variant):
     """Radial p-Laplacian energies on a RadialGrid.  Subclasses set
-    ``potential``, the per-node weight of the mu term in T, and ``_prec``."""
+    ``potential``, the per-node weight of the mu term in T, and ``_prec``,
+    and define ``_U_moments``."""
 
     config_keys = ("variant", "p", "n", "mu", "mu_fraction_of_limit", "grid")
     grad_tol = 1e-6
@@ -346,6 +350,32 @@ class _Radial(Variant):
     def precondition(self, g):
         return self._prec.apply(g)
 
+    def ray_sup(self, x):
+        """(max, argmax) over t > 0 of the fibering map f(t) = F(t x) =
+        a t^p + c t^2 - b t^r, from x's moments: a = T(x), T being
+        p-homogeneous, and U(t x) = b t^r - c t^2 (``_U_moments``).  With a,
+        b > 0 and c >= 0, f'(t)/t = p a t^(p-2) + 2c - r b t^(r-2) changes
+        sign once (r > max(p, 2)), so f has one maximum: in closed form where
+        f has two terms (c = 0, or p = 2, where c t^2 joins a t^p) and at the
+        root of f'(t)/t otherwise.  Past the maximum f falls to -inf.  (nan,
+        nan) where a or b is not positive."""
+        p = self.p
+        a = float(self.T(x))
+        c, b, r = self._U_moments(x)
+        if not (a > 0.0 and b > 0.0):
+            return math.nan, math.nan
+        if c == 0.0 or p == 2.0:
+            t = (p * (a + c) / (r * b)) ** (1.0 / (r - p))
+        else:
+            # f'(t)/t is positive where r b t^(r-2) <= c, and negative where
+            # r b t^(r-2) is at least both 8c and 4 p a t^(p-2), with margins
+            # far above rounding.
+            lo = (c / (r * b)) ** (1.0 / (r - 2.0))
+            hi = max((8.0 * c / (r * b)) ** (1.0 / (r - 2.0)),
+                     (4.0 * p * a / (r * b)) ** (1.0 / (r - p)))
+            t = brentq(lambda t: p * a * t ** (p - 2.0) + 2.0 * c - r * b * t ** (r - 2.0), lo, hi)
+        return a * t**p + c * t * t - b * t**r, t
+
     @classmethod
     def from_config(cls, cfg: dict, **extra) -> ProblemSpec:
         check_keys(cfg, cls.config_keys, "problem")
@@ -400,6 +430,13 @@ class Hardy(_Radial):
     def dgrad_U(self, x):
         return (self.nl.q - 1.0) * np.abs(x) ** (self.nl.q - 2.0) - self.nl.m
 
+    def _U_moments(self, x):
+        # U(t x) = B t^q - A t^2, A = (m/2) sum W x^2, B = sum W |x|^q / q
+        q = self.nl.q
+        A = 0.5 * self.nl.m * float(self.inner(x, x))
+        B = float(np.vecdot(np.abs(x) ** q, self.grid.weights)) / q
+        return A, B, q
+
     def retract(self, x, lam: float):
         # Scale the amplitude so that U(a y) = lam, y = x / max|x|.  This is
         # exact on the grid (no resampling), unlike a dilation, whose
@@ -417,9 +454,7 @@ class Hardy(_Radial):
         if not 0.0 < top < math.inf:
             raise InfeasibleError("cannot scale a zero or non-finite function onto the level")
         y = x / top
-        q = self.nl.q
-        A = 0.5 * self.nl.m * float(self.inner(y, y))
-        B = float(np.vecdot(np.abs(y) ** q, self.grid.weights)) / q
+        A, B, q = self._U_moments(y)
         prev = math.inf
         try:
             a = max((2.0 * lam / B) ** (1.0 / q), (2.0 * A / B) ** (1.0 / (q - 2.0)))
@@ -505,6 +540,9 @@ class Critical(_Radial):
 
     def dgrad_U(self, x):
         return (self.pstar - 1.0) * np.abs(x) ** (self.pstar - 2.0)
+
+    def _U_moments(self, x):
+        return 0.0, float(self.U(x)), self.pstar  # U(t x) = t^p* U(x)
 
     def mask(self, g):
         g = g.copy()

@@ -5,10 +5,14 @@ steepest descent of F on the interior images (elastic-string style), with
 arc-length re-parameterization each sweep.  Each path's sup of F bounds the
 pass level above; the max of F over the images, refined by one local bounded
 search on the two segments at the argmax image, reaches that sup only when
-it lies on those segments.  A run stops, converged, at the first plateau
-sweep whose sup point polishes (Newton on F' = 0) to an index-1 critical
-point within ``c_tol`` below that sup, and reports F there; ``PATIENCE``
-plateau sweeps end an uncertified run, which is never converged.
+it lies on those segments.  Before the first sweep and after every accepted
+one, the sup point is polished (Newton on F' = 0).  A run stops, converged,
+when the polished point x* is an index-1 critical point at or below the
+path's sup whose ray {t x*} peaks at x* and goes on into {F < 0}: that ray,
+continued inside {F < 0}, is an admissible path with sup F(x*), so the pass
+level is at most F(x*), which the run reports (Nehari; Li & Zhou, SIAM J.
+Sci. Comput. 23, 2001).  ``PATIENCE`` plateau sweeps end an uncertified run,
+which is never converged.
 
 The path is one stacked array, one image per row: ``(k+2, m)`` on a radial
 grid, ``(k+2, d)`` for the toy.  A sweep moves the whole string at once, as
@@ -207,12 +211,17 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec):
 
 def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
     """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
-    or None).  Newton steps H s = W r on F' = 0 polish ``top`` to x* while the
-    residual decreases, until it is within ``POLISH_FLOOR`` ``grad_tol``, where
-    a further step moves x* only by rounding.  x* is certified if the argmax
-    image is interior, its residual is within ``grad_tol``, its Morse index is
-    1 and 0 <= c_sup - F(x*) <= ``c_tol`` |F(x*)| up to rounding.  The toy (no
-    Hessian) is not polished."""
+    or None, the ray's sup or None).  Newton steps H s = W r on F' = 0 polish
+    ``top`` to x* while the residual decreases, until it is within
+    ``POLISH_FLOOR`` ``grad_tol``, where a further step moves x* only by
+    rounding.  x* is certified if the argmax image is interior, its residual
+    is within ``grad_tol``, its Morse index is 1, F(x*) <= c_sup up to
+    rounding (the path passes above x*), and the ray {t x*} bounds the pass
+    level by F(x*): its sup (``ray_sup``) is F(x*) to 1e-12, and it reaches
+    F < 0 by 4 t*.  Any fibering map a t^p + c t^2 - b t^r (r > max(p, 2))
+    whose maximum is at t* is negative there, so that last check fails only
+    by rounding.  The toy (no Hessian) is not polished: its rule is the
+    residual."""
     model = spec.model
     interior = 0 < path.argmax_index < len(path.images) - 1
     x, star, residuals = top, top, []
@@ -229,11 +238,16 @@ def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
         x = x - solve_tridiagonal(factor, model.grid.weights * r)
     ok = interior and residuals[-1] <= model.grad_tol
     if not ok or bands is None:
-        return ok, residuals[0], None
+        return ok, residuals[0], None, None
     F_star = float(model.F(star))
+    ray, t = model.ray_sup(star)
     ok = (factor is not None and factor[2] == 1
-          and -1e-12 * max(1.0, abs(c_sup)) <= c_sup - F_star <= model.c_tol * abs(F_star))
-    return ok, residuals[0], F_star if ok else None
+          and F_star <= c_sup + 1e-12 * max(1.0, abs(c_sup))
+          and abs(ray - F_star) <= 1e-12 * abs(F_star)
+          and model.F(4.0 * t * star) < 0)
+    if not ok:
+        return False, residuals[0], None, None
+    return True, residuals[0], F_star, ray
 
 
 @dataclass
@@ -244,6 +258,7 @@ class MpaResult:
     stagnant: bool  # the step collapsed before a certified stop
     sup_residual: float  # weighted residual of F' = 0 at the path's sup point
     path_sup: float  # the final path's sup of F, an upper bound on the pass level
+    ray_sup: float | None  # sup of F on the ray through the certified saddle, else None
     path: DiscretePath
     trace: list = field(default_factory=list)  # (sweep, path sup, argmax index) per sweep
 
@@ -254,31 +269,33 @@ def estimate_c(
     opts: MpaOptions | None = None,
     k: int = 32,
 ) -> MpaResult:
-    """Drive the path's sup of F down.  After each plateau sweep (rejected,
-    or improving by less than the variant's ``c_tol``) the sup point is
-    polished and certified (``_certify``, once per accepted path); the run
-    stops on the first certified one, converged, with ``c_mpa`` F at the
-    saddle (the path's sup on the toy).  ``PATIENCE`` plateau sweeps in a row
-    end an uncertified run, which is never converged."""
+    """Drive the path's sup of F down.  The sup point is polished and
+    certified (``_certify``) before the first sweep and after every accepted
+    one; a rejected sweep keeps the verdict it had.  The run stops on the
+    first certified point, converged, with ``c_mpa`` F at the saddle (the
+    path's sup on the toy).  ``PATIENCE`` plateau sweeps in a row (rejected,
+    or improving by less than the variant's ``c_tol``) end an uncertified
+    run, which is never converged."""
     opts = opts or MpaOptions()
 
     path = init_path(spec, endpoint, k=k)
     c_cur, top = _path_sup(path, spec)
-    verdict = None  # _certify's (certified, residual, saddle F) on the current path
+    verdict = _certify(path, spec, top, c_cur)
     step = opts.step
     plateau = 0
     stagnant = False
     trace = []
     sweeps = 0
-    while sweeps < MAX_SWEEPS:
+    while not verdict[0] and plateau < PATIENCE and sweeps < MAX_SWEEPS:
         sweeps += 1
         new = deform(path, spec, step)
         c_new, top_new = _path_sup(new, spec)
         if math.isfinite(c_new) and c_new <= c_cur + 1e-12 * max(1.0, abs(c_cur)):
             improvement = c_cur - c_new
-            path, c_cur, top, verdict = new, c_new, top_new, None
+            path, c_cur, top = new, c_new, top_new
             step = min(step * 1.1, opts.step * 10.0)
             plateau = plateau + 1 if improvement < spec.model.c_tol * max(abs(c_cur), 1e-12) else 0
+            verdict = _certify(path, spec, top, c_cur)
         else:
             step *= 0.5
             plateau += 1
@@ -286,12 +303,8 @@ def estimate_c(
                 stagnant = True
                 break
         trace.append((sweeps, c_cur, path.argmax_index))
-        if plateau:
-            verdict = verdict or _certify(path, spec, top, c_cur)
-            if verdict[0] or plateau >= PATIENCE:
-                break
 
-    converged, res, saddle = verdict or (False, weighted_residual(spec.model, top)[1], None)
+    converged, res, saddle, ray = verdict
     return MpaResult(
         c_mpa=c_cur if saddle is None else saddle,
         sweeps=sweeps,
@@ -299,6 +312,7 @@ def estimate_c(
         stagnant=stagnant,
         sup_residual=res,
         path_sup=c_cur,
+        ray_sup=ray,
         path=path,
         trace=trace,
     )

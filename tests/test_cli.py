@@ -285,6 +285,8 @@ class TestPipelines:
         jsonschema.validate(payload, MPA_SUMMARY_SCHEMA)
         assert payload["converged"]
         assert payload["sup_residual"] >= 0.0
+        assert abs(payload["ray_sup"] - payload["c_mpa"]) <= 1e-12 * payload["c_mpa"]
+        assert payload["c_mpa"] <= payload["path_sup"]
 
     def test_mpa_trace_csv(self, outputs):
         # one row per sweep: the sweep, the path's sup after it, its argmax image
@@ -323,9 +325,9 @@ class TestPipelines:
         assert payload["c_bruteforce"] == pytest.approx(0.25, abs=1e-6)
         assert payload["c_mpa"] == pytest.approx(0.25, abs=1e-3)
         assert payload["mpa_converged"] is True
-        assert payload["mpa_sweeps"] > 0
-        # the straight path's top is already the toy's saddle
-        assert payload["mpa_sweeps"] == 1
+        # the straight path's top is already the toy's saddle: it is
+        # certified before the first sweep
+        assert payload["mpa_sweeps"] == 0
         assert payload["mpa_sup_residual"] <= 1e-8
 
 
@@ -376,6 +378,13 @@ class TestLevelOneSolve:
             assert main([command, "--config", cfg, "--out", str(fresh)]) == EXIT_OK
         for name in ("mpa_summary.json", "verify_report.json"):
             assert (fresh / name).read_bytes() == (after / name).read_bytes()
+
+
+def refuse_certificates(monkeypatch):
+    """Refuse every certificate of the path deformation, keeping its residual:
+    a run then stops only on MAX_SWEEPS or PATIENCE, never converged."""
+    certify = maxminpass.mpa._certify
+    monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, certify(*a)[1], None, None))
 
 
 @contextlib.contextmanager
@@ -467,7 +476,8 @@ class TestUnconvergedRuns:
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_toy_exits_nonzero_when_mpa_does_not_converge(self, tmp_path, monkeypatch):
-        # one sweep certifies the toy's path top, so the run gets none
+        # the toy's straight path is certified before any sweep: refuse it
+        refuse_certificates(monkeypatch)
         monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 0)
         assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         payload = json.loads((tmp_path / "toy_summary.json").read_text())
@@ -476,12 +486,14 @@ class TestUnconvergedRuns:
         assert payload["mpa_sweeps"] == 0
 
     def test_one_sweep_certifies_the_toy(self, tmp_path, monkeypatch):
+        # a budget of one sweep is more than the toy needs: its straight
+        # path is certified before the first
         monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 1)
         assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_OK
         payload = json.loads((tmp_path / "toy_summary.json").read_text())
         jsonschema.validate(payload, TOY_SUMMARY_SCHEMA)
         assert payload["mpa_converged"] is True
-        assert payload["mpa_sweeps"] == 1
+        assert payload["mpa_sweeps"] == 0
 
     @pytest.mark.parametrize("command, artifact, message", [
         (["minimize"], "minimize_result.json", "the solve at lambda=1 (0 steps"),
@@ -511,14 +523,15 @@ class TestUnconvergedRuns:
         assert "re-minimizations did not converge" in capsys.readouterr().err
 
     def test_uncertified_toy_names_the_sweeps(self, tmp_path, monkeypatch, capsys):
+        refuse_certificates(monkeypatch)
         monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 0)
         assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         assert "the path deformation (0 sweeps" in capsys.readouterr().err
 
     def test_stalled_mpa_exits_3_with_a_message(self, tmp_path, capsys):
-        # At p = 3 the path stalls about 29% above the unit-multiplier level
-        # and its sup point does not polish to a saddle: a patience stop,
-        # which is never convergence.
+        # At p = 3 on this grid the path stalls about 97% above the
+        # unit-multiplier level and its sup point does not polish to a
+        # saddle: a patience stop, which is never convergence.
         cfg = {
             "problem": {
                 "variant": "hardy-subcritical",
@@ -526,7 +539,7 @@ class TestUnconvergedRuns:
                 "n": 5,
                 "mu_fraction_of_limit": 0.5,
                 "q": 5.0,
-                "grid": {"n": 5, "R": 30.0, "m": 100, "stretch": 50.0 ** (1.0 / 100)},
+                "grid": {"n": 5, "R": 30.0, "m": 800, "stretch": 50.0 ** (1.0 / 800)},
             }
         }
         path = write_config(tmp_path / "p3.json", cfg)
@@ -536,6 +549,7 @@ class TestUnconvergedRuns:
         jsonschema.validate(payload, MPA_SUMMARY_SCHEMA)
         assert payload["converged"] is False
         assert payload["c_mpa"] == payload["path_sup"]
+        assert payload["ray_sup"] is None
         assert f"the path deformation ({payload['sweeps']} sweeps, path_sup" in err
         assert "sup_residual" in err and "did not converge" in err
 

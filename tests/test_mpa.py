@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.optimize import minimize_scalar
 
 import maxminpass.mpa
 from maxminpass import (
@@ -27,7 +29,7 @@ from maxminpass import (
     scaling_path,
 )
 from maxminpass.functionals import factor_tridiagonal
-from maxminpass.verify import weighted_residual
+from maxminpass.verify import pick_solution_scale, weighted_residual
 
 
 def toy_spec(q=4.0):
@@ -38,6 +40,37 @@ def toy_endpoint(spec, radius=2.0):
     u = np.zeros(spec.toy.d)
     u[0] = radius
     return u
+
+
+def refuse(*args):
+    """A ``_certify`` that certifies nothing, so that a run deforms its path."""
+    return False, np.nan, None, None
+
+
+def newton_critical_point(spec, x, steps=30):
+    """Newton's method on F' = 0 from the array x, solving each step with a
+    banded LU, which takes a Hessian of any inertia; returns the first
+    iterate whose residual is at most 1e-12."""
+    model = spec.model
+    for _ in range(steps):
+        r, res = weighted_residual(model, x)
+        if res <= 1e-12:
+            return x
+        d, e = model.hessian(x, 1.0)
+        bands = np.zeros((3, len(d)))
+        bands[0, 1:], bands[1], bands[2, :-1] = e, d, e
+        x = x - solve_banded((1, 1), bands, model.grid.weights * r)
+    raise AssertionError(f"no critical point: residual {res:.3g}")
+
+
+def saddle_of(spec, result):
+    """The critical point that Newton's method reaches from the sup point of
+    a run's final path."""
+    return newton_critical_point(spec, maxminpass.mpa._path_sup(result.path, spec)[1])
+
+
+def morse_index(spec, x):
+    return int(np.sum(eigvalsh_tridiagonal(*spec.model.hessian(x, 1.0)) < 0.0))
 
 
 class TestInitPath:
@@ -134,10 +167,13 @@ class TestEstimateC:
         # accuracy is limited by the image spacing along the path
         assert np.linalg.norm(top) == pytest.approx(0.25**0.25, abs=0.03)
 
-    def test_upper_bound_is_monotone(self):
+    def test_upper_bound_is_monotone(self, monkeypatch):
+        # the straight path's top is certified before any sweep: refuse it
+        monkeypatch.setattr(maxminpass.mpa, "_certify", refuse)
         spec = toy_spec()
         result = estimate_c(spec, toy_endpoint(spec), MpaOptions(step=0.05), k=24)
         sups = [row[1] for row in result.trace]
+        assert len(sups) == maxminpass.mpa.PATIENCE
         assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
         # every running value is a true upper bound on the pass level
         assert all(s >= 0.25 - 1e-9 for s in sups)
@@ -146,8 +182,9 @@ class TestEstimateC:
 class TestCertifiedStop:
     @pytest.mark.parametrize("case", ["toy", "critical"])
     def test_one_sweep_certifies_the_straight_path(self, case, critical_small, monkeypatch):
-        # the straight path's top is already an index-1 critical point; the
-        # patience run only adds drift within the acceptance slack
+        # the straight path's top is already an index-1 critical point, so
+        # it is certified before the first sweep; the patience run only adds
+        # drift within the acceptance slack
         if case == "toy":
             spec, args = toy_spec(), (toy_endpoint(toy_spec()), MpaOptions(step=0.05), 48)
         else:
@@ -155,10 +192,10 @@ class TestCertifiedStop:
             endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
             args = (endpoint, MpaOptions(), 32)
         result = estimate_c(spec, *args)
-        assert result.sweeps == 1
+        assert result.sweeps == 0
         assert result.converged
         assert result.sup_residual <= spec.model.grad_tol
-        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None))
+        monkeypatch.setattr(maxminpass.mpa, "_certify", refuse)
         patience = estimate_c(spec, *args)
         assert not patience.converged
         assert patience.sweeps == maxminpass.mpa.PATIENCE
@@ -180,22 +217,79 @@ class TestCertifiedStop:
         images = np.array([np.zeros_like(x), x, find_endpoint(hardy_small, v).values])
         path = DiscretePath(images, [0.0, 1.0, -1.0], hardy_small.grid)  # made-up energies
         assert path.argmax_index == 1
-        certified, res, saddle = maxminpass.mpa._certify(path, hardy_small, path.images[1], 1.0)
+        certified, res, saddle, ray = maxminpass.mpa._certify(
+            path, hardy_small, path.images[1], 1.0)
         assert res <= hardy_small.model.grad_tol
         assert factor_tridiagonal(*hardy_small.model.hessian(x, 1.0))[2] == 0
-        assert not certified and saddle is None
+        assert not certified and saddle is None and ray is None
+
+    @pytest.fixture(scope="class")
+    def small_saddle(self, hardy_small):
+        endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
+        assert result.converged
+        x = saddle_of(hardy_small, result)
+        assert morse_index(hardy_small, x) == 1
+        return x, result.c_mpa
+
+    @staticmethod
+    def three_point_path(spec, x, energies):
+        """0, x and the negative-energy point 4x, with made-up energies."""
+        return DiscretePath(np.array([np.zeros_like(x), x, 4.0 * x]), energies, spec.grid)
+
+    def test_saddle_at_an_interior_image_is_certified(self, hardy_small, small_saddle):
+        x, c = small_saddle
+        path = self.three_point_path(hardy_small, x, [0.0, 1.0, -1.0])
+        certified, res, saddle, ray = maxminpass.mpa._certify(path, hardy_small, x, c)
+        assert certified and res <= 1e-12
+        assert abs(saddle - c) <= 1e-12 * c and abs(ray - c) <= 1e-12 * c
+
+    def test_argmax_image_at_an_end_is_refused(self, hardy_small, small_saddle):
+        x, c = small_saddle
+        path = self.three_point_path(hardy_small, x, [2.0, 1.0, -1.0])
+        assert path.argmax_index == 0
+        certified, res, saddle, ray = maxminpass.mpa._certify(path, hardy_small, x, c)
+        assert res <= 1e-12  # x is the saddle: only its place on the path fails
+        assert not certified and saddle is None and ray is None
+
+    def test_path_sup_below_the_saddle_is_refused(self, hardy_small, small_saddle):
+        # a path whose sup is below F(x*) does not pass over x*
+        x, c = small_saddle
+        path = self.three_point_path(hardy_small, x, [0.0, 1.0, -1.0])
+        certified, _res, saddle, ray = maxminpass.mpa._certify(
+            path, hardy_small, x, (1.0 - 1e-9) * c)
+        assert not certified and saddle is None and ray is None
+
+    def test_index_two_critical_point_refused(self, hardy_small):
+        # Newton's method from a bump with a shallow negative ring reaches the
+        # one-node radial solution: a critical point of Morse index 2, whose
+        # factor has two negative pivots
+        r = hardy_small.grid.nodes
+        ring = (r / 2.6) ** 2
+        guess = 89.4 * np.exp(-((r / 0.7) ** 2)) - 2.0 * ring * np.exp(1.0 - ring)
+        x = newton_critical_point(hardy_small, guess)
+        assert np.count_nonzero(np.diff(np.sign(x[np.abs(x) > 1e-8]))) == 1
+        assert morse_index(hardy_small, x) == 2
+        assert factor_tridiagonal(*hardy_small.model.hessian(x, 1.0)) is None
+        F_x = float(hardy_small.model.F(x))
+        assert abs(hardy_small.model.ray_sup(x)[0] - F_x) <= 1e-12 * F_x
+        path = self.three_point_path(hardy_small, x, [0.0, 1.0, -1.0])
+        certified, res, saddle, ray = maxminpass.mpa._certify(path, hardy_small, x, F_x)
+        assert res <= 1e-12
+        assert not certified and saddle is None and ray is None
 
     def test_end_segment_sup_is_not_convergence(self, hardy_mu_half):
-        # From the wide seed bump the sup stays on the first segment, which
-        # no sweep refines, about 2% above c: patience runs out there.
+        # From the wide seed bump the string's sup runs toward its first
+        # segment, where no sweep refines it; on the way the sup point
+        # polishes to the saddle, and the ray through it bounds c.
         spec = hardy_mu_half["spec"]
         u = spec.model.seed(spec.grid.R / 4.0)
         while eval_F(spec, u) >= 0:
             u = GridFunction(spec.grid, 1.5 * u.values)
         result = estimate_c(spec, u, MpaOptions(), k=32)
-        assert result.path.argmax_index == 0
-        assert result.c_mpa > 1.01 * hardy_mu_half["curve"].c_maxmin
-        assert not result.converged
+        assert result.converged and result.path.argmax_index > 0
+        c = hardy_mu_half["curve"].c_maxmin
+        assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
 
 
 def seed_bump_endpoint(spec, width):
@@ -221,8 +315,8 @@ class TestPolishedSaddle:
         c = hardy_mu_half["curve"].c_maxmin
         assert result.converged
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
-        c_tol = hardy_mu_half["spec"].model.c_tol
-        assert result.c_mpa <= result.path_sup <= (1.0 + c_tol) * result.c_mpa
+        assert result.c_mpa <= result.path_sup
+        assert abs(result.ray_sup - result.c_mpa) <= 1e-12 * result.c_mpa
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_polished_point_is_an_index_one_critical_point(self, pipeline, request, monkeypatch):
@@ -246,7 +340,7 @@ class TestPolishedSaddle:
         monkeypatch.setattr(maxminpass.mpa, "factor_tridiagonal", factor_spy)
         c_sup, top = maxminpass.mpa._path_sup(result.path, spec)
         verdict = maxminpass.mpa._certify(result.path, spec, top, c_sup)
-        assert verdict == (True, result.sup_residual, result.c_mpa)
+        assert verdict == (True, result.sup_residual, result.c_mpa, result.ray_sup)
         polished = int(np.argmin(residuals))
         assert residuals[polished] <= 1e-10
         assert pivots[polished] == 1
@@ -256,9 +350,9 @@ class TestPolishedSaddle:
     def test_sweep_counts_of_the_reference_pipelines(self, hardy_mu0, hardy_mu_half,
                                                      critical_pipeline):
         # the certified stop ends each run at its first polished saddle
-        assert hardy_mu_half["mpa"].sweeps <= 22
-        assert hardy_mu0["mpa"].sweeps <= 23
-        assert critical_pipeline["mpa"].sweeps == 1
+        assert hardy_mu_half["mpa"].sweeps == 0
+        assert hardy_mu0["mpa"].sweeps <= 2
+        assert critical_pipeline["mpa"].sweeps == 0
 
     @pytest.mark.parametrize("pipeline", ["hardy_mu0", "hardy_mu_half"])
     @pytest.mark.parametrize("fraction", [15.0, 40.0])
@@ -270,20 +364,92 @@ class TestPolishedSaddle:
         assert result.converged
         assert abs(result.c_mpa - coupled) <= 1e-12 * abs(coupled)
 
-    def test_stalled_path_near_the_hardy_constant_is_not_converged(self):
-        # the sup stays about 14% above the unit-multiplier level 8.71
+    @staticmethod
+    def F_at_verified_solution(spec):
+        v = minimize_on_level(spec, 1.0).minimizer
+        return eval_F(spec, pick_solution_scale(spec, v)["minimizer_at_unit_multiplier"])
+
+    def test_path_near_the_hardy_constant_certifies_on_verify(self):
+        # the string's sup stays far above the unit-multiplier level 8.71,
+        # but its sup point polishes to the saddle there
         spec = hardy_spec(2.0, 0.99, 8.0 / 3.0, 800)
         result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / 15.0), MpaOptions(), k=32)
-        assert not result.converged
-        assert result.c_mpa == result.path_sup
+        assert result.converged
+        c = self.F_at_verified_solution(spec)
+        assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
+        assert result.c_mpa < result.path_sup
 
-    def test_stalled_path_at_p_3_is_not_converged(self):
-        # the sup stays about 29% above the unit-multiplier level 74.8
+    def test_path_at_p_3_certifies_on_verify(self):
+        # the string's sup stays about 80% above the unit-multiplier level
+        # 74.8, but its sup point polishes to the saddle there
         spec = hardy_spec(3.0, 0.5, 5.0, 100)
         endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
         result = estimate_c(spec, endpoint, MpaOptions(), k=32)
-        assert not result.converged
-        assert result.sweeps < maxminpass.mpa.MAX_SWEEPS and not result.stagnant
+        assert result.converged
+        c = self.F_at_verified_solution(spec)
+        assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
+        assert result.c_mpa < result.path_sup
+
+
+def ray_oracle(spec, x):
+    """(max, argmax) of t -> F(t x) by a bounded search on (0, 4)."""
+    r = minimize_scalar(lambda t: -float(spec.model.F(t * x)), bounds=(0.0, 4.0),
+                        method="bounded", options={"xatol": 1e-12})
+    return -float(r.fun), float(r.x)
+
+
+class TestRaySup:
+    SADDLES = ["hardy_mu0", "hardy_mu_half", "critical_pipeline", "hardy_p3"]
+
+    @pytest.fixture(scope="class")
+    def hardy_p3(self):
+        spec = hardy_spec(3.0, 0.5, 5.0, 100)
+        endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        return {"spec": spec, "mpa": estimate_c(spec, endpoint, MpaOptions(), k=32)}
+
+    @pytest.mark.parametrize("pipeline", SADDLES)
+    def test_ray_through_a_saddle_peaks_there(self, pipeline, request):
+        pipe = request.getfixturevalue(pipeline)
+        spec, result = pipe["spec"], pipe["mpa"]
+        x = saddle_of(spec, result)
+        F_x = float(spec.model.F(x))
+        value, t = spec.model.ray_sup(x)
+        oracle, t_oracle = ray_oracle(spec, x)
+        assert abs(t - 1.0) <= 1e-6 and abs(t_oracle - 1.0) <= 1e-6
+        assert abs(value - F_x) <= 1e-12 * abs(F_x)
+        assert abs(value - oracle) <= 1e-12 * abs(value)
+        assert spec.model.F(4.0 * x) < 0
+        assert result.converged
+        assert abs(result.ray_sup - value) <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("pipeline", SADDLES)
+    def test_perturbed_saddle_matches_the_search(self, pipeline, request):
+        pipe = request.getfixturevalue(pipeline)
+        spec = pipe["spec"]
+        x = saddle_of(spec, pipe["mpa"])
+        x = x * (1.0 + 0.5 * np.cos(np.pi * spec.grid.nodes / spec.grid.R))
+        value, t = spec.model.ray_sup(x)
+        oracle, t_oracle = ray_oracle(spec, x)
+        assert 0.1 < t_oracle < 3.9 and abs(t - 1.0) > 1e-3
+        assert abs(t - t_oracle) <= 1e-6 * t
+        assert abs(value - oracle) <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("p, q, amplitude", [(1.5, 2.1, 30.0), (2.0, 8.0 / 3.0, 3.0),
+                                                 (3.0, 5.0, 1.0)])
+    def test_seed_bump_matches_the_search(self, p, q, amplitude):
+        # p < 2 and p > 2 take the root of f'(t)/t; p = 2 the closed form
+        spec = hardy_spec(p, 0.5, q, 200)
+        x = amplitude * spec.model.seed().values
+        value, t = spec.model.ray_sup(x)
+        oracle, t_oracle = ray_oracle(spec, x)
+        assert 0.1 < t_oracle < 3.9
+        assert abs(t - t_oracle) <= 1e-6 * t
+        assert abs(value - oracle) <= 1e-12 * abs(value)
+        assert spec.model.F(4.0 * t * x) < 0
+
+    def test_zero_point_has_no_ray_maximum(self, critical_small):
+        x = np.zeros_like(critical_small.grid.nodes)
+        assert all(map(np.isnan, critical_small.model.ray_sup(x)))
 
 
 class TestOptions:

@@ -117,7 +117,7 @@ class TestPathSup:
             args = (endpoint, MpaOptions(), 32)
         # The certified stop reads the sup point, which the two searches
         # locate only to Brent's tolerance, so both runs stop on patience.
-        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None))
+        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None, None))
         new = estimate_c(spec, *args)
         monkeypatch.setattr(maxminpass.mpa, "_path_sup", path_sup_oracle)
         old = estimate_c(spec, *args)
@@ -232,9 +232,11 @@ class TestArrayMethods:
 class TestPathChecks:
     def test_deform_is_called_through_the_module(self, monkeypatch):
         # estimate_c must look deform up on the module at each sweep, so that
-        # a wrapper installed there sees every sweep.
+        # a wrapper installed there sees every sweep.  The toy's straight
+        # path is certified before any sweep, so certification is refused.
         calls = []
         orig = maxminpass.mpa.deform
+        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None, None))
 
         def counting(*args, **kwargs):
             calls.append(1)
