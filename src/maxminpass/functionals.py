@@ -484,8 +484,6 @@ class Hardy(_Radial):
     def transport(self, u, ratio: float):
         # Dilation maps minimizers at one level near those at the next, but
         # it resamples the profile, so it lands only near the target level.
-        if ratio == 1.0:
-            return u
         return apply_scaling(u, ScalingAction("dilation", ratio ** (1.0 / self.spec.n)))
 
     def paper_lambda_bar(self, i_1: float) -> float:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import GridMismatchError, ValidationError
 
@@ -195,21 +194,15 @@ def quadrature(g: GridFunction) -> float:
 def apply_scaling(u: GridFunction, action: ScalingAction) -> GridFunction:
     """Apply a group action to a grid function.
 
-    Amplitude scaling is exact.  Dilation returns the monotone
-    piecewise-cubic interpolant of r -> u(r/beta) on the same grid; the
-    profile is extended flat to r = 0 and by zero beyond R (decay /
-    Dirichlet convention).
+    Amplitude scaling is exact.  Dilation returns the piecewise-linear
+    interpolant of r -> u(r/beta) on the same grid: second order, and exact
+    at beta = 1.  The profile is extended flat to r = 0 and by zero beyond R
+    (decay / Dirichlet convention).
     """
     if action.kind == "amplitude":
         return GridFunction(u.grid, u.values * action.beta)
     nodes = u.grid.nodes
-    x = np.concatenate(([0.0], nodes))
-    y = np.concatenate(([u.values[0]], u.values))
-    interp = PchipInterpolator(x, y, extrapolate=False)
-    q = nodes / action.beta
-    out = interp(q)
-    out[q > u.grid.R] = 0.0
-    return GridFunction(u.grid, out)
+    return GridFunction(u.grid, np.interp(nodes / action.beta, nodes, u.values, right=0.0))
 
 
 def check_tail(u: GridFunction, rel_tol: float = 1e-8) -> bool:

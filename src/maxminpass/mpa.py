@@ -211,34 +211,41 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec):
 
 def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
     """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
-    or None, the ray's sup or None).  Newton steps H s = W r on F' = 0 polish
-    ``top`` to x* while the residual decreases, until it is within
-    ``POLISH_FLOOR`` ``grad_tol``, where a further step moves x* only by
-    rounding.  x* is certified if the argmax image is interior, its residual
-    is within ``grad_tol``, its Morse index is 1, F(x*) <= c_sup up to
-    rounding (the path passes above x*), and the ray {t x*} bounds the pass
-    level by F(x*): its sup (``ray_sup``) is F(x*) to 1e-12, and it reaches
-    F < 0 by 4 t*.  Any fibering map a t^p + c t^2 - b t^r (r > max(p, 2))
-    whose maximum is at t* is negative there, so that last check fails only
-    by rounding.  The toy (no Hessian) is not polished: its rule is the
-    residual."""
+    or None, the ray's sup or None).  Newton on F' = 0 polishes ``top`` to
+    x*: each step solves H s = W r and takes the first of x - h s, h = 1,
+    1/2, ..., 1/64, whose residual is below x's; the polish stops when none
+    is, or within ``POLISH_FLOOR`` ``grad_tol``, where a further step moves
+    x* only by rounding.  x* is certified if the argmax image is interior,
+    its residual is within ``grad_tol``, its Morse index is 1, F(x*) <= c_sup
+    up to rounding (the path passes above x*), and the ray {t x*} bounds the
+    pass level by F(x*): its sup (``ray_sup``) is F(x*) to 1e-12, and it
+    reaches F < 0 by 4 t*.  Any fibering map a t^p + c t^2 - b t^r
+    (r > max(p, 2)) whose maximum is at t* is negative there, so that last
+    check fails only by rounding.  The toy (no Hessian) is not polished: its
+    rule is the residual."""
     model = spec.model
     interior = 0 < path.argmax_index < len(path.images) - 1
-    x, star, residuals = top, top, []
-    for _ in range(POLISH_STEPS + 1):
-        r, res = weighted_residual(model, x)
-        if residuals and not res < residuals[-1]:
-            break
-        star = x
-        residuals.append(res)
-        bands = model.hessian(x, 1.0) if interior else None
-        factor = None if bands is None else factor_tridiagonal(*bands)
+    star = top
+    r, res = weighted_residual(model, star)
+    res_top = res
+    bands = model.hessian(star, 1.0) if interior else None
+    factor = None if bands is None else factor_tridiagonal(*bands)
+    for _ in range(POLISH_STEPS):
         if factor is None or res <= POLISH_FLOOR * model.grad_tol:
-            break  # the factor at x* is kept: it gives the Morse index
-        x = x - solve_tridiagonal(factor, model.grid.weights * r)
-    ok = interior and residuals[-1] <= model.grad_tol
+            break
+        s = solve_tridiagonal(factor, model.grid.weights * r)
+        for h in 0.5 ** np.arange(7):
+            x = star - h * s
+            r_x, res_x = weighted_residual(model, x)
+            if res_x < res:
+                break
+        else:
+            break
+        star, r, res = x, r_x, res_x
+        factor = factor_tridiagonal(*model.hessian(star, 1.0))
+    ok = interior and res <= model.grad_tol
     if not ok or bands is None:
-        return ok, residuals[0], None, None
+        return ok, res_top, None, None
     F_star = float(model.F(star))
     ray, t = model.ray_sup(star)
     ok = (factor is not None and factor[2] == 1
@@ -246,8 +253,8 @@ def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
           and abs(ray - F_star) <= 1e-12 * abs(F_star)
           and model.F(4.0 * t * star) < 0)
     if not ok:
-        return False, residuals[0], None, None
-    return True, residuals[0], F_star, ray
+        return False, res_top, None, None
+    return True, res_top, F_star, ray
 
 
 @dataclass

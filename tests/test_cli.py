@@ -288,11 +288,22 @@ class TestPipelines:
         assert abs(payload["ray_sup"] - payload["c_mpa"]) <= 1e-12 * payload["c_mpa"]
         assert payload["c_mpa"] <= payload["path_sup"]
 
-    def test_mpa_trace_csv(self, outputs):
-        # one row per sweep: the sweep, the path's sup after it, its argmax image
+    def test_mpa_trace_csv(self, outputs, tmp_path, monkeypatch):
+        # one row per sweep: the sweep, the path's sup after it, its argmax
+        # image; the straight path certifies before any sweep, so its trace
+        # is the header alone, and a run with certificates refused has rows
         with open(outputs / "mpa_trace.csv") as f:
             rows = list(csv.reader(f))
         summary = json.loads((outputs / "mpa_summary.json").read_text())
+        assert summary["sweeps"] == 0
+        assert rows == [["sweep", "max_energy", "argmax_index"]]
+        refuse_certificates(monkeypatch)
+        cfg = hardy_config(tmp_path)
+        assert main(["mpa", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        with open(tmp_path / "mpa_trace.csv") as f:
+            rows = list(csv.reader(f))
+        summary = json.loads((tmp_path / "mpa_summary.json").read_text())
+        assert summary["sweeps"] > 0
         assert rows[0] == ["sweep", "max_energy", "argmax_index"]
         assert [int(r[0]) for r in rows[1:]] == list(range(1, summary["sweeps"] + 1))
         assert float(rows[-1][1]) == summary["path_sup"]
@@ -528,10 +539,10 @@ class TestUnconvergedRuns:
         assert main(["toy", "--q", "4", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         assert "the path deformation (0 sweeps" in capsys.readouterr().err
 
-    def test_stalled_mpa_exits_3_with_a_message(self, tmp_path, capsys):
-        # At p = 3 on this grid the path stalls about 97% above the
-        # unit-multiplier level and its sup point does not polish to a
-        # saddle: a patience stop, which is never convergence.
+    def test_stalled_mpa_exits_3_with_a_message(self, tmp_path, monkeypatch, capsys):
+        # With every certificate refused the run ends on PATIENCE, which is
+        # never convergence.
+        refuse_certificates(monkeypatch)
         cfg = {
             "problem": {
                 "variant": "hardy-subcritical",

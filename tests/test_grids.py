@@ -121,6 +121,54 @@ class TestScalingActions:
             ScalingAction("dilation", -1.0)
 
 
+class TestDilationContract:
+    """Dilation is the linear interpolant of r -> u(r/beta), flat toward 0
+    and zero beyond R, on the geometric grids the Hardy runs use."""
+
+    GRIDS = [(800, 1.0049), (800, 50.0 ** (1.0 / 800))]
+
+    @staticmethod
+    def dilate(u, beta):
+        return apply_scaling(u, ScalingAction("dilation", beta)).values
+
+    @pytest.mark.parametrize("m, stretch", GRIDS)
+    def test_unit_dilation_is_bit_for_bit(self, m, stretch):
+        grid = build_radial_grid(5, 30.0, m, stretch)
+        u = bump(grid, width=2.0)
+        assert np.array_equal(self.dilate(u, 1.0), u.values)
+
+    @pytest.mark.parametrize("m, stretch", GRIDS)
+    @pytest.mark.parametrize("beta", [0.7, 1.3])
+    def test_flat_toward_zero_and_zero_beyond_R(self, m, stretch, beta):
+        grid = build_radial_grid(5, 30.0, m, stretch)
+        u = GridFunction(grid, 2.0 + np.cos(grid.nodes))
+        v = self.dilate(u, beta)
+        q = grid.nodes / beta
+        assert np.all(v[q < grid.nodes[0]] == u.values[0])
+        assert np.all(v[q > grid.R] == 0.0)
+        assert np.any(q < grid.nodes[0]) if beta > 1 else np.any(q > grid.R)
+
+    @pytest.mark.parametrize("m, stretch", GRIDS)
+    @pytest.mark.parametrize("beta", [0.7, 1.3])
+    def test_affine_profile_is_reproduced(self, m, stretch, beta):
+        grid = build_radial_grid(5, 30.0, m, stretch)
+        u = GridFunction(grid, 3.0 - 0.25 * grid.nodes)
+        v = self.dilate(u, beta)
+        q = grid.nodes / beta
+        inside = (q >= grid.nodes[0]) & (q <= grid.R)
+        assert np.allclose(v[inside], 3.0 - 0.25 * q[inside], rtol=0.0, atol=1e-13)
+
+    def test_second_order_on_a_gaussian(self):
+        # max error over all nodes, the flat extension toward 0 included
+        errors = []
+        for m in (400, 800, 1600):
+            grid = build_radial_grid(5, 30.0, m, 50.0 ** (1.0 / m))
+            u = bump(grid, width=3.0)
+            exact = np.exp(-((grid.nodes / (1.3 * 3.0)) ** 2))
+            errors.append(np.abs(self.dilate(u, 1.3) - exact).max())
+        assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5
+
+
 class TestGridFunctionAlgebra:
     def test_add_and_scale(self):
         grid = build_radial_grid(3, 1.0, 20, 1.0)

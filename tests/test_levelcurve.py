@@ -115,7 +115,7 @@ class TestScalingExponent:
 class TestScalingPath:
     def test_identity_at_level_one(self, hardy_small):
         v = minimize_on_level(hardy_small, 1.0).minimizer
-        assert scaling_path(hardy_small, v, 1.0) is v
+        assert np.array_equal(scaling_path(hardy_small, v, 1.0).values, v.values)
 
     def test_critical_amplitude_factor(self, critical_small):
         # p* = 10/3: level 32 needs amplitude 32^(3/10) and U scales by 32

@@ -202,7 +202,11 @@ class TestCertifiedStop:
         assert result.c_mpa <= patience.c_mpa
 
     def test_hardy_straight_path_not_certified(self, hardy_small, monkeypatch):
+        # the straight path's top polishes to the saddle before any sweep;
+        # with that refused, the run takes exactly the one sweep allowed
         endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        certify = maxminpass.mpa._certify
+        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, certify(*a)[1], None, None))
         monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 1)
         result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
         assert result.sweeps == 1
@@ -351,7 +355,7 @@ class TestPolishedSaddle:
                                                      critical_pipeline):
         # the certified stop ends each run at its first polished saddle
         assert hardy_mu_half["mpa"].sweeps == 0
-        assert hardy_mu0["mpa"].sweeps <= 2
+        assert hardy_mu0["mpa"].sweeps == 0
         assert critical_pipeline["mpa"].sweeps == 0
 
     @pytest.mark.parametrize("pipeline", ["hardy_mu0", "hardy_mu_half"])
@@ -389,6 +393,17 @@ class TestPolishedSaddle:
         c = self.F_at_verified_solution(spec)
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
         assert result.c_mpa < result.path_sup
+
+    @pytest.mark.parametrize("m", [200, 800])
+    def test_finer_p_3_grids_certify_on_verify(self, m):
+        # the backtracking polish reaches the saddle from the deformed
+        # string's sup point, where full Newton steps overshoot
+        spec = hardy_spec(3.0, 0.5, 5.0, m)
+        endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        result = estimate_c(spec, endpoint, MpaOptions(), k=32)
+        assert result.converged
+        c = self.F_at_verified_solution(spec)
+        assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
 
 
 def ray_oracle(spec, x):
