@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
 from .grids import GridFunction, RadialGrid, ScalingAction, apply_scaling, build_radial_grid
@@ -373,7 +372,9 @@ class _Radial(Variant):
             lo = (c / (r * b)) ** (1.0 / (r - 2.0))
             hi = max((8.0 * c / (r * b)) ** (1.0 / (r - 2.0)),
                      (4.0 * p * a / (r * b)) ** (1.0 / (r - p)))
-            t = brentq(lambda t: p * a * t ** (p - 2.0) + 2.0 * c - r * b * t ** (r - 2.0), lo, hi)
+            def slope(t):  # f'(t) / t
+                return p * a * t ** (p - 2.0) + 2.0 * c - r * b * t ** (r - 2.0)
+            t = regula_falsi(slope, lo, hi, slope(lo), slope(hi))
         return a * t**p + c * t * t - b * t**r, t
 
     @classmethod
@@ -654,6 +655,30 @@ def precondition(spec: ProblemSpec, g):
     """The variant's preconditioned direction for a weighted gradient."""
     model = spec.model
     return model.wrap(model.precondition(model.unwrap(g)))
+
+
+# --- scalar root ------------------------------------------------------------
+
+
+def regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of f in [lo, hi], given f_lo = f(lo) > 0 > f_hi = f(hi), by
+    regula falsi in its superlinear Illinois variant (Dowell & Jarratt, BIT 11,
+    1971): an end kept twice in a row has its value halved.  Stops at a zero
+    of f, when the iterate no longer moves, or after 100 steps."""
+    a, fa, b, fb = lo, f_lo, hi, f_hi  # b: the latest iterate, a: the other end
+    for _ in range(100):
+        x = b - fb * (b - a) / (fb - fa)
+        if x == b:
+            break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):  # a is kept again
+            fa *= 0.5
+        else:
+            a, fa = b, fb
+        b, fb = x, fx
+    return b
 
 
 # --- tridiagonal solves and preconditioning ---------------------------------

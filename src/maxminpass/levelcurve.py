@@ -4,7 +4,9 @@ Builds the sampled curve, locates the thresholds lambda_star (first
 nonpositive I) and lambda_star_star (first strictly negative I), the argmax
 set, and the max-min value; constructs the scaling path of minimizers and
 evaluates F along it; reports the printed and the derived closed-form
-argmax side by side.
+argmax side by side.  Refinements follow the scaling law i ~ lambda^alpha:
+the thresholds by regula falsi on log i - log lambda, the argmax by steps to
+that of a fitted power law.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ValidationError
-from .functionals import ProblemSpec, eval_F
+from .functionals import ProblemSpec, eval_F, regula_falsi
 
 __all__ = [
     "LevelCurve",
@@ -47,7 +48,8 @@ def build_level_curve(samples, i_fn) -> LevelCurve:
 
     ``i_fn`` is a callable lambda -> i (a float) that refines the thresholds
     and the argmax beyond the sampled resolution (e.g. the toy closed form or
-    a warm-started solver); it is queried at most once per lambda.
+    a warm-started solver); it is queried at most once per lambda, and never
+    at a sample.
     """
     samples = list(samples)
     lambdas = np.asarray([s[0] for s in samples], dtype=float)
@@ -69,22 +71,30 @@ def build_level_curve(samples, i_fn) -> LevelCurve:
             "no sign change of I in the sampled range; widen the sweep toward larger lambda"
         )
 
-    solved = {}  # on a strict crossing, lambda** reuses lambda*'s solves
+    solved = {}  # each level is solved once: lambda** reuses lambda*'s solves
 
-    def I_of(lam: float) -> float:
+    def log_i(lam: float) -> float:  # an i <= 0 counts as below the level
         if lam not in solved:
-            solved[lam] = float(i_fn(lam)) - lam
-        return solved[lam]
+            solved[lam] = float(i_fn(lam))
+        return math.log(max(solved[lam], 1e-300))
 
-    # First crossing into I <= 0 / I < 0.
+    t_s, log_i_s = np.log(lambdas), np.log(np.maximum(i_values, 1e-300))
+
+    def crossing(k: int) -> float:
+        # Root of h(t) = log i(e^t) - t, which has the sign of I and is affine
+        # where i is a power law, between samples k - 1 (I > 0) and k (I < 0).
+        ts = t_s[k - 1 : k + 1]
+        h_s = log_i_s[k - 1 : k + 1] - ts
+        return math.exp(regula_falsi(lambda t: log_i(math.exp(t)) - t, *ts, *h_s))
+
+    # First crossing into I <= 0 / I < 0; a sample with I == 0 is the threshold.
     k_nonpos = int(np.argmax(I_values <= 0))
     k_neg = int(np.argmax(I_values < 0))
-    lambda_star = _refine_root(I_of, lambdas[k_nonpos - 1], lambdas[k_nonpos])
-    if I_values[k_neg] < 0 and I_values[k_neg - 1] > 0:
-        lambda_star_star = _refine_root(I_of, lambdas[k_neg - 1], lambdas[k_neg])
+    lambda_star = float(lambdas[k_nonpos]) if I_values[k_nonpos] == 0 else crossing(k_nonpos)
+    if I_values[k_neg - 1] == 0:  # exact-zero plateau between the two thresholds
+        lambda_star_star = float(lambdas[k_neg - 1])
     else:
-        # Exact-zero plateau between the two thresholds.
-        lambda_star_star = float(lambdas[k_neg - 1]) if k_neg > 0 else lambda_star
+        lambda_star_star = crossing(k_neg)
 
     inside = lambdas < lambda_star_star
     I_in = np.where(inside, I_values, -np.inf)
@@ -98,19 +108,31 @@ def build_level_curve(samples, i_fn) -> LevelCurve:
         lambda_bar = 0.5 * (lo + hi)
         c_maxmin = I_max
     else:
+        # Power-law steps from the samples k -+ 1: fit log i = log C + alpha t
+        # through two points, move to the fit's argmax and drop the farther
+        # point.  An argmax outside the bracket ends them (I is below I_max
+        # at both ends), and so does a step of <= 1.5e-8 in t, or one no
+        # shorter than the last: I locates its max only to ~sqrt(eps).
         k = argmax_set[0]
-        lo = lambdas[max(k - 1, 0)]
-        hi = min(float(lambdas[min(k + 1, lambdas.size - 1)]), lambda_star_star)
-        r = minimize_scalar(
-            lambda t: -I_of(math.exp(t)),
-            bounds=(math.log(lo), math.log(hi)),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        lambda_bar = float(math.exp(r.x))
-        c_maxmin = float(-r.fun)
-        if I_max > c_maxmin:  # refinement must not lose the sampled max
-            lambda_bar, c_maxmin = float(lambdas[k]), I_max
+        lambda_bar, c_maxmin = float(lambdas[k]), I_max
+        a = max(k - 1, 0)
+        pts = [(t_s[a], log_i_s[a]), (t_s[k + 1], log_i_s[k + 1])]
+        lo, hi = t_s[a], math.log(min(lambdas[k + 1], lambda_star_star))
+        t_prev, last = t_s[k], math.inf
+        for _ in range(16):
+            (t1, y1), (t2, y2) = pts
+            alpha = (y2 - y1) / (t2 - t1)
+            if not 0.0 < alpha < 1.0:
+                break
+            t = (y1 - alpha * t1 + math.log(alpha)) / (1.0 - alpha)
+            step = abs(t - t_prev)
+            if not lo < t < hi or step <= 1.5e-8 or step >= last:
+                break
+            lam = math.exp(t)
+            pts = [min(pts, key=lambda pt: abs(pt[0] - t)), (t, log_i(lam))]
+            if solved[lam] - lam > c_maxmin:  # refinement must not lose the sampled max
+                lambda_bar, c_maxmin = lam, solved[lam] - lam
+            t_prev, last = t, step
 
     return LevelCurve(
         lambdas=lambdas,
@@ -122,17 +144,6 @@ def build_level_curve(samples, i_fn) -> LevelCurve:
         lambda_bar=lambda_bar,
         c_maxmin=c_maxmin,
     )
-
-
-def _refine_root(I_of, lo: float, hi: float) -> float:
-    f_lo, f_hi = I_of(lo), I_of(hi)
-    if f_lo == 0.0:
-        return float(lo)
-    if f_hi == 0.0:
-        return float(hi)
-    if f_lo * f_hi > 0:
-        return float(hi) if f_hi <= 0 else float(lo)
-    return float(brentq(I_of, lo, hi, xtol=1e-14, rtol=1e-14))
 
 
 def scaling_exponent(spec: ProblemSpec) -> float:

@@ -3,8 +3,8 @@
 A discrete path from 0 to a negative-energy endpoint is deformed by damped
 steepest descent of F on the interior images (elastic-string style), with
 arc-length re-parameterization each sweep.  Each path's sup of F bounds the
-pass level above; the max of F over the images, refined by one local bounded
-search on the two segments at the argmax image, reaches that sup only when
+pass level above; the max of F over the images, refined by a local root of
+F's slope on each segment at the argmax image, reaches that sup only when
 it lies on those segments.  Before the first sweep and after every accepted
 one, the sup point is polished (Newton on F' = 0).  A run stops, converged,
 when the polished point x* is an index-1 critical point at or below the
@@ -28,11 +28,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import GridMismatchError, ValidationError
 from .functionals import ProblemSpec, eval_F, eval_T, eval_U  # noqa: F401 (eval_U: traced binding)
-from .functionals import factor_tridiagonal, solve_tridiagonal
+from .functionals import factor_tridiagonal, regula_falsi, solve_tridiagonal
 from .grids import GridFunction, RadialGrid
 from .levelcurve import scaling_exponent, scaling_path
 from .verify import weighted_residual
@@ -185,28 +184,31 @@ def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
 
 def _path_sup(path: DiscretePath, spec: ProblemSpec):
     """Sup of F over the polygonal path near its argmax image x_j, and the
-    point attaining it: the discrete max (point x_j), refined by one bounded
-    Brent search of the broken line psi(s) = F(x_j + |s| (x_{j-1} - x_j)) for
-    s < 0, F(x_j + s (x_{j+1} - x_j)) for s >= 0, with s clipped to 0 where x_j
-    ends the path.  The search is local: it finds a local max of psi, not a
-    certified global sup.  The value is F at a point of the path, so it is at
-    most the path's sup, which bounds the pass level above; it equals that
-    sup only when the sup lies on the two segments at x_j."""
-    x, j, last = path.images, path.argmax_index, len(path.images) - 1
-    F = spec.model.F
-    left = x[max(j - 1, 0)] - x[j]
-    right = x[min(j + 1, last)] - x[j]
-    def along(s):
-        return x[j] + s * right if s >= 0.0 else x[j] - s * left
-    r = minimize_scalar(
-        lambda s: -F(along(s)),
-        bounds=(-1.0 if j > 0 else 0.0, 1.0 if j < last else 0.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if float(-r.fun) > path.max_energy:
-        return float(-r.fun), along(r.x)
-    return path.max_energy, x[j]
+    point attaining it: the image max at x_j, or F at the root that
+    ``regula_falsi`` finds of psi'(s) = <F'(x_j + s d), d> on a segment
+    d = x_k - x_j to a neighbour, where psi' falls from positive at s = 0 to
+    negative at s = 1 (from x_0 = 0, a strict local minimum of F, F rises
+    although F' = 0).  The search is local: it finds a local max on each
+    segment, not a certified global sup.  The value is F at a point of the
+    path, so it is at most the path's sup, which bounds the pass level
+    above; it equals that sup only when the sup lies on the two segments."""
+    x, j = path.images, path.argmax_index
+    model = spec.model
+    sup, top = path.max_energy, x[j]
+    rows = [j] + [k for k in (j - 1, j + 1) if 0 <= k < len(x)]
+    g = model.grad_T(x[rows]) - model.grad_U(x[rows])  # F' at x_j and its neighbours
+    for g_k, d in zip(g[1:], x[rows[1:]] - x[j]):
+        def slope(s):
+            y = x[j] + s * d
+            return float(model.inner(model.grad_T(y) - model.grad_U(y), d))
+        end = float(model.inner(g_k, d))
+        start = float(model.inner(g[0], d)) if j > 0 else -end  # a positive stand-in for 0 at x_0
+        if start > 0.0 > end:
+            y = x[j] + regula_falsi(slope, 0.0, 1.0, start, end) * d
+            F = float(model.F(y))
+            if F > sup:
+                sup, top = F, y
+    return sup, top
 
 
 def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):

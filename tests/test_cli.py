@@ -20,6 +20,7 @@ import maxminpass.verify
 from maxminpass.cli import (
     COMPARISON_SCHEMA,
     EXIT_CONVERGENCE,
+    EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
     MAXMIN_SUMMARY_SCHEMA,
@@ -81,6 +82,18 @@ class TestExitCodes:
         assert main(["minimize", "--config", path, "--out", str(tmp_path)]) == (
             EXIT_VALIDATION
         )
+
+    @pytest.mark.parametrize("command", ["toy", "minimize"])
+    def test_out_naming_a_file_exits_4(self, tmp_path, capsys, command):
+        # the output directory cannot be made where a file already is
+        blocked = tmp_path / "taken"
+        blocked.write_text("")
+        if command == "toy":
+            argv = ["toy", "--q", "4", "--out", str(blocked)]
+        else:
+            argv = ["minimize", "--config", toy_config(tmp_path), "--out", str(blocked)]
+        assert main(argv) == EXIT_IO
+        assert "error:" in capsys.readouterr().err
 
     def test_hardy_p_equal_n_rejected_before_the_default_q(self, tmp_path, capsys):
         # the default q lies midway to p* = n p / (n - p), which has no value at p = n
@@ -616,3 +629,19 @@ def test_only_the_cli_reads_or_writes_files():
     assert file_access((package / "cli.py").read_text())
     access = {f.name: file_access(f.read_text()) for f in sorted(package.glob("*.py"))}
     assert {name: found for name, found in access.items() if found and name != "cli.py"} == {}
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the package's scalar solves are its own; scipy serves LAPACK only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, maxminpass; print('scipy.optimize' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

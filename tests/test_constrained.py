@@ -1,6 +1,7 @@
 """Constrained minimization on level sets and the continuation sweep."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -283,6 +284,27 @@ class TestContinuationSweep:
     def test_rejects_unsorted_levels(self, hardy_small):
         with pytest.raises(ValidationError):
             continuation_sweep(hardy_small, [2.0, 1.0])
+
+    def test_infeasible_level_is_recorded_and_skipped(self, monkeypatch):
+        # a level whose solve raises InfeasibleError is an unconverged entry,
+        # and the next level starts from the last minimizer before it
+        spec = toy_spec()
+        solve = constrained.minimize_on_level
+        seeds = {}
+
+        def flaky(spec, lam, seed=None):
+            seeds[lam] = seed
+            if lam == 1.0:
+                raise InfeasibleError("no point on this level")
+            return solve(spec, lam, seed)
+
+        monkeypatch.setattr(constrained, "minimize_on_level", flaky)
+        first, failed, last = continuation_sweep(spec, [0.5, 1.0, 2.0])
+        assert failed.lam == 1.0 and not failed.converged and failed.minimizer is None
+        assert math.isnan(failed.i_value) and failed.residual == math.inf
+        assert first.converged and last.converged
+        assert np.array_equal(seeds[2.0], spec.model.transport(first.minimizer, 4.0))
+        assert last.i_value == pytest.approx(2.0**0.5, abs=1e-8)
 
 
 def assert_same_result(new, old):

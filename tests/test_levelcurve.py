@@ -14,6 +14,7 @@ from maxminpass import (
     build_level_curve,
     build_radial_grid,
     closed_form_lambda_bar,
+    continuation_sweep,
     evaluate_F_along_path,
     eval_F,
     eval_T,
@@ -39,7 +40,7 @@ def toy_curve(q=4.0, scale=1.0):
 
 
 def unqueried(lam):
-    raise AssertionError("samples that are refused are never refined")
+    raise AssertionError("no level is refined")
 
 
 class TestBuildLevelCurve:
@@ -67,6 +68,45 @@ class TestBuildLevelCurve:
         assert curve.lambda_bar == pytest.approx(0.25, rel=1e-6)
         assert curve.c_maxmin == pytest.approx(0.25, rel=1e-12)
 
+    def test_power_law_solves_are_exact(self):
+        # log i is affine in log lambda: the crossing's first secant and the
+        # argmax's first power-law step land on the closed forms
+        prob = ToyProblem(2, 4.0)
+        queried = []
+
+        def i_fn(lam):
+            queried.append(lam)
+            return toy_i_lambda(prob, lam)
+
+        lambdas = np.geomspace(1e-3, 4.0, 200)
+        curve = build_level_curve([(lam, toy_i_lambda(prob, lam)) for lam in lambdas], i_fn=i_fn)
+        assert len(queried) <= 4
+        assert curve.lambda_star == pytest.approx(1.0, rel=1e-14)
+        assert curve.lambda_bar == pytest.approx(0.25, rel=1e-14)
+        assert curve.c_maxmin == pytest.approx(0.25, rel=1e-14)
+
+    def test_hardy_refinement_takes_few_solves(self, hardy_small):
+        # the thresholds and the argmax of a PDE curve in at most 8 warm
+        # re-minimizations
+        r1 = minimize_on_level(hardy_small, 1.0)
+        sweep = continuation_sweep(hardy_small, np.geomspace(1.0, 30000.0, 40), u0=r1.minimizer)
+        mins = {r.lam: r.minimizer for r in sweep}
+        keys = np.array(sorted(mins))
+        queried = []
+
+        def i_fn(lam):
+            queried.append(lam)
+            k = float(keys[np.argmin(np.abs(np.log(keys / lam)))])
+            seed = scaling_path(hardy_small, mins[k], lam / k)
+            return minimize_on_level(hardy_small, lam, seed).i_value
+
+        curve = build_level_curve([(r.lam, r.i_value) for r in sweep], i_fn=i_fn)
+        assert len(queried) <= 8
+        forms = closed_form_lambda_bar(hardy_small, r1.i_value)
+        assert curve.lambda_bar == pytest.approx(forms["derived_argmax"], rel=1e-3)
+        assert curve.c_maxmin == pytest.approx(max(curve.I_values), rel=1e-3)
+        assert curve.c_maxmin >= max(curve.I_values)
+
     def test_identity_I_equals_i_minus_lambda(self):
         curve = toy_curve()
         assert np.array_equal(curve.I_values, curve.i_values - curve.lambdas)
@@ -81,6 +121,20 @@ class TestBuildLevelCurve:
         assert curve.argmax_set == [1, 2, 3]
         assert curve.lambda_bar == pytest.approx(1.5)
         assert curve.c_maxmin == pytest.approx(1.0)
+        # I = 8 - 3 lambda on the last segment: no power law, an exact crossing
+        assert curve.lambda_star == pytest.approx(8.0 / 3.0, rel=1e-14)
+        assert curve.lambda_star_star == curve.lambda_star
+
+    def test_exact_zero_samples_are_the_thresholds(self):
+        # lambda* is the first sample with I == 0 and lambda** the last one
+        # before I < 0; with a plateau argmax nothing is refined
+        lambdas = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        I = np.array([0.5, 1.0, 1.0, 0.0, 0.0, -1.0])
+        curve = build_level_curve(list(zip(lambdas, I + lambdas)), i_fn=unqueried)
+        assert curve.lambda_star == 2.0
+        assert curve.lambda_star_star == 2.5
+        assert curve.argmax_set == [1, 2]
+        assert curve.lambda_bar == 1.25
 
     def test_refinement_never_loses_sampled_max(self):
         # an i_fn below the samples: the refined max is lower than the

@@ -201,6 +201,19 @@ class TestCertifiedStop:
         assert patience.sweeps == maxminpass.mpa.PATIENCE
         assert result.c_mpa <= patience.c_mpa
 
+    @pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 6.0])
+    def test_toy_sup_point_is_the_saddle(self, q):
+        # the slope root on the straight path's top segment is the saddle to
+        # rounding, so each toy certifies before the first sweep
+        spec = toy_spec(q)
+        radius = 2.0
+        while radius**2 - radius**q >= 0:
+            radius *= 2.0
+        result = estimate_c(spec, toy_endpoint(spec, radius), MpaOptions(step=0.05), k=48)
+        assert result.converged
+        assert result.sweeps == 0
+        assert result.sup_residual <= 1e-12
+
     def test_hardy_straight_path_not_certified(self, hardy_small, monkeypatch):
         # the straight path's top polishes to the saddle before any sweep;
         # with that refused, the run takes exactly the one sweep allowed

@@ -115,8 +115,9 @@ class TestPathSup:
             spec = hardy_small if case == "hardy" else critical_small
             endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
             args = (endpoint, MpaOptions(), 32)
-        # The certified stop reads the sup point, which the two searches
-        # locate only to Brent's tolerance, so both runs stop on patience.
+        # The certified stop reads the sup point, which the reference's
+        # searches locate only to Brent's tolerance, so both runs stop on
+        # patience.
         monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None, None))
         new = estimate_c(spec, *args)
         monkeypatch.setattr(maxminpass.mpa, "_path_sup", path_sup_oracle)
@@ -149,26 +150,31 @@ class TestPathSup:
 
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_argmax_at_an_end_clips_the_bounds(self, end, path_sup_oracle, monkeypatch):
-        # the one segment next to the argmax crosses the circle |u| = 1/sqrt(2)
+        # the one segment next to the argmax crosses the circle |u| = 1/sqrt(2);
+        # only that segment is searched, and the sup point lies on it
         spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
         if end == "first":
             path = bent_path(spec, [0.0, 1.5, 1.8, 2.0])
-            bounds = (0.0, 1.0)
+            j, k = 0, 1
         else:
             # F(0) = 0 > F(endpoint), so a path carrying F's energies never
             # peaks at its endpoint; this one carries made-up energies
             path = bent_path(spec, [0.0, 0.3, 0.6, 0.9], energies=[-20.0, -15.0, -13.0, -12.0])
-            bounds = (-1.0, 0.0)
+            j, k = 3, 2
         seen = []
-        search = maxminpass.mpa.minimize_scalar
+        root = maxminpass.mpa.regula_falsi
 
-        def spy(fun, **kwargs):
-            seen.append(kwargs["bounds"])
-            return search(fun, **kwargs)
+        def spy(f, lo, hi, f_lo, f_hi):
+            seen.append((lo, hi))
+            return root(f, lo, hi, f_lo, f_hi)
 
-        monkeypatch.setattr(maxminpass.mpa, "minimize_scalar", spy)
-        sup, _ = _path_sup(path, spec)
-        assert seen == [bounds]
+        monkeypatch.setattr(maxminpass.mpa, "regula_falsi", spy)
+        sup, top = _path_sup(path, spec)
+        assert seen == [(0.0, 1.0)]
+        x_j, d = path.images[j], path.images[k] - path.images[j]
+        s = np.dot(top - x_j, d) / np.dot(d, d)
+        assert 0.0 < s < 1.0
+        assert np.allclose(top, x_j + s * d, rtol=0.0, atol=1e-15)
         assert abs(sup - path_sup_oracle(path, spec)[0]) <= REL
         assert sup == pytest.approx(0.25, abs=1e-15)
 
