@@ -11,10 +11,18 @@ Haynsworth: H has no negative pivot, or one and grad U . z2 < 0) and r . s <
 gradient of T projected against grad U.  A backtracking line search from
 the unit step decreases T, retracting each trial point onto the level set.
 
+One evaluation per iterate: a trial point costs its retraction and T
+(the variant's ``at_level``); an accepted one becomes an ``Iterate`` record
+(``iterate``) built from the trial's intermediates, and the multiplier,
+the residual and the Hessian all read from that record.  The checks stay
+whole: the retraction's check on the grid sum of U, the inertia guard, the
+Armijo test and ``grad_tol``.
+
 Arrays inside, points at the edges: ``minimize_on_level`` checks and
-unwraps its seed once, runs the descent (``descend``) on ndarrays through
-the variant's array methods, and wraps only the result.  ``descend`` also
-computes the first Dirichlet eigenvalue on a Rayleigh model.
+unwraps its seed once, runs the descent (``descend``) on ndarrays, and
+wraps only the result; ``continuation_sweep`` carries each minimizer to the
+next level and solves there on arrays, wrapping each result.  ``descend``
+also computes the first Dirichlet eigenvalue on a Rayleigh model.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .functionals import ProblemSpec, eval_U  # noqa: F401 (eval_U: traced binding)
+from .functionals import Iterate, ProblemSpec, eval_U  # noqa: F401 (eval_U: traced binding)
 from .functionals import factor_tridiagonal, solve_tridiagonal
 
 __all__ = [
@@ -65,33 +73,38 @@ def default_seed(spec: ProblemSpec, lam: float, width: float | None = None):
     return retract_to_level(spec, spec.model.seed(width), lam)
 
 
-def multiplier_and_residual(model, x):
-    """On the array x: least-squares multiplier theta and the relative
+def multiplier_and_residual(model, it: Iterate):
+    """At the record ``it``: least-squares multiplier theta, the relative
     projected residual ||grad T - theta grad U|| / (1 + ||grad T||) in the
-    weighted norm, with the masked gradients and the residual vector."""
-    gT = model.mask(model.grad_T(x))
-    gU = model.mask(model.grad_U(x))
+    weighted norm, and the residual vector."""
+    gT, gU = it.gT, it.gU
     gU2 = model.inner(gU, gU)
     theta = float(model.inner(gT, gU) / gU2) if gU2 > 0 else 0.0
     res_vec = gT - theta * gU
     res = math.sqrt(max(model.inner(res_vec, res_vec), 0.0))
     res /= 1.0 + math.sqrt(max(model.inner(gT, gT), 0.0))
-    return theta, res, gT, gU, res_vec
+    return theta, res, res_vec
 
 
-def newton_direction(model, x, theta, gU, res_vec):
-    """-s for the Newton-KKT step s at the array x, or None where the guard
-    refuses it; ``gU`` and ``res_vec`` are weighted, H takes W times them."""
-    bands = model.hessian(x, theta)
+def newton_direction(model, it: Iterate, theta, res_vec):
+    """(-s, its slope <-s, res_vec>) for the Newton-KKT step s at the record
+    ``it``, or None where the guard refuses it; ``it.gU`` and ``res_vec``
+    are weighted, H takes W times them."""
+    bands = model.bands(it, theta)
     factor = None if bands is None else factor_tridiagonal(*bands)
     if factor is None:
         return None
-    z1, z2 = solve_tridiagonal(factor, model.grid.weights * np.stack((res_vec, gU)))
+    gU, w = it.gU, model.grid.weights
+    rhs = np.empty((2, len(gU)))
+    np.multiply(w, res_vec, out=rhs[0])
+    np.multiply(w, gU, out=rhs[1])
+    z1, z2 = solve_tridiagonal(factor, rhs)
     uz2 = model.inner(gU, z2)
     if not (uz2 < 0.0 if factor[2] else uz2 > 0.0):
         return None
     d = z1 - model.inner(gU, z1) / uz2 * z2
-    return d if model.inner(res_vec, d) > 0.0 else None
+    slope = float(model.inner(res_vec, d))
+    return (d, slope) if slope > 0.0 else None
 
 
 def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
@@ -102,13 +115,20 @@ def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
     if not 0 < lam < math.inf:
         raise ValidationError("lambda must be positive and finite")
     model = spec.model
-    x = model.unwrap(default_seed(spec, lam) if u0 is None else u0)
+    return _result(model, lam, *descend(model, _seed(spec, lam, u0), lam))
+
+
+def _seed(spec: ProblemSpec, lam: float, u0):
+    x = spec.model.unwrap(default_seed(spec, lam) if u0 is None else u0)
     if not np.all(np.isfinite(x)):
         raise ValidationError("seed values must be finite")
-    x, T_cur, theta, res, iterations, converged = descend(model, x, lam)
+    return x
+
+
+def _result(model, lam, x, T, theta, res, iterations, converged) -> MinimizeResult:
     return MinimizeResult(
         lam=lam,
-        i_value=T_cur,
+        i_value=T,
         minimizer=model.wrap(x),
         multiplier=theta,
         iterations=iterations,
@@ -120,64 +140,69 @@ def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
 def descend(model, x, lam: float):
     """``minimize_on_level``'s descent on the array x for the variant
     ``model``: (minimizer, T there, multiplier, residual, iterations,
-    converged)."""
+    converged).  Each trial point is retracted and its T evaluated
+    (``at_level``); each accepted one becomes the record (``iterate``) that
+    the multiplier, the residual and the Newton step read, built from the
+    intermediates the trial left."""
     # The descent direction is 0 on the Dirichlet boundary and the retraction
     # only rescales, so the seed's boundary value is set here, once.
-    x = model.retract(model.mask(x), lam)
-    T_cur = float(model.T(x))
-
-    theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
+    it = model.iterate(*model.at_level(model.mask(x), lam))
+    theta, res, res_vec = multiplier_and_residual(model, it)
     iterations = 0
     converged = res <= model.grad_tol
     while not converged and iterations < MAX_ITERS:
         iterations += 1
-        d = newton_direction(model, x, theta, gU, res_vec)
-        if d is None:
-            pT = model.precondition(gT)
-            pU = model.precondition(gU)
-            denom = model.inner(pU, gU)
-            alpha = model.inner(pT, gU) / denom if denom != 0 else 0.0
+        step = newton_direction(model, it, theta, res_vec)
+        if step is None:
+            pT = model.precondition(it.gT)
+            pU = model.precondition(it.gU)
+            denom = model.inner(pU, it.gU)
+            alpha = model.inner(pT, it.gU) / denom if denom != 0 else 0.0
             d = pT - alpha * pU
-        slope = max(float(model.inner(d, res_vec)), 0.0)
+            slope = max(float(model.inner(d, res_vec)), 0.0)
+        else:
+            d, slope = step
 
         accepted = False
         t = 1.0
+        T_cur = it.T
         for _ in range(60):
             try:
-                xt = model.retract(x - t * d, lam)
+                trial = model.at_level(it.x - t * d, lam)
             except InfeasibleError:
                 t *= BACKTRACK
                 continue
-            Tt = float(model.T(xt))
-            if Tt <= T_cur - 1e-4 * t * slope + 1e-14 * (1.0 + abs(T_cur)):
+            if trial[1] <= T_cur - 1e-4 * t * slope + 1e-14 * (1.0 + abs(T_cur)):
                 accepted = True
                 break
             t *= BACKTRACK
         if not accepted:
             break
-        x, T_cur = xt, Tt
-        theta, res, gT, gU, res_vec = multiplier_and_residual(model, x)
+        it = model.iterate(*trial)
+        theta, res, res_vec = multiplier_and_residual(model, it)
         converged = res <= model.grad_tol
-    return x, T_cur, theta, res, iterations, bool(converged)
+    return it.x, it.T, theta, res, iterations, bool(converged)
 
 
 def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResult]:
     """Solve a whole increasing lambda sweep, warm-starting each level with
     the previous minimizer transported along the group action.  Failures are
-    recorded as non-converged entries and the sweep continues."""
+    recorded as non-converged entries and the sweep continues.  The
+    transport and the solves run on arrays; only each result is wrapped."""
     lambdas = np.asarray(lambdas, dtype=float)
     ok = lambdas.ndim == 1 and np.all(np.isfinite(lambdas) & (lambdas > 0))
     if not ok or np.any(np.diff(lambdas) <= 0):
         raise ValidationError("lambdas must be positive, finite and strictly increasing")
+    model = spec.model
     results: list[MinimizeResult] = []
-    prev = None
-    for lam in lambdas:
-        seed = u0 if prev is None else spec.model.transport(prev.minimizer, lam / prev.lam)
+    prev = None  # (level, minimizer array) of the last solved level
+    for lam in map(float, lambdas):
         try:
-            r = minimize_on_level(spec, float(lam), seed)
+            x = _seed(spec, lam, u0) if prev is None else model.carry(prev[1], lam / prev[0])
+            out = descend(model, x, lam)
         except InfeasibleError:
             r = MinimizeResult(
-                lam=float(lam),
+                lam=lam,
                 i_value=math.nan,
                 minimizer=None,
                 multiplier=math.nan,
@@ -185,7 +210,8 @@ def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResu
                 converged=False,
                 residual=math.inf,
             )
-        if r.minimizer is not None:
-            prev = r
+        else:
+            r = _result(model, lam, *out)
+            prev = lam, out[0]
         results.append(r)
     return results

@@ -18,15 +18,28 @@ Methods on plain arrays: ``T``, ``U``, ``F``, ``grad_T``, ``grad_U``,
 along the last axis, one image ``(m,)`` or a stack ``(k, m)`` (toy: ``(d,)``
 or ``(k, d)``), and return one value per image.  Their sums are
 ``np.vecdot``, one BLAS dot per image, so a stacked call sums each row
-exactly as a single-image call does.  ``retract(x, lam)`` scales one
-image onto the level set {U = lam}; ``hessian(x, theta)`` gives the bands of
-the tridiagonal Euclidean Hessian of T - theta U at one image (None on the
-toy); ``ray_sup(x)`` gives the maximum of t -> F(t x) over t > 0 and where
-it is attained (radial variants only).  Methods on points (``GridFunction``
-for the radial variants, arrays for the toy): ``seed``; ``transport(u,
-ratio)`` from level lam to ratio * lam; ``unwrap`` (grid check) and
-``wrap``.  Also ``paper_lambda_bar``, and the classmethod ``from_config``,
-which builds a spec from a config block.  Attributes:
+exactly as a single-image call does.  On one image: ``retract(x, lam)``
+scales it onto the level set {U = lam}; ``carry(x, ratio)`` moves it from
+level lam to near ratio * lam along the group action; ``hessian(x, theta)``
+gives the bands of the tridiagonal Euclidean Hessian of T - theta U (None
+on the toy); ``ray_sup(x)`` gives the maximum of t -> F(t x) over t > 0 and
+where it is attained (radial variants only).
+
+The constrained descent evaluates each point once.  ``at_level(y, lam)``
+retracts a trial point and returns (x, T(x), the intermediates), and
+``iterate(x, T, intermediates)`` turns an accepted one into an ``Iterate``
+record: x, T, the masked gradients of T and U, and U's diagonal curvature;
+``bands(it, theta)`` reads the Hessian from it.  The intermediates are one
+difference quotient of x and one power of |x| (Hardy |x|^(q-2), critical
+|x|^(p*-2)), which the retraction's check on the grid sum already took.
+Without them ``iterate(x)`` computes its own.  The record and the array
+methods above share one formula each, so they agree to rounding.
+
+Methods on points (``GridFunction`` for the radial variants, arrays for the
+toy): ``seed``; ``transport(u, ratio)``, which is ``carry`` on the point's
+values; ``unwrap`` (grid check) and ``wrap``.  Also ``paper_lambda_bar``, and the
+classmethod ``from_config``, which builds a spec from a config block.
+Attributes:
 ``scaling_exponent``, ``grad_tol``, ``c_tol``, ``exact_transport``,
 ``amplitude_exponents``.  The module-level functions
 (``eval_T`` ... ``norm``) take points, unwrap them and call the array
@@ -42,12 +55,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
-from .grids import GridFunction, RadialGrid, ScalingAction, apply_scaling, build_radial_grid
+from .grids import GridFunction, RadialGrid, build_radial_grid, dilate
 from .toy import ToyProblem
 
 __all__ = [
@@ -56,6 +70,7 @@ __all__ = [
     "Toy",
     "Hardy",
     "Critical",
+    "Iterate",
     "eval_T",
     "eval_U",
     "eval_F",
@@ -185,16 +200,41 @@ def _variant_class(name):
 # --- pointwise helpers -----------------------------------------------------
 
 
+def _apow(t: np.ndarray, p: float) -> np.ndarray:
+    """|t|^p; at p = 2 the product t t, which equals it exactly."""
+    return t * t if p == 2.0 else np.abs(t) ** p
+
+
 def _dphi(du: np.ndarray, p: float) -> np.ndarray:
-    """Derivative of |t|^p / p, i.e. |t|^(p-2) t, regularized for p < 2."""
-    if p >= 2.0:
+    """Derivative of |t|^p / p, i.e. |t|^(p-2) t, regularized for p < 2.
+    At p = 2 it is ``du`` itself: |t|^0 is exactly 1.0 for every t, +-0,
+    inf and nan included, so the general formula multiplies by 1."""
+    if p == 2.0:
+        return du
+    if p > 2.0:
         return np.abs(du) ** (p - 2.0) * du
     return (du * du + GRAD_REG_DELTA**2) ** ((p - 2.0) / 2.0) * du
 
 
-def _ddphi(du: np.ndarray, p: float) -> np.ndarray:
-    """(p-1)|t|^(p-2), the derivative of ``_dphi``, with its regularization."""
+def _ddphi(du: np.ndarray, p: float):
+    """(p-1)|t|^(p-2), the derivative of ``_dphi``, with its regularization.
+    At p = 2 it is the scalar 1.0, which the general formula's array of
+    (t^2)^0 = 1.0 equals element for element."""
+    if p == 2.0:
+        return 1.0
     return (p - 1.0) * (du * du + (GRAD_REG_DELTA**2 if p < 2.0 else 0.0)) ** (p / 2.0 - 1.0)
+
+
+class Iterate(NamedTuple):
+    """One point of the level-set descent with everything its multiplier,
+    residual and Newton-KKT Hessian read, evaluated once (``iterate``)."""
+
+    x: np.ndarray
+    T: float
+    gT: np.ndarray  # masked weighted gradient of T
+    gU: np.ndarray  # masked weighted gradient of U
+    curv: object  # U's diagonal curvature d(grad U)_i / dx_i (None on the toy)
+    du: object  # the difference quotient T's stiffness reads (None on the toy)
 
 
 # --- the variants ----------------------------------------------------------
@@ -218,6 +258,20 @@ class Variant:
 
     def hessian(self, x, theta):
         return None
+
+    def bands(self, it: Iterate, theta):
+        return None
+
+    def at_level(self, y, lam: float):
+        x = self.retract(y, lam)
+        return x, float(self.T(x)), None
+
+    def iterate(self, x, T=None, aux=None) -> Iterate:
+        T = float(self.T(x)) if T is None else T
+        return Iterate(x, T, self.mask(self.grad_T(x)), self.mask(self.grad_U(x)), None, None)
+
+    def transport(self, u, ratio: float):
+        return self.wrap(self.carry(self.unwrap(u), ratio))
 
     def unwrap(self, u) -> np.ndarray:
         return np.asarray(u, dtype=float)
@@ -268,8 +322,8 @@ class Toy(Variant):
         u[0] = 1.0
         return u
 
-    def transport(self, u, ratio: float):
-        return np.asarray(u, dtype=float) * ratio ** (1.0 / self.toy.q)
+    def carry(self, x, ratio: float):
+        return x * ratio ** (1.0 / self.toy.q)
 
     def paper_lambda_bar(self, i_1: float) -> float:
         alpha = self.scaling_exponent  # nothing printed: the calculus argmax
@@ -286,7 +340,9 @@ class Toy(Variant):
 class _Radial(Variant):
     """Radial p-Laplacian energies on a RadialGrid.  Subclasses set
     ``potential``, the per-node weight of the mu term in T, and ``_prec``,
-    and define ``_U_moments``."""
+    and define ``U``, ``_U_moments``, the retraction ``_onto_level`` (which
+    also returns the power of |x|), ``_power`` and, from that power,
+    ``_grad_U`` and U's diagonal curvature ``_curv_U``."""
 
     config_keys = ("variant", "p", "n", "mu", "mu_fraction_of_limit", "grid")
     grad_tol = 1e-6
@@ -313,19 +369,23 @@ class _Radial(Variant):
     def wrap(self, x) -> GridFunction:
         return GridFunction(self.grid, x)
 
-    def T(self, x):
+    # The array methods and the descent's record share these formulas, each
+    # taking the intermediates it needs: du, the difference quotient of x,
+    # and pw, the variant's power of |x| (``_power``).
+
+    def _du(self, x):
+        return (x[..., 1:] - x[..., :-1]) / self.grid.dr  # np.diff's arithmetic, not its overhead
+
+    def _T(self, x, du):
         grid, p = self.grid, self.p
-        du = np.diff(x, axis=-1) / grid.dr
-        val = np.vecdot(np.abs(du) ** p, grid.we)
+        val = np.vecdot(_apow(du, p), grid.we)
         if self.mu:
-            val = val - self.mu * np.vecdot(self.potential * np.abs(x) ** p, grid.weights)
+            val = val - self.mu * np.vecdot(self.potential * _apow(x, p), grid.weights)
         return val / p
 
-    def grad_T(self, x):
+    def _grad_T(self, x, du):
         grid, p = self.grid, self.p
-        dr = grid.dr
-        du = np.diff(x, axis=-1) / dr
-        s = grid.we * _dphi(du, p) / dr
+        s = grid.we * _dphi(du, p) / grid.dr
         e = np.zeros(x.shape)
         e[..., :-1] -= s
         e[..., 1:] += s
@@ -333,18 +393,64 @@ class _Radial(Variant):
             e -= self.mu * grid.weights * self.potential * _dphi(x, p)
         return e / grid.weights
 
-    def inner(self, a, b):
-        return np.vecdot(a * b, self.grid.weights)
+    def _stiffness(self, du):
+        """T's edge curvature we (p-1)|du|^(p-2) / dr^2: at p = 2 the
+        preconditioner's band we / dr^2."""
+        if self.p == 2.0:
+            return self._prec.band
+        return self.grid.we * _ddphi(du, self.p) / self.grid.dr**2
 
-    def hessian(self, x, theta):
+    def _bands(self, x, k, curv, theta):
+        """The tridiagonal Euclidean Hessian of T - theta U from T's edge
+        stiffness k and U's diagonal curvature."""
         grid = self.grid
-        k = grid.we * _ddphi(np.diff(x) / grid.dr, self.p) / grid.dr**2
-        d = -theta * grid.weights * self.dgrad_U(x)
+        d = -theta * grid.weights * curv
         if self.mu:
             d -= self.mu * grid.weights * self.potential * _ddphi(x, self.p)
         d[:-1] += k
         d[1:] += k
         return d, -k
+
+    def T(self, x):
+        return self._T(x, self._du(x))
+
+    def grad_T(self, x):
+        return self._grad_T(x, self._du(x))
+
+    def grad_U(self, x):
+        return self._grad_U(x, self._power(x))
+
+    def inner(self, a, b):
+        return np.vecdot(a * b, self.grid.weights)
+
+    def hessian(self, x, theta):
+        return self._bands(x, self._stiffness(self._du(x)), self._curv_U(x, self._power(x)), theta)
+
+    def bands(self, it: Iterate, theta):
+        return self._bands(it.x, self._stiffness(it.du), it.curv, theta)
+
+    def retract(self, x, lam: float):
+        return self._onto_level(x, lam)[0]
+
+    def at_level(self, y, lam: float):
+        """(x, T(x), the intermediates ``iterate`` reuses) for the
+        retraction x of y onto {U = lam}."""
+        x, pw = self._onto_level(y, lam)
+        du = self._du(x)
+        return x, float(self._T(x, du)), (du, pw)
+
+    def iterate(self, x, T=None, aux=None) -> Iterate:
+        """The record of x; T and the intermediates are computed here unless
+        ``at_level`` passes them."""
+        du, pw = (self._du(x), self._power(x)) if aux is None else aux
+        return Iterate(
+            x,
+            float(self._T(x, du)) if T is None else T,
+            self.mask(self._grad_T(x, du)),
+            self.mask(self._grad_U(x, pw)),
+            self._curv_U(x, pw),
+            du,
+        )
 
     def precondition(self, g):
         return self._prec.apply(g)
@@ -423,13 +529,20 @@ class Hardy(_Radial):
         self._prec = Preconditioner(spec.grid, False)
 
     def U(self, x):
-        return np.vecdot(self.nl.G(x), self.grid.weights)
+        return self._U(x, self._power(x))
 
-    def grad_U(self, x):
-        return self.nl.g(x)
+    def _power(self, x):
+        return np.abs(x) ** (self.nl.q - 2.0)
 
-    def dgrad_U(self, x):
-        return (self.nl.q - 1.0) * np.abs(x) ** (self.nl.q - 2.0) - self.nl.m
+    def _grad_U(self, x, pw):
+        return -self.nl.m * x + pw * x  # g(x)
+
+    def _curv_U(self, x, pw):
+        return (self.nl.q - 1.0) * pw - self.nl.m  # g'(x)
+
+    def _U(self, x, pw):
+        # sum W G(x), G(s) = (|s|^(q-2) / q - m / 2) s^2, from the power g reuses
+        return np.vecdot((pw / self.nl.q - 0.5 * self.nl.m) * (x * x), self.grid.weights)
 
     def _U_moments(self, x):
         # U(t x) = B t^q - A t^2, A = (m/2) sum W x^2, B = sum W |x|^q / q
@@ -438,7 +551,7 @@ class Hardy(_Radial):
         B = float(np.vecdot(np.abs(x) ** q, self.grid.weights)) / q
         return A, B, q
 
-    def retract(self, x, lam: float):
+    def _onto_level(self, x, lam: float):
         # Scale the amplitude so that U(a y) = lam, y = x / max|x|.  This is
         # exact on the grid (no resampling), unlike a dilation, whose
         # interpolation error would put a noise floor under the line search.
@@ -450,8 +563,9 @@ class Hardy(_Radial):
         # is increasing and convex (there a^(q-2) > A/B, and q(q-1) > 2), so
         # Newton's iterates from a0 decrease monotonically to a*; they stop
         # at the first step that does not decrease a, where rounding takes
-        # over.  The result is then checked on the grid to RETRACT_TOL.
-        top = float(np.max(np.abs(x)))
+        # over.  The result is then checked on the grid to RETRACT_TOL; the
+        # check's power of |v| is returned for the gradients at v.
+        top = float(np.abs(x).max())
         if not 0.0 < top < math.inf:
             raise InfeasibleError("cannot scale a zero or non-finite function onto the level")
         y = x / top
@@ -465,27 +579,29 @@ class Hardy(_Radial):
         except (OverflowError, ZeroDivisionError):
             raise InfeasibleError("the level's amplitude is out of floating-point range") from None
         v = prev * y
-        err = float(self.U(v)) - lam
+        pw = self._power(v)
+        err = float(self._U(v, pw)) - lam
         if not abs(err) <= RETRACT_TOL * lam:
             # When lam is tiny against either term of U, the closed form and
             # the grid sum cancel differently by more than the tolerance; one
             # Newton step on the grid value, d/da U(a y) = <g(a y), y>,
             # closes the gap.
-            v = v - err / float(self.inner(self.grad_U(v), y)) * y
-            err = float(self.U(v)) - lam
+            v = v - err / float(self.inner(self._grad_U(v, pw), y)) * y
+            pw = self._power(v)
+            err = float(self._U(v, pw)) - lam
         if not abs(err) <= RETRACT_TOL * lam:
             raise InfeasibleError("amplitude retraction did not reach the level")
-        return v
+        return v, pw
 
     def seed(self, width=None):
         # The unit bump; ``retract`` sets the amplitude for any level.
         w = width if width is not None else self.grid.R / 15.0
         return GridFunction(self.grid, np.exp(-((self.grid.nodes / w) ** 2)))
 
-    def transport(self, u, ratio: float):
+    def carry(self, x, ratio: float):
         # Dilation maps minimizers at one level near those at the next, but
         # it resamples the profile, so it lands only near the target level.
-        return apply_scaling(u, ScalingAction("dilation", ratio ** (1.0 / self.spec.n)))
+        return dilate(self.grid, x, ratio ** (1.0 / self.spec.n))
 
     def paper_lambda_bar(self, i_1: float) -> float:
         # The printed formula uses the factor (n-p)/p where the calculus
@@ -534,11 +650,20 @@ class Critical(_Radial):
     def U(self, x):
         return np.vecdot(np.abs(x) ** self.pstar, self.grid.weights) / self.pstar
 
-    def grad_U(self, x):
-        return np.abs(x) ** (self.pstar - 2.0) * x
+    def _power(self, x):
+        a = np.abs(x)
+        if self.pstar >= 2.0:
+            return a ** (self.pstar - 2.0)
+        # |s|^(p*-2) is infinite at s = 0 when p* < 2.  The descent's only
+        # zero is the Dirichlet node, where grad U's limit |s|^(p*-2) s is 0
+        # and the Hessian row is the identity, so the power is 0 there.
+        return np.power(a, self.pstar - 2.0, out=np.zeros_like(a), where=a > 0.0)
 
-    def dgrad_U(self, x):
-        return (self.pstar - 1.0) * np.abs(x) ** (self.pstar - 2.0)
+    def _grad_U(self, x, pw):
+        return pw * x
+
+    def _curv_U(self, x, pw):
+        return (self.pstar - 1.0) * pw
 
     def _U_moments(self, x):
         return 0.0, float(self.U(x)), self.pstar  # U(t x) = t^p* U(x)
@@ -548,16 +673,17 @@ class Critical(_Radial):
         g[..., -1] = 0.0
         return g
 
-    def hessian(self, x, theta):
-        d, e = super().hessian(x, theta)
+    def _bands(self, x, k, curv, theta):
+        d, e = super()._bands(x, k, curv, theta)
         d[-1], e[-1] = 1.0, 0.0  # the Dirichlet row is the identity
         return d, e
 
-    def retract(self, x, lam: float):
+    def _onto_level(self, x, lam: float):
         Uv = float(self.U(x))
         if Uv <= 0.0:
             raise InfeasibleError("seed has U <= 0; amplitude scaling cannot reach the level")
-        return x * (lam / Uv) ** (1.0 / self.pstar)
+        v = x * (lam / Uv) ** (1.0 / self.pstar)
+        return v, self._power(v)
 
     def seed(self, width=None):
         grid = self.grid
@@ -565,8 +691,8 @@ class Critical(_Radial):
         vals[-1] = 0.0
         return GridFunction(grid, vals)
 
-    def transport(self, u, ratio: float):
-        return apply_scaling(u, ScalingAction("amplitude", ratio ** (1.0 / self.pstar)))
+    def carry(self, x, ratio: float):
+        return x * ratio ** (1.0 / self.pstar)
 
     def paper_lambda_bar(self, i_1: float) -> float:
         p, pstar = self.p, self.pstar
@@ -596,10 +722,13 @@ class _Rayleigh(Critical):
         self.grid, self.p, self.pstar, self.mu = grid, p, p, 0.0
         self._prec = Preconditioner(grid, True)
 
-    def grad_U(self, x):
+    def _power(self, x):
+        return None
+
+    def _grad_U(self, x, pw):
         return _dphi(x, self.p)  # finite at the Dirichlet node for p < 2
 
-    def dgrad_U(self, x):
+    def _curv_U(self, x, pw):
         return _ddphi(x, self.p)
 
 
@@ -726,6 +855,8 @@ class Preconditioner:
         sub = -c
         if dirichlet:
             diag[-1], sub[-1] = 1.0, 0.0
+        c.flags.writeable = False
+        self.band = c  # K's edge weights, T's stiffness band at p = 2
         self._factor = factor_tridiagonal(diag, sub)
         self._weights = grid.weights
         self._dirichlet = dirichlet

@@ -201,8 +201,14 @@ def apply_scaling(u: GridFunction, action: ScalingAction) -> GridFunction:
     """
     if action.kind == "amplitude":
         return GridFunction(u.grid, u.values * action.beta)
-    nodes = u.grid.nodes
-    return GridFunction(u.grid, np.interp(nodes / action.beta, nodes, u.values, right=0.0))
+    return GridFunction(u.grid, dilate(u.grid, u.values, action.beta))
+
+
+def dilate(grid: RadialGrid, values: np.ndarray, beta: float) -> np.ndarray:
+    """The nodal values of r -> u(r/beta), u the piecewise-linear interpolant
+    of ``values``, extended flat to r = 0 and by zero beyond R."""
+    nodes = grid.nodes
+    return np.interp(nodes / beta, nodes, values, right=0.0)
 
 
 def check_tail(u: GridFunction, rel_tol: float = 1e-8) -> bool:

@@ -264,7 +264,6 @@ class MpaResult:
     c_mpa: float  # F at the certified saddle, else the path's sup
     sweeps: int
     converged: bool  # the run stopped on a certified sup point; a patience stop never is
-    stagnant: bool  # the step collapsed before a certified stop
     sup_residual: float  # weighted residual of F' = 0 at the path's sup point
     path_sup: float  # the final path's sup of F, an upper bound on the pass level
     ray_sup: float | None  # sup of F on the ray through the certified saddle, else None
@@ -292,7 +291,6 @@ def estimate_c(
     verdict = _certify(path, spec, top, c_cur)
     step = opts.step
     plateau = 0
-    stagnant = False
     trace = []
     sweeps = 0
     while not verdict[0] and plateau < PATIENCE and sweeps < MAX_SWEEPS:
@@ -309,7 +307,6 @@ def estimate_c(
             step *= 0.5
             plateau += 1
             if step < 1e-14:
-                stagnant = True
                 break
         trace.append((sweeps, c_cur, path.argmax_index))
 
@@ -318,7 +315,6 @@ def estimate_c(
         c_mpa=c_cur if saddle is None else saddle,
         sweeps=sweeps,
         converged=converged,
-        stagnant=stagnant,
         sup_residual=res,
         path_sup=c_cur,
         ray_sup=ray,

@@ -35,8 +35,9 @@ def weighted_residual(model, x):
 def multiplier_of(spec: ProblemSpec, u) -> float:
     """Least-squares scalar theta minimizing ||grad T - theta grad U||."""
     model = spec.model
-    theta, _res, _gT, gU, _vec = multiplier_and_residual(model, model.unwrap(u))
-    if model.inner(gU, gU) == 0.0:
+    it = model.iterate(model.unwrap(u))
+    theta = multiplier_and_residual(model, it)[0]
+    if model.inner(it.gU, it.gU) == 0.0:
         raise ValidationError("multiplier undefined where grad U vanishes")
     return theta
 

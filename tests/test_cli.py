@@ -233,6 +233,16 @@ class TestMinimize:
         assert payload["i_value"] == pytest.approx(1.0, abs=1e-8)
         assert payload["converged"]
 
+    def test_successive_calls_keep_no_state(self, tmp_path):
+        # the parser is built once per process: a flag given to one call is
+        # not the default of the next
+        cfg = toy_config(tmp_path)
+        lams = []
+        for flags, out in ((["--lambda", "2"], tmp_path / "a"), ([], tmp_path / "b")):
+            assert main(["minimize", "--config", cfg, *flags, "--out", str(out)]) == EXIT_OK
+            lams.append(json.loads((out / "minimize_result.json").read_text())["lambda"])
+        assert lams == [2.0, 1.0]
+
     def test_pde_writes_minimizer_csv(self, tmp_path, monkeypatch):
         calls = spy_level1_solves(monkeypatch)
         code = main(

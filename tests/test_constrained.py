@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from maxminpass import (
     default_seed,
     eval_T,
     eval_U,
+    estimate_mu_p,
     hardy_constant,
     minimize_on_level,
     norm,
@@ -30,7 +32,7 @@ from maxminpass import (
 )
 from maxminpass.cli import _sweep_lambdas
 from maxminpass.constrained import multiplier_and_residual, newton_direction
-from maxminpass.functionals import RETRACT_TOL, factor_tridiagonal
+from maxminpass.functionals import RETRACT_TOL, Hardy, factor_tridiagonal
 
 RNG = np.random.default_rng(7)
 
@@ -251,6 +253,50 @@ class TestMinimizePDE:
             assert eval_T(critical_small, u) >= r.i_value - 1e-10
 
 
+class TestCriticalBelowPstarTwo:
+    def test_solve_converges_without_a_warning(self):
+        # n = 5, p = 1.4: p* = 35/18 < 2, so |x|^(p*-2) is infinite at the
+        # Dirichlet node's zero; the gradient and curvature of U take their
+        # values there from the guarded power, with no inf * 0
+        grid = build_radial_grid(5, 1.0, 200, 1.0)
+        probe = ProblemSpec(variant="critical-bounded", p=1.4, n=5, mu=1.0, grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mu = 0.3 * estimate_mu_p(probe)
+            spec = ProblemSpec(variant="critical-bounded", p=1.4, n=5, mu=mu, grid=grid)
+            r = minimize_on_level(spec, 1.0)
+        assert spec.pstar < 2.0
+        assert r.converged
+        # the value of the unguarded solve, whose warnings were ignored
+        assert r.i_value == pytest.approx(10.42829780223563, rel=1e-12)
+
+
+class TestOneEvaluationPerIterate:
+    def test_sweep_records_each_accepted_iterate_once(self, hardy_small, monkeypatch):
+        # the record is the descent's only evaluation: one per solve's seed
+        # and one per accepted step, never two at the same point
+        seen = []
+        record = Hardy.iterate
+
+        def spy(model, x, *args):
+            seen.append(x.copy())
+            return record(model, x, *args)
+
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError(f"{name} evaluated outside the record")
+            return call
+
+        monkeypatch.setattr(Hardy, "iterate", spy)
+        for name in ("T", "U", "grad_T", "grad_U", "hessian"):
+            monkeypatch.setattr(Hardy, name, forbidden(name))
+        results = continuation_sweep(hardy_small, np.geomspace(1.0, 300.0, 6))
+        assert all(r.converged for r in results)
+        assert sum(r.iterations for r in results) > 0
+        assert len(seen) == sum(r.iterations + 1 for r in results)
+        assert not any(np.array_equal(a, b) for a, b in itertools.combinations(seen, 2))
+
+
 class TestInertiaGuard:
     @pytest.mark.parametrize("variant", ["hardy", "critical"])
     def test_two_negative_pivots_take_the_gradient_step(self, request, variant):
@@ -261,12 +307,13 @@ class TestInertiaGuard:
         x = np.exp(-((grid.nodes / (0.2 * grid.R)) ** 2))
         x *= 1.05 + np.cos(2.0 * np.pi * grid.nodes / (0.1 * grid.R))
         x = model.retract(model.mask(x), 1.0)
-        theta, _, _, gU, res_vec = multiplier_and_residual(model, x)
+        it = model.iterate(x)
+        theta, _, res_vec = multiplier_and_residual(model, it)
         d, e = model.hessian(x, theta)
         H = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         assert (np.linalg.eigvalsh(H) < 0).sum() >= 2
         assert factor_tridiagonal(d, e) is None
-        assert newton_direction(model, x, theta, gU, res_vec) is None
+        assert newton_direction(model, it, theta, res_vec) is None
         # from there the gradient steps reach the minimum, not a saddle
         r = minimize_on_level(spec, 1.0, model.wrap(x))
         assert r.converged
@@ -289,16 +336,16 @@ class TestContinuationSweep:
         # a level whose solve raises InfeasibleError is an unconverged entry,
         # and the next level starts from the last minimizer before it
         spec = toy_spec()
-        solve = constrained.minimize_on_level
+        solve = constrained.descend
         seeds = {}
 
-        def flaky(spec, lam, seed=None):
+        def flaky(model, seed, lam):
             seeds[lam] = seed
             if lam == 1.0:
                 raise InfeasibleError("no point on this level")
-            return solve(spec, lam, seed)
+            return solve(model, seed, lam)
 
-        monkeypatch.setattr(constrained, "minimize_on_level", flaky)
+        monkeypatch.setattr(constrained, "descend", flaky)
         first, failed, last = continuation_sweep(spec, [0.5, 1.0, 2.0])
         assert failed.lam == 1.0 and not failed.converged and failed.minimizer is None
         assert math.isnan(failed.i_value) and failed.residual == math.inf

@@ -34,6 +34,9 @@ from maxminpass import (
 from maxminpass.constrained import descend
 from maxminpass.functionals import (
     Critical,
+    _apow,
+    _ddphi,
+    _dphi,
     _Rayleigh,
     factor_tridiagonal,
     solve_tridiagonal,
@@ -292,6 +295,69 @@ class TestHessian:
 
         spec = ProblemSpec(variant="toy", toy=ToyProblem(3, 4.0))
         assert spec.model.hessian(np.ones(3), 0.5) is None
+
+
+def assert_close(a, b, rel=1e-13):
+    a, b = np.broadcast_arrays(a, b)
+    assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestIterateRecord:
+    """The descent's record (``at_level`` then ``iterate``) against the
+    separate array methods at the same point."""
+
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: hardy_spec(mu=0.5 * hardy_constant(1.8, 5), p=1.8, q=2.5, m=60).model,
+            lambda: hardy_spec(mu=0.5 * hardy_constant(2.0, 5), m=60).model,
+            lambda: hardy_spec(mu=0.5 * hardy_constant(3.0, 5), p=3.0, q=5.0, m=60).model,
+            lambda: critical_spec(m=60, p=1.8).model,
+            lambda: critical_spec(m=60).model,
+            lambda: _Rayleigh(build_radial_grid(5, 1.0, 60, 1.0), 1.8),
+            lambda: _Rayleigh(build_radial_grid(5, 1.0, 60, 1.0), 2.0),
+        ],
+        ids=["hardy-p1.8", "hardy-p2", "hardy-p3", "critical-p1.8", "critical-p2",
+             "rayleigh-p1.8", "rayleigh-p2"],
+    )
+    def test_matches_the_separate_methods(self, make_model):
+        model = make_model()
+        grid = model.grid
+        y = (1.0 - grid.nodes / grid.R) * np.exp(-((4.0 * grid.nodes / grid.R) ** 2))
+        trial = model.at_level(model.mask(y), 2.0)
+        for it in (model.iterate(*trial), model.iterate(trial[0])):
+            x = it.x
+            assert np.array_equal(x, model.retract(model.mask(y), 2.0))
+            assert_close(it.T, model.T(x))
+            assert_close(it.gT, model.mask(model.grad_T(x)))
+            assert_close(it.gU, model.mask(model.grad_U(x)))
+            for theta in (0.7, -0.3):
+                for a, b in zip(model.bands(it, theta), model.hessian(x, theta)):
+                    assert_close(a, b)
+
+    def test_p2_shortcuts_are_the_general_formula(self):
+        # |t|^0 = 1.0 and (t^2)^0 = 1.0 for every t: the shortcuts at p = 2
+        # of _dphi and _ddphi equal the general formulas bit for bit, sign of
+        # zero and of nan included; t t equals |t|^2 up to the sign of a nan
+        row = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -3e300, np.inf, -np.inf, np.nan])
+        for a in (row, np.stack((row, -row, 2.0 * row))):
+            with np.errstate(over="ignore"):
+                general = (np.abs(a) ** 0.0 * a, 1.0 * (a * a + 0.0) ** 0.0)
+                fast = (_dphi(a, 2.0), np.broadcast_to(_ddphi(a, 2.0), a.shape))
+                square, power = _apow(a, 2.0), np.abs(a) ** 2.0
+            for f, g in zip(fast, general):
+                assert np.array_equal(np.ascontiguousarray(f).view(np.uint64), g.view(np.uint64))
+            assert np.array_equal(square, power, equal_nan=True)
+            number = ~np.isnan(power)
+            assert np.array_equal(np.signbit(square[number]), np.signbit(power[number]))
+
+    def test_stiffness_at_p2_is_the_preconditioners_band(self):
+        spec = hardy_spec(m=60)
+        grid, model = spec.grid, spec.model
+        du = model._du(gaussian(grid).values)
+        general = grid.we * ((2.0 - 1.0) * (du * du + 0.0) ** 0.0) / grid.dr**2
+        assert model._stiffness(du) is model._prec.band
+        assert np.array_equal(model._prec.band, general)
 
 
 class TestTridiagonalKernel:
