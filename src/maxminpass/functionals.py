@@ -22,8 +22,9 @@ exactly as a single-image call does.  On one image: ``retract(x, lam)``
 scales it onto the level set {U = lam}; ``carry(x, ratio)`` moves it from
 level lam to near ratio * lam along the group action; ``hessian(x, theta)``
 gives the bands of the tridiagonal Euclidean Hessian of T - theta U (None
-on the toy); ``ray_sup(x)`` gives the maximum of t -> F(t x) over t > 0 and
-where it is attained (radial variants only).
+on the toy); ``fibering(x)`` gives x's fibering map t -> F(t x) in closed
+form (``Fibering``), from one T and one set of U's moments, and
+``ray_sup(x)`` its maximum over t > 0 and where it is attained.
 
 The constrained descent evaluates each point once.  ``at_level(y, lam)``
 retracts a trial point and returns (x, T(x), the intermediates), and
@@ -52,6 +53,7 @@ direction h, d/dt E(u + t h) = <grad, h>_W.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -71,6 +73,7 @@ __all__ = [
     "Hardy",
     "Critical",
     "Iterate",
+    "Fibering",
     "eval_T",
     "eval_U",
     "eval_F",
@@ -237,6 +240,44 @@ class Iterate(NamedTuple):
     du: object  # the difference quotient T's stiffness reads (None on the toy)
 
 
+class Fibering(NamedTuple):
+    """The fibering map of a point x, f(t) = F(t x) = a t^p + c t^2 - b t^r
+    for t > 0 (``Variant.fibering``): T is p-homogeneous, and U(t x) =
+    b t^r - c t^2 with c >= 0 and r > max(p, 2)."""
+
+    a: float
+    c: float
+    b: float
+    r: float
+    p: float
+
+    def __call__(self, t):
+        return self.a * t**self.p + self.c * t * t - self.b * t**self.r
+
+    def sup(self):
+        """(max, argmax) of f over t > 0.  With a, b > 0, f'(t)/t = p a
+        t^(p-2) + 2c - r b t^(r-2) changes sign once, so f has one maximum:
+        in closed form where f has two terms (c = 0, or p = 2, where c t^2
+        joins a t^p) and at the root of f'(t)/t otherwise.  Past the maximum
+        f falls to -inf.  (nan, nan) where a or b is not positive."""
+        a, c, b, r, p = self
+        if not (a > 0.0 and b > 0.0):
+            return math.nan, math.nan
+        if c == 0.0 or p == 2.0:
+            t = (p * (a + c) / (r * b)) ** (1.0 / (r - p))
+        else:
+            # f'(t)/t is positive where r b t^(r-2) <= c, and negative where
+            # r b t^(r-2) is at least both 8c and 4 p a t^(p-2), with margins
+            # far above rounding.
+            lo = (c / (r * b)) ** (1.0 / (r - 2.0))
+            hi = max((8.0 * c / (r * b)) ** (1.0 / (r - 2.0)),
+                     (4.0 * p * a / (r * b)) ** (1.0 / (r - p)))
+            def slope(t):  # f'(t) / t
+                return p * a * t ** (p - 2.0) + 2.0 * c - r * b * t ** (r - 2.0)
+            t = regula_falsi(slope, lo, hi, slope(lo), slope(hi))
+        return self(t), t
+
+
 # --- the variants ----------------------------------------------------------
 
 
@@ -270,6 +311,16 @@ class Variant:
         T = float(self.T(x)) if T is None else T
         return Iterate(x, T, self.mask(self.grad_T(x)), self.mask(self.grad_U(x)), None, None)
 
+    def fibering(self, x) -> Fibering:
+        """x's fibering map t -> F(t x): a = T(x), and c, b and r from U's
+        moments (``_U_moments``: U(t x) = b t^r - c t^2)."""
+        c, b, r = self._U_moments(x)
+        return Fibering(float(self.T(x)), c, b, r, self.p)
+
+    def ray_sup(self, x):
+        """(max, argmax) over t > 0 of F(t x) (``Fibering.sup``)."""
+        return self.fibering(x).sup()
+
     def transport(self, u, ratio: float):
         return self.wrap(self.carry(self.unwrap(u), ratio))
 
@@ -287,6 +338,7 @@ class Toy(Variant):
     config_keys = ("variant", "q", "d")
     grad_tol = 1e-8
     c_tol = 1e-6
+    p = 2.0  # T's degree of homogeneity
 
     def __init__(self, spec: ProblemSpec):
         if spec.toy is None:
@@ -310,6 +362,9 @@ class Toy(Variant):
 
     def inner(self, a, b):
         return np.vecdot(a, b)
+
+    def _U_moments(self, x):
+        return 0.0, float(self.U(x)), self.toy.q  # U(t x) = t^q U(x)
 
     def retract(self, x, lam: float):
         r = np.linalg.norm(x)
@@ -383,6 +438,14 @@ class _Radial(Variant):
             val = val - self.mu * np.vecdot(self.potential * _apow(x, p), grid.weights)
         return val / p
 
+    @functools.cached_property
+    def _mu_weights(self):
+        """The mu term's per-node weight (mu W) V, built once per model,
+        read-only."""
+        w = self.mu * self.grid.weights * self.potential
+        w.flags.writeable = False
+        return w
+
     def _grad_T(self, x, du):
         grid, p = self.grid, self.p
         s = grid.we * _dphi(du, p) / grid.dr
@@ -390,7 +453,7 @@ class _Radial(Variant):
         e[..., :-1] -= s
         e[..., 1:] += s
         if self.mu:
-            e -= self.mu * grid.weights * self.potential * _dphi(x, p)
+            e -= self._mu_weights * _dphi(x, p)
         return e / grid.weights
 
     def _stiffness(self, du):
@@ -403,10 +466,9 @@ class _Radial(Variant):
     def _bands(self, x, k, curv, theta):
         """The tridiagonal Euclidean Hessian of T - theta U from T's edge
         stiffness k and U's diagonal curvature."""
-        grid = self.grid
-        d = -theta * grid.weights * curv
-        if self.mu:
-            d -= self.mu * grid.weights * self.potential * _ddphi(x, self.p)
+        d = -theta * self.grid.weights * curv
+        if self.mu:  # _ddphi is exactly 1.0 at p = 2
+            d -= self._mu_weights if self.p == 2.0 else self._mu_weights * _ddphi(x, self.p)
         d[:-1] += k
         d[1:] += k
         return d, -k
@@ -454,34 +516,6 @@ class _Radial(Variant):
 
     def precondition(self, g):
         return self._prec.apply(g)
-
-    def ray_sup(self, x):
-        """(max, argmax) over t > 0 of the fibering map f(t) = F(t x) =
-        a t^p + c t^2 - b t^r, from x's moments: a = T(x), T being
-        p-homogeneous, and U(t x) = b t^r - c t^2 (``_U_moments``).  With a,
-        b > 0 and c >= 0, f'(t)/t = p a t^(p-2) + 2c - r b t^(r-2) changes
-        sign once (r > max(p, 2)), so f has one maximum: in closed form where
-        f has two terms (c = 0, or p = 2, where c t^2 joins a t^p) and at the
-        root of f'(t)/t otherwise.  Past the maximum f falls to -inf.  (nan,
-        nan) where a or b is not positive."""
-        p = self.p
-        a = float(self.T(x))
-        c, b, r = self._U_moments(x)
-        if not (a > 0.0 and b > 0.0):
-            return math.nan, math.nan
-        if c == 0.0 or p == 2.0:
-            t = (p * (a + c) / (r * b)) ** (1.0 / (r - p))
-        else:
-            # f'(t)/t is positive where r b t^(r-2) <= c, and negative where
-            # r b t^(r-2) is at least both 8c and 4 p a t^(p-2), with margins
-            # far above rounding.
-            lo = (c / (r * b)) ** (1.0 / (r - 2.0))
-            hi = max((8.0 * c / (r * b)) ** (1.0 / (r - 2.0)),
-                     (4.0 * p * a / (r * b)) ** (1.0 / (r - p)))
-            def slope(t):  # f'(t) / t
-                return p * a * t ** (p - 2.0) + 2.0 * c - r * b * t ** (r - 2.0)
-            t = regula_falsi(slope, lo, hi, slope(lo), slope(hi))
-        return a * t**p + c * t * t - b * t**r, t
 
     @classmethod
     def from_config(cls, cfg: dict, **extra) -> ProblemSpec:

@@ -3,10 +3,16 @@
 A discrete path from 0 to a negative-energy endpoint is deformed by damped
 steepest descent of F on the interior images (elastic-string style), with
 arc-length re-parameterization each sweep.  Each path's sup of F bounds the
-pass level above; the max of F over the images, refined by a local root of
-F's slope on each segment at the argmax image, reaches that sup only when
-it lies on those segments.  Before the first sweep and after every accepted
-one, the sup point is polished (Newton on F' = 0).  A run stops, converged,
+pass level above.  The run starts on the straight path from 0 to the
+endpoint e, which lies on e's ray, so F along it is e's fibering map
+f(t) = F(t e) = a t^p + c t^2 - b t^r (``Variant.fibering``): the images'
+energies are f at their parameters, and the path's sup is f's maximum, at
+t* e, in closed form (by a scalar root at p != 2), with no evaluation of F
+on the grid.  On a deformed path (or where f has no such maximum: T(e) <=
+0), the max of F over the images, refined by a local root of F's slope on
+each segment at the argmax image, reaches that sup only when it lies on
+those segments.  Before the first sweep and after every accepted one, the
+sup point is polished (Newton on F' = 0).  A run stops, converged,
 when the polished point x* is an index-1 critical point at or below the
 path's sup whose ray {t x*} peaks at x* and goes on into {F < 0}: that ray,
 continued inside {F < 0}, is an admissible path with sup F(x*), so the pass
@@ -119,13 +125,25 @@ def find_endpoint(spec: ProblemSpec, v):
 
 def init_path(spec: ProblemSpec, endpoint, k: int = 32) -> DiscretePath:
     """Straight segment from 0 to the endpoint with k interior images."""
+    return _straight_path(spec, endpoint, k)[0]
+
+
+def _straight_path(spec: ProblemSpec, endpoint, k: int):
+    """``init_path``'s path and the endpoint e's fibering map f.  The images
+    t_j e lie on e's ray, so F at each is f(t_j): 0 at 0, and at e the grid
+    value F(e) that the admissibility check takes."""
     if k < 1:
         raise ValidationError("need at least one interior image")
-    if not eval_F(spec, endpoint) < 0:
+    F_end = eval_F(spec, endpoint)
+    if not F_end < 0:
         raise ValidationError("endpoint is not admissible: F(endpoint) must be < 0")
     model = spec.model
-    images = np.linspace(0.0, 1.0, k + 2)[:, None] * model.unwrap(endpoint)
-    return DiscretePath(images, model.F(images), model.grid)
+    e = model.unwrap(endpoint)
+    f = model.fibering(e)
+    t = np.linspace(0.0, 1.0, k + 2)
+    energies = f(t)
+    energies[0], energies[-1] = 0.0, F_end
+    return DiscretePath(t[:, None] * e, energies, model.grid), f
 
 
 def _arc_length(spec: ProblemSpec, images: np.ndarray) -> np.ndarray:
@@ -191,7 +209,9 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec):
     although F' = 0).  The search is local: it finds a local max on each
     segment, not a certified global sup.  The value is F at a point of the
     path, so it is at most the path's sup, which bounds the pass level
-    above; it equals that sup only when the sup lies on the two segments."""
+    above; it equals that sup only when the sup lies on the two segments.
+    ``estimate_c`` takes it on deformed paths, and on a straight path whose
+    fibering map has no closed-form maximum."""
     x, j = path.images, path.argmax_index
     model = spec.model
     sup, top = path.max_energy, x[j]
@@ -277,7 +297,9 @@ def estimate_c(
     opts: MpaOptions | None = None,
     k: int = 32,
 ) -> MpaResult:
-    """Drive the path's sup of F down.  The sup point is polished and
+    """Drive the path's sup of F down.  The straight path's sup and sup
+    point come from the endpoint's fibering map (``Fibering.sup``), each
+    deformed path's from ``_path_sup``.  The sup point is polished and
     certified (``_certify``) before the first sweep and after every accepted
     one; a rejected sweep keeps the verdict it had.  The run stops on the
     first certified point, converged, with ``c_mpa`` F at the saddle (the
@@ -286,8 +308,12 @@ def estimate_c(
     run, which is never converged."""
     opts = opts or MpaOptions()
 
-    path = init_path(spec, endpoint, k=k)
-    c_cur, top = _path_sup(path, spec)
+    path, f = _straight_path(spec, endpoint, k)
+    c_cur, t = f.sup()  # the straight path's exact sup, at t* e
+    if math.isnan(c_cur):  # T(e) <= 0: f has no closed-form maximum
+        c_cur, top = _path_sup(path, spec)
+    else:
+        top = t * path.images[-1]
     verdict = _certify(path, spec, top, c_cur)
     step = opts.step
     plateau = 0

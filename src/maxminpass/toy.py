@@ -57,8 +57,13 @@ def toy_c_bruteforce(prob: ToyProblem) -> float:
 
     F depends on |u| only, so any admissible path's running max is at
     least the max of the radial profile r -> r^2 - r^q, and the straight
-    radial path achieves it.  Scans [0, 2] on 100,000 points: q > 2, so
-    F(2 e_1) = 4 - 2^q < 0.
+    radial path achieves it.  Scans [0, 2] on 2,001 points (q > 2, so
+    F(2 e_1) = 4 - 2^q < 0), then 2,001 points across the two cells around
+    the coarse argmax: the profile has one critical point on (0, 2], its
+    maximum, which lies in (0.6, 1), so the coarse argmax is interior and
+    the maximum lies in those cells.
     """
-    r = np.linspace(0.0, 2.0, 100_000)
+    r = np.linspace(0.0, 2.0, 2001)
+    j = int(np.argmax(r**2 - r**prob.q))
+    r = np.linspace(r[j - 1], r[j + 1], 2001)
     return float(np.max(r**2 - r**prob.q))

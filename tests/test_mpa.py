@@ -21,14 +21,16 @@ from maxminpass import (
     deform,
     estimate_c,
     eval_F,
+    eval_T,
     find_endpoint,
     hardy_constant,
     init_path,
     minimize_on_level,
     scaling_exponent,
     scaling_path,
+    toy_closed_form,
 )
-from maxminpass.functionals import factor_tridiagonal
+from maxminpass.functionals import Hardy, factor_tridiagonal
 from maxminpass.verify import pick_solution_scale, weighted_residual
 
 
@@ -338,9 +340,12 @@ class TestPolishedSaddle:
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_polished_point_is_an_index_one_critical_point(self, pipeline, request, monkeypatch):
         # Polish the final path's sup point again, recording each residual
-        # and each factor's count of negative pivots.
+        # and each factor's count of negative pivots.  The run stopped before
+        # any sweep, so its path is the straight one and its sup point is
+        # the endpoint's ray maximum t* e.
         pipe = request.getfixturevalue(pipeline)
         spec, result = pipe["spec"], pipe["mpa"]
+        assert result.sweeps == 0
         residuals, pivots = [], []
 
         def residual_spy(model, x):
@@ -355,8 +360,9 @@ class TestPolishedSaddle:
 
         monkeypatch.setattr(maxminpass.mpa, "weighted_residual", residual_spy)
         monkeypatch.setattr(maxminpass.mpa, "factor_tridiagonal", factor_spy)
-        c_sup, top = maxminpass.mpa._path_sup(result.path, spec)
-        verdict = maxminpass.mpa._certify(result.path, spec, top, c_sup)
+        endpoint = result.path.images[-1]
+        c_sup, t = spec.model.ray_sup(endpoint)
+        verdict = maxminpass.mpa._certify(result.path, spec, t * endpoint, c_sup)
         assert verdict == (True, result.sup_residual, result.c_mpa, result.ray_sup)
         polished = int(np.argmin(residuals))
         assert residuals[polished] <= 1e-10
@@ -478,6 +484,101 @@ class TestRaySup:
     def test_zero_point_has_no_ray_maximum(self, critical_small):
         x = np.zeros_like(critical_small.grid.nodes)
         assert all(map(np.isnan, critical_small.model.ray_sup(x)))
+
+
+class TestClosedFormStart:
+    """The straight path takes its energies from the endpoint's fibering
+    map, and the run its sweep-0 sup from that map's maximum."""
+
+    CASES = ["toy", "hardy", "hardy_p3", "critical"]
+
+    @pytest.fixture(scope="class")
+    def start(self, hardy_small, critical_small):
+        """(spec, endpoint) of each case, keyed by name."""
+        hardy_p3 = hardy_spec(3.0, 0.5, 5.0, 100)
+        return {
+            "toy": (toy_spec(6.0), toy_endpoint(toy_spec(6.0))),
+            "hardy": (hardy_small, find_endpoint(
+                hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)),
+            "hardy_p3": (hardy_p3, seed_bump_endpoint(hardy_p3, hardy_p3.grid.R / 15.0)),
+            "critical": (critical_small, find_endpoint(
+                critical_small, minimize_on_level(critical_small, 1.0).minimizer)),
+        }
+
+    @staticmethod
+    def sweep_zero(spec, endpoint, monkeypatch, k=32):
+        """The run's sweep-0 (sup, sup point), read by a refusing
+        ``_certify``, and the run, which makes no sweep."""
+        seen = []
+
+        def spy(path, spec, top, c_sup):
+            seen.append((c_sup, top))
+            return refuse()
+
+        monkeypatch.setattr(maxminpass.mpa, "_certify", spy)
+        monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 0)
+        result = estimate_c(spec, endpoint, MpaOptions(), k=k)
+        assert result.sweeps == 0 and len(seen) == 1
+        return seen[0], result
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_energies_are_F_at_the_images(self, case, start):
+        spec, endpoint = start[case]
+        path = init_path(spec, endpoint, k=32)
+        grid_F = spec.model.F(path.images)
+        assert np.max(np.abs(path.energies - grid_F)) <= 1e-13 * np.max(np.abs(grid_F))
+        assert path.energies[0] == 0.0
+        assert path.energies[-1] == eval_F(spec, endpoint)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sweep_zero_sup_is_the_ray_maximum(self, case, start, monkeypatch):
+        spec, endpoint = start[case]
+        (c_sup, top), result = self.sweep_zero(spec, endpoint, monkeypatch)
+        e = result.path.images[-1]
+        value, t = spec.model.ray_sup(e)
+        assert c_sup == value == result.path_sup
+        assert np.array_equal(top, t * e)
+        local = maxminpass.mpa._path_sup(result.path, spec)[0]
+        assert abs(c_sup - local) <= 1e-12 * abs(local)
+        if case == "toy":
+            assert c_sup == pytest.approx(toy_closed_form(spec.toy)["c"], rel=1e-14)
+
+    def test_endpoint_without_positive_T_falls_back(self, hardy_small, monkeypatch):
+        # a profile flat near R has T <= 0 (here T = 0: the profile is flat
+        # everywhere), so its fibering map has no closed-form maximum
+        endpoint = GridFunction(hardy_small.grid, np.full(hardy_small.grid.m, 3.0))
+        assert eval_T(hardy_small, endpoint) <= 0.0 and eval_F(hardy_small, endpoint) < 0.0
+        assert all(map(np.isnan, hardy_small.model.ray_sup(endpoint.values)))
+        calls = []
+        path_sup = maxminpass.mpa._path_sup
+
+        def spy(path, spec):
+            calls.append(path)
+            return path_sup(path, spec)
+
+        monkeypatch.setattr(maxminpass.mpa, "_path_sup", spy)
+        (c_sup, top), result = self.sweep_zero(hardy_small, endpoint, monkeypatch)
+        assert calls == [result.path]
+        local, local_top = path_sup(result.path, hardy_small)
+        assert c_sup == local == result.path_sup
+        assert np.array_equal(top, local_top)
+
+    def test_certified_start_takes_no_stacked_energy(self, hardy_small, monkeypatch):
+        endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        ndims = []
+        for name in ("T", "U", "F"):
+            def spy(self, x, method=getattr(Hardy, name)):
+                ndims.append(np.ndim(x))
+                return method(self, x)
+            monkeypatch.setattr(Hardy, name, spy)
+
+        def no_path_sup(*args):
+            raise AssertionError("_path_sup called")
+
+        monkeypatch.setattr(maxminpass.mpa, "_path_sup", no_path_sup)
+        result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
+        assert result.converged and result.sweeps == 0
+        assert ndims and set(ndims) == {1}
 
 
 class TestOptions:
