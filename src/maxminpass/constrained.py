@@ -19,10 +19,14 @@ whole: the retraction's check on the grid sum of U, the inertia guard, the
 Armijo test and ``grad_tol``.
 
 Arrays inside, points at the edges: ``minimize_on_level`` checks and
-unwraps its seed once, runs the descent (``descend``) on ndarrays, and
-wraps only the result; ``continuation_sweep`` carries each minimizer to the
-next level and solves there on arrays, wrapping each result.  ``descend``
-also computes the first Dirichlet eigenvalue on a Rayleigh model.
+unwraps its seed once, runs the descent (``descend``) from the seed's record
+(``seed_record``), and wraps only the result; ``continuation_sweep``
+carries each level's last record to the next level (the variant's
+``carry_record``) and solves there, wrapping each result.  Where the group
+action is exact (critical, toy) the carried record is the old one scaled
+field by field, so the sweep evaluates on the grid only its first level and
+its Newton steps.  ``descend`` also computes the first Dirichlet eigenvalue
+on a Rayleigh model.
 """
 
 from __future__ import annotations
@@ -115,7 +119,8 @@ def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
     if not 0 < lam < math.inf:
         raise ValidationError("lambda must be positive and finite")
     model = spec.model
-    return _result(model, lam, *descend(model, _seed(spec, lam, u0), lam))
+    it = seed_record(model, _seed(spec, lam, u0), lam)
+    return _result(model, lam, *descend(model, it, lam))
 
 
 def _seed(spec: ProblemSpec, lam: float, u0):
@@ -125,11 +130,11 @@ def _seed(spec: ProblemSpec, lam: float, u0):
     return x
 
 
-def _result(model, lam, x, T, theta, res, iterations, converged) -> MinimizeResult:
+def _result(model, lam, it: Iterate, theta, res, iterations, converged) -> MinimizeResult:
     return MinimizeResult(
         lam=lam,
-        i_value=T,
-        minimizer=model.wrap(x),
+        i_value=it.T,
+        minimizer=model.wrap(it.x),
         multiplier=theta,
         iterations=iterations,
         converged=converged,
@@ -137,16 +142,21 @@ def _result(model, lam, x, T, theta, res, iterations, converged) -> MinimizeResu
     )
 
 
-def descend(model, x, lam: float):
-    """``minimize_on_level``'s descent on the array x for the variant
-    ``model``: (minimizer, T there, multiplier, residual, iterations,
-    converged).  Each trial point is retracted and its T evaluated
-    (``at_level``); each accepted one becomes the record (``iterate``) that
-    the multiplier, the residual and the Newton step read, built from the
-    intermediates the trial left."""
-    # The descent direction is 0 on the Dirichlet boundary and the retraction
-    # only rescales, so the seed's boundary value is set here, once.
-    it = model.iterate(*model.at_level(model.mask(x), lam))
+def seed_record(model, x, lam: float) -> Iterate:
+    """The record (``iterate``) of the array x retracted onto {U = lam}
+    (``at_level``), where the descent starts.  The descent direction is 0 on
+    the Dirichlet boundary and the retraction only rescales, so the seed's
+    boundary value is set here, once."""
+    return model.iterate(*model.at_level(model.mask(x), lam))
+
+
+def descend(model, it: Iterate, lam: float):
+    """``minimize_on_level``'s descent for the variant ``model`` from the
+    record ``it`` of a point on {U = lam}: (the last record, multiplier,
+    residual, iterations, converged).  Each trial point is retracted and its
+    T evaluated (``at_level``); each accepted one becomes the record
+    (``iterate``) that the multiplier, the residual and the Newton step
+    read, built from the intermediates the trial left."""
     theta, res, res_vec = multiplier_and_residual(model, it)
     iterations = 0
     converged = res <= model.grad_tol
@@ -181,25 +191,29 @@ def descend(model, x, lam: float):
         it = model.iterate(*trial)
         theta, res, res_vec = multiplier_and_residual(model, it)
         converged = res <= model.grad_tol
-    return it.x, it.T, theta, res, iterations, bool(converged)
+    return it, theta, res, iterations, bool(converged)
 
 
 def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResult]:
-    """Solve a whole increasing lambda sweep, warm-starting each level with
-    the previous minimizer transported along the group action.  Failures are
-    recorded as non-converged entries and the sweep continues.  The
-    transport and the solves run on arrays; only each result is wrapped."""
+    """Solve a whole increasing lambda sweep, warm-starting each level from
+    the previous level's last record carried along the group action
+    (``carry_record``).  Failures are recorded as non-converged entries and
+    the sweep continues.  The solves run on records; only each result is
+    wrapped."""
     lambdas = np.asarray(lambdas, dtype=float)
     ok = lambdas.ndim == 1 and np.all(np.isfinite(lambdas) & (lambdas > 0))
     if not ok or np.any(np.diff(lambdas) <= 0):
         raise ValidationError("lambdas must be positive, finite and strictly increasing")
     model = spec.model
     results: list[MinimizeResult] = []
-    prev = None  # (level, minimizer array) of the last solved level
+    prev = None  # (level, last record) of the last solved level
     for lam in map(float, lambdas):
         try:
-            x = _seed(spec, lam, u0) if prev is None else model.carry(prev[1], lam / prev[0])
-            out = descend(model, x, lam)
+            if prev is None:
+                it = seed_record(model, _seed(spec, lam, u0), lam)
+            else:
+                it = model.carry_record(prev[1], prev[0], lam)
+            out = descend(model, it, lam)
         except InfeasibleError:
             r = MinimizeResult(
                 lam=lam,

@@ -35,6 +35,10 @@ difference quotient of x and one power of |x| (Hardy |x|^(q-2), critical
 |x|^(p*-2)), which the retraction's check on the grid sum already took.
 Without them ``iterate(x)`` computes its own.  The record and the array
 methods above share one formula each, so they agree to rounding.
+``carry_record(it, lam0, lam)`` gives the record of the point carried from
+level lam0 to lam: where the group action is exact (critical, toy) each
+field scales by its degree of homogeneity, and Hardy's dilated point is
+retracted and evaluated.
 
 Methods on points (``GridFunction`` for the radial variants, arrays for the
 toy): ``seed``; ``transport(u, ratio)``, which is ``carry`` on the point's
@@ -278,6 +282,19 @@ class Fibering(NamedTuple):
         return self(t), t
 
 
+def _scaled_record(it: Iterate, s: float, p: float, r: float) -> Iterate:
+    """The record of s x from the record ``it`` of x, where T is
+    p-homogeneous and U r-homogeneous: each field scales by its degree."""
+    return Iterate(
+        it.x * s,
+        it.T * s**p,
+        it.gT * s ** (p - 1.0),
+        it.gU * s ** (r - 1.0),
+        None if it.curv is None else it.curv * s ** (r - 2.0),
+        None if it.du is None else it.du * s,
+    )
+
+
 # --- the variants ----------------------------------------------------------
 
 
@@ -310,6 +327,11 @@ class Variant:
     def iterate(self, x, T=None, aux=None) -> Iterate:
         T = float(self.T(x)) if T is None else T
         return Iterate(x, T, self.mask(self.grad_T(x)), self.mask(self.grad_U(x)), None, None)
+
+    def carry_record(self, it: Iterate, lam0: float, lam: float) -> Iterate:
+        """The record of the point ``it`` carried from the level lam0 to the
+        level lam: carried (``carry``), retracted and evaluated."""
+        return self.iterate(*self.at_level(self.carry(it.x, lam / lam0), lam))
 
     def fibering(self, x) -> Fibering:
         """x's fibering map t -> F(t x): a = T(x), and c, b and r from U's
@@ -379,6 +401,10 @@ class Toy(Variant):
 
     def carry(self, x, ratio: float):
         return x * ratio ** (1.0 / self.toy.q)
+
+    def carry_record(self, it: Iterate, lam0: float, lam: float) -> Iterate:
+        # U(s x) = s^q U(x) exactly: the carried point is on the level.
+        return _scaled_record(it, (lam / lam0) ** (1.0 / self.toy.q), self.p, self.toy.q)
 
     def paper_lambda_bar(self, i_1: float) -> float:
         alpha = self.scaling_exponent  # nothing printed: the calculus argmax
@@ -560,7 +586,7 @@ class Hardy(_Radial):
         self.nl = spec.nonlinearity
         self.potential = spec.grid.nodes ** (-spec.p)
         self.scaling_exponent = 1.0 - spec.p / spec.n
-        self._prec = Preconditioner(spec.grid, False)
+        self._prec = Preconditioner.of(spec.grid, False)
 
     def U(self, x):
         return self._U(x, self._power(x))
@@ -679,7 +705,7 @@ class Critical(_Radial):
             ("amplitude_exponent_1_over_pstar", 1.0 / pstar),
             ("amplitude_exponent_p_over_pstar", spec.p / pstar),
         )
-        self._prec = Preconditioner(spec.grid, True)
+        self._prec = Preconditioner.of(spec.grid, True)
 
     def U(self, x):
         return np.vecdot(np.abs(x) ** self.pstar, self.grid.weights) / self.pstar
@@ -728,6 +754,18 @@ class Critical(_Radial):
     def carry(self, x, ratio: float):
         return x * ratio ** (1.0 / self.pstar)
 
+    def carry_record(self, it: Iterate, lam0: float, lam: float) -> Iterate:
+        # The amplitude action is exact on the grid: U(s x) = s^p* U(x), T
+        # is p-homogeneous, so a minimizer at lam0 carries to one at lam.
+        it = _scaled_record(it, (lam / lam0) ** (1.0 / self.pstar), self.p, self.pstar)
+        if self.p < 2.0:
+            # There |du|^(p-2) du amplifies the rounding by which s du
+            # differs from the difference quotient of s x (gT 1.5e-13 apart
+            # at p = 1.8, 2.8e-12 at p = 1.5), so du and gT are evaluated.
+            du = self._du(it.x)
+            it = it._replace(gT=self.mask(self._grad_T(it.x, du)), du=du)
+        return it
+
     def paper_lambda_bar(self, i_1: float) -> float:
         p, pstar = self.p, self.pstar
         return (i_1 * p / pstar) ** (pstar / (pstar - p))
@@ -736,15 +774,21 @@ class Critical(_Radial):
     def mu_limit_of(p: float, n: int, grid: RadialGrid) -> float:
         # The first Dirichlet eigenvalue mu_p at this p (see estimate_mu_p):
         # T / U at the minimizer of the Rayleigh model on a level of U, from
-        # one inverse iteration on the seed.  constrained imports this module,
-        # so its descent is imported at the call.
-        from .constrained import descend
+        # one inverse iteration on the seed.  It is kept in the grid's memo,
+        # unless the descent failed.  constrained imports this module, so its
+        # descent is imported at the call.
+        from .constrained import descend, seed_record
 
+        key = ("mu_p", p)
+        if key in grid.memo:
+            return grid.memo[key]
         model = _Rayleigh(grid, p)
-        x, T, *_, converged = descend(model, model.precondition(model.seed().values), 1.0)
-        mu_p = float(T / model.U(x))
+        x0 = model.precondition(model.seed().values)
+        it, *_, converged = descend(model, seed_record(model, x0, 1.0), 1.0)
+        mu_p = float(it.T / model.U(it.x))
         if not converged:
             raise ConvergenceError(f"first Dirichlet eigenvalue at p={p}: no convergence", best=mu_p)
+        grid.memo[key] = mu_p
         return mu_p
 
 
@@ -754,7 +798,7 @@ class _Rayleigh(Critical):
 
     def __init__(self, grid: RadialGrid, p: float):
         self.grid, self.p, self.pstar, self.mu = grid, p, p, 0.0
-        self._prec = Preconditioner(grid, True)
+        self._prec = Preconditioner.of(grid, True)
 
     def _power(self, x):
         return None
@@ -823,15 +867,21 @@ def precondition(spec: ProblemSpec, g):
 # --- scalar root ------------------------------------------------------------
 
 
+RF_FLOOR = 1e-12  # relative step below which regula_falsi stops
+
+
 def regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """A root of f in [lo, hi], given f_lo = f(lo) > 0 > f_hi = f(hi), by
     regula falsi in its superlinear Illinois variant (Dowell & Jarratt, BIT 11,
     1971): an end kept twice in a row has its value halved.  Stops at a zero
-    of f, when the iterate no longer moves, or after 100 steps."""
+    of f, after 100 steps, or before evaluating f at a next iterate within
+    RF_FLOOR * max(1, |b|) of the latest one b: a step that short is below
+    the noise of the f that callers solve (a re-minimization's i, a grid
+    energy), so b is returned."""
     a, fa, b, fb = lo, f_lo, hi, f_hi  # b: the latest iterate, a: the other end
     for _ in range(100):
         x = b - fb * (b - a) / (fb - fa)
-        if x == b:
+        if abs(x - b) <= RF_FLOOR * max(1.0, abs(b)):
             break
         fx = f(x)
         if fx == 0.0:
@@ -894,6 +944,15 @@ class Preconditioner:
         self._factor = factor_tridiagonal(diag, sub)
         self._weights = grid.weights
         self._dirichlet = dirichlet
+
+    @classmethod
+    def of(cls, grid: RadialGrid, dirichlet: bool) -> Preconditioner:
+        """The grid's preconditioner, built once per boundary condition and
+        kept in the grid's memo."""
+        key = ("preconditioner", dirichlet)
+        if key not in grid.memo:
+            grid.memo[key] = cls(grid, dirichlet)
+        return grid.memo[key]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """Map weighted gradients, one per row (shape ``(m,)`` or ``(k, m)``),

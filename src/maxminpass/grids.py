@@ -54,6 +54,11 @@ class RadialGrid:
     weight is sphere_area * integral of r^(n-1) over [r_k, r_{k+1}], so
     sum(we * |du|^p) approximates the integral of |grad u|^p for radial u.
     They are read-only and take no part in comparisons.
+
+    ``memo`` keeps what is computed from the grid alone and is costly to
+    repeat, for each spec built on it: the first Dirichlet eigenvalue per p
+    and the preconditioner's factor per boundary condition (``functionals``
+    fills it).  It takes no part in comparisons either.
     """
 
     n: int
@@ -63,6 +68,7 @@ class RadialGrid:
     weights: np.ndarray
     dr: np.ndarray = field(init=False, repr=False, compare=False)
     we: np.ndarray = field(init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

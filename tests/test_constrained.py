@@ -32,7 +32,7 @@ from maxminpass import (
 )
 from maxminpass.cli import _sweep_lambdas
 from maxminpass.constrained import multiplier_and_residual, newton_direction
-from maxminpass.functionals import RETRACT_TOL, Hardy, factor_tridiagonal
+from maxminpass.functionals import RETRACT_TOL, Critical, Hardy, Iterate, Variant, factor_tridiagonal
 
 RNG = np.random.default_rng(7)
 
@@ -297,6 +297,78 @@ class TestOneEvaluationPerIterate:
         assert not any(np.array_equal(a, b) for a, b in itertools.combinations(seen, 2))
 
 
+def assert_close(a, b, rel):
+    """Agreement to ``rel`` relative to b's largest entry."""
+    a, b = np.broadcast_arrays(a, b)
+    assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestCarriedRecord:
+    """``carry_record`` on the exact-transport variants scales each field of
+    the record by its degree of homogeneity, in place of evaluating the
+    carried point on the grid."""
+
+    @pytest.mark.parametrize("case", ["critical-p1.8", "critical-p2", "toy-q3", "toy-q4"])
+    @pytest.mark.parametrize("lam0,lam", [(1.0, 7.0), (40.0, 3.0)])
+    def test_matches_the_evaluated_record(self, critical_small, case, lam0, lam):
+        if case.startswith("toy"):
+            spec = toy_spec(q=float(case[-1]))
+            y = np.array([0.3, -1.7])
+        else:
+            p = float(case[len("critical-p"):])
+            grid = critical_small.grid
+            mu = 0.3 * Critical.mu_limit_of(p, 5, grid)
+            spec = ProblemSpec(variant="critical-bounded", p=p, n=5, mu=mu, grid=grid)
+            y = (1.0 - grid.nodes) * np.exp(-((4.0 * grid.nodes) ** 2))
+        model = spec.model
+        r = minimize_on_level(spec, lam0, model.wrap(y))
+        it = constrained.seed_record(model, model.unwrap(r.minimizer), lam0)
+        carried = model.carry_record(it, lam0, lam)
+        evaluated = Variant.carry_record(model, it, lam0, lam)
+        assert type(model).carry_record is not Variant.carry_record
+        for name in Iterate._fields:
+            a, b = getattr(carried, name), getattr(evaluated, name)
+            if b is None:
+                assert a is None, name
+            else:
+                assert_close(a, b, 1e-13)
+
+    def test_critical_sweep_matches_per_level_solves(self, critical_pipeline):
+        # the conftest sweep against the same levels solved one by one, each
+        # from the last minimizer carried by ``transport``
+        spec, sweep = critical_pipeline["spec"], critical_pipeline["sweep"]
+        prev = critical_pipeline["r1"]
+        for r in sweep:
+            prev = minimize_on_level(spec, r.lam, spec.model.transport(prev.minimizer, r.lam / prev.lam))
+            assert r.converged and prev.converged
+            assert r.iterations == prev.iterations
+            assert r.i_value == pytest.approx(prev.i_value, rel=1e-14, abs=0.0)
+            assert r.multiplier == pytest.approx(prev.multiplier, rel=1e-14, abs=0.0)
+            assert_close(r.minimizer.values, prev.minimizer.values, 1e-14)
+
+    def test_critical_sweep_evaluates_the_grid_once(self, critical_pipeline, monkeypatch):
+        # 30 levels from the level-1 minimizer: the grid is touched for the
+        # first level's record and for each Newton step, never for a level
+        # the carried record already solves
+        spec, r1 = critical_pipeline["spec"], critical_pipeline["r1"]
+        calls = {"at_level": 0, "iterate": 0}
+
+        def counting(name):
+            method = getattr(Critical, name)
+
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(Critical, name, counting(name))
+        results = continuation_sweep(spec, np.geomspace(1.0, 4000.0, 30), u0=r1.minimizer)
+        assert all(r.converged for r in results)
+        steps = sum(r.iterations for r in results)
+        assert calls == {"at_level": 1 + steps, "iterate": 1 + steps}
+
+
 class TestInertiaGuard:
     @pytest.mark.parametrize("variant", ["hardy", "critical"])
     def test_two_negative_pivots_take_the_gradient_step(self, request, variant):
@@ -339,11 +411,11 @@ class TestContinuationSweep:
         solve = constrained.descend
         seeds = {}
 
-        def flaky(model, seed, lam):
-            seeds[lam] = seed
+        def flaky(model, it, lam):
+            seeds[lam] = it.x
             if lam == 1.0:
                 raise InfeasibleError("no point on this level")
-            return solve(model, seed, lam)
+            return solve(model, it, lam)
 
         monkeypatch.setattr(constrained, "descend", flaky)
         first, failed, last = continuation_sweep(spec, [0.5, 1.0, 2.0])

@@ -31,7 +31,8 @@ from maxminpass import (
     problem_from_config,
     retract_to_level,
 )
-from maxminpass.constrained import descend
+from maxminpass import constrained
+from maxminpass.constrained import descend, seed_record
 from maxminpass.functionals import (
     Critical,
     _apow,
@@ -513,13 +514,51 @@ class TestMuP:
         grid = build_radial_grid(5, 1.0, m, 1.0)
         mu_p = Critical.mu_limit_of(p, 5, grid)
         model = _Rayleigh(grid, p)
-        x = descend(model, model.precondition(model.seed().values), 1.0)[0]
-        assert float(model.T(x) / model.U(x)) == mu_p
+        it = descend(model, seed_record(model, model.precondition(model.seed().values), 1.0), 1.0)[0]
+        assert float(model.T(it.x) / model.U(it.x)) == mu_p
         monkeypatch.setattr(_Rayleigh, "grad_tol", 1e-12)
-        x, *_, converged = descend(model, x, 1.0)
+        it, *_, converged = descend(model, it, 1.0)
         assert converged
-        ref = float(model.T(x) / model.U(x))
+        ref = float(model.T(it.x) / model.U(it.x))
         assert abs(mu_p - ref) / ref <= 1e-13
+
+    def test_specs_on_one_grid_share_mu_p_and_the_preconditioner(self, monkeypatch):
+        # a probe spec and the real one, and a config's mu_fraction_of_limit,
+        # run one Rayleigh descent per grid and build one factor per boundary
+        # condition
+        models = []
+        solve = constrained.descend
+
+        def counting(model, it, lam):
+            models.append(model)
+            return solve(model, it, lam)
+
+        monkeypatch.setattr(constrained, "descend", counting)
+        grid = build_radial_grid(5, 1.0, 120, 1.0)
+        probe = ProblemSpec(variant="critical-bounded", p=2.0, n=5, mu=1.0, grid=grid)
+        mu = 0.3 * estimate_mu_p(probe)
+        spec = ProblemSpec(variant="critical-bounded", p=2.0, n=5, mu=mu, grid=grid)
+        assert len(models) == 1 and isinstance(models[0], _Rayleigh)
+        assert spec.mu_limit == probe.mu_limit
+        assert spec.model._prec is probe.model._prec is models[0]._prec
+        ProblemSpec(variant="critical-bounded", p=1.8, n=5, mu=1.0, grid=grid)
+        assert len(models) == 2  # mu_p is kept per p
+        cfg = {"variant": "critical-bounded", "p": 2.0, "n": 5, "mu_fraction_of_limit": 0.3,
+               "grid": {"n": 5, "R": 1.0, "m": 120, "stretch": 1.0}}
+        assert problem_from_config(cfg).mu == pytest.approx(spec.mu, rel=1e-15)
+        assert len(models) == 3
+
+    def test_unconverged_mu_p_is_not_kept(self, monkeypatch):
+        # a descent that stops unconverged raises each time, and the grid
+        # keeps no value for that p
+        grid = build_radial_grid(5, 1.0, 60, 1.0)
+        monkeypatch.setattr(constrained, "MAX_ITERS", 1)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                Critical.mu_limit_of(2.0, 5, grid)
+        assert ("mu_p", 2.0) not in grid.memo
+        monkeypatch.undo()
+        assert Critical.mu_limit_of(2.0, 5, grid) == grid.memo[("mu_p", 2.0)]
 
     def test_radius_scaling(self):
         # continuum scaling: the eigenvalue on the R-ball is R^-p times the

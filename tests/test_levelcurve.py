@@ -107,6 +107,29 @@ class TestBuildLevelCurve:
         assert curve.c_maxmin == pytest.approx(max(curve.I_values), rel=1e-3)
         assert curve.c_maxmin >= max(curve.I_values)
 
+    def test_hardy_crossing_stops_at_the_noise_floor(self, hardy_small):
+        # on a 25-level sweep the lambda* crossing solves twice, and stops
+        # where its next step would be below the re-minimizations' noise (it
+        # took four more solves that agreed to 10 digits)
+        sweep = continuation_sweep(hardy_small, np.geomspace(1.0, 30000.0, 25))
+        mins = {r.lam: r.minimizer for r in sweep}
+        keys = np.array(sorted(mins))
+        queried = {}
+
+        def i_fn(lam):
+            k = float(keys[np.argmin(np.abs(np.log(keys / lam)))])
+            seed = scaling_path(hardy_small, mins[k], lam / k)
+            queried[lam] = minimize_on_level(hardy_small, lam, seed).i_value
+            return queried[lam]
+
+        curve = build_level_curve([(r.lam, r.i_value) for r in sweep], i_fn=i_fn)
+        k = int(np.argmax(curve.I_values <= 0))
+        lo, hi = keys[k - 1], keys[k]
+        crossing = [lam for lam in queried if lo < lam < hi]
+        assert len(crossing) == 2
+        assert crossing[-1] == curve.lambda_star
+        assert abs(queried[curve.lambda_star] / curve.lambda_star - 1.0) <= 1e-12
+
     def test_identity_I_equals_i_minus_lambda(self):
         curve = toy_curve()
         assert np.array_equal(curve.I_values, curve.i_values - curve.lambdas)
