@@ -64,17 +64,25 @@ class MinimizeResult:
     residual: float
 
 
-def retract_to_level(spec: ProblemSpec, u, lam: float):
-    """Project u onto {U = lam} along the problem's exact group action."""
+def _check_level(lam: float) -> None:
     if not 0 < lam < math.inf:
         raise ValidationError("lambda must be positive and finite")
+
+
+def retract_to_level(spec: ProblemSpec, u, lam: float):
+    """Project u onto {U = lam} along the problem's exact group action."""
+    _check_level(lam)
     model = spec.model
     return model.wrap(model.retract(model.unwrap(u), lam))
 
 
 def default_seed(spec: ProblemSpec, lam: float, width: float | None = None):
-    """A positive bump with U > 0, retracted onto the level."""
-    return retract_to_level(spec, spec.model.seed(width), lam)
+    """A positive bump with U > 0, retracted onto the level.  Without a
+    width, Hardy's bump is dilated to the level's own scale
+    (``Hardy.seed_width``)."""
+    _check_level(lam)
+    model = spec.model
+    return retract_to_level(spec, model.seed(model.seed_width(lam) if width is None else width), lam)
 
 
 def multiplier_and_residual(model, it: Iterate):
@@ -116,8 +124,7 @@ def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
     on a Dirichlet boundary, to the variant's ``grad_tol`` within
     ``MAX_ITERS`` steps.  Raises ValidationError for a seed with a non-finite
     value."""
-    if not 0 < lam < math.inf:
-        raise ValidationError("lambda must be positive and finite")
+    _check_level(lam)
     model = spec.model
     it = seed_record(model, _seed(spec, lam, u0), lam)
     return _result(model, lam, *descend(model, it, lam))

@@ -41,7 +41,9 @@ field scales by its degree of homogeneity, and Hardy's dilated point is
 retracted and evaluated.
 
 Methods on points (``GridFunction`` for the radial variants, arrays for the
-toy): ``seed``; ``transport(u, ratio)``, which is ``carry`` on the point's
+toy): ``seed(width)``, with ``seed_width(lam)`` the width that starts a
+level's solve at that level's scale (Hardy; None elsewhere, whose seeds
+take no width); ``transport(u, ratio)``, which is ``carry`` on the point's
 values; ``unwrap`` (grid check) and ``wrap``.  Also ``paper_lambda_bar``, and the
 classmethod ``from_config``, which builds a spec from a config block.
 Attributes:
@@ -319,6 +321,9 @@ class Variant:
 
     def bands(self, it: Iterate, theta):
         return None
+
+    def seed_width(self, lam: float):
+        return None  # ``seed`` takes no width
 
     def at_level(self, y, lam: float):
         x = self.retract(y, lam)
@@ -654,9 +659,29 @@ class Hardy(_Radial):
         return v, pw
 
     def seed(self, width=None):
-        # The unit bump; ``retract`` sets the amplitude for any level.
+        """The unit bump exp(-(r/w)^2) on the nodes, of width R/15 unless
+        ``width`` is given; ``retract`` sets the amplitude for any level."""
         w = width if width is not None else self.grid.R / 15.0
         return GridFunction(self.grid, np.exp(-((self.grid.nodes / w) ** 2)))
+
+    @functools.cached_property
+    def _seed_level(self):
+        # Amplitude t and dilation beta of the R/15 bump y scale T(t y(./beta))
+        # = t^p beta^(n-p) T(y) and U(t y(./beta)) = beta^n (B t^q - A t^2)
+        # (``_U_moments``), so the least T on {U = lam} over both is at
+        # t^(q-2) = A (pn - 2(n-p)) / (B (pn - q(n-p))), whatever T and mu,
+        # and beta^n = lam / (B t^q - A t^2).  This is that denominator, the
+        # level of beta = 1.  Both brackets are positive for 2 < q < p*.
+        A, B, q = self._U_moments(self.seed().values)
+        n, p = self.grid.n, self.p
+        tq2 = A * (p * n - 2.0 * (n - p)) / (B * (p * n - q * (n - p)))
+        return (B * tq2 - A) * tq2 ** (2.0 / (q - 2.0))
+
+    def seed_width(self, lam: float) -> float:
+        """The width beta R/15 of the bump whose amplitude and dilation give
+        the least T on {U = lam} (``_seed_level``), capped at ``seed``'s
+        R/15: wider bumps meet the truncation at R and start slower."""
+        return self.grid.R / 15.0 * min(1.0, (lam / self._seed_level) ** (1.0 / self.grid.n))
 
     def carry(self, x, ratio: float):
         # Dilation maps minimizers at one level near those at the next, but

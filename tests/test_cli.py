@@ -433,7 +433,8 @@ def no_solver_budget():
 def readme_config(tmp_path, name, **problem_overrides):
     """The README ``hardy.json`` on a coarse grid.  Under ``no_solver_budget``
     the sweep runs on the retracted seed's scaling path, whose I = i - lambda
-    changes sign only past lambda = 1e5, so it reaches 1e6."""
+    changes sign between lambda = 8e3 and 2.3e4, near the converged
+    lambda** = 1.3e4; the sweep reaches 1e6."""
     problem = {
         "variant": "hardy-subcritical",
         "p": 2.0,
@@ -588,11 +589,12 @@ class TestUnconvergedRuns:
         assert "sup_residual" in err and "did not converge" in err
 
     def test_unconverged_maxmin_without_a_level_curve_exits_3(self, tmp_path, capsys):
-        # The README sweep (to 3e4) on unconverged solves has no sign change
-        # of I; the failure is the solves', so the exit is 3, not 2.
+        # The README sweep cut at 3e3, below where the unconverged I changes
+        # sign (``readme_config``), has no sign change of I; the failure is
+        # the solves', so the exit is 3, not 2.
         path = readme_config(tmp_path, "hardy.json")
         cfg = json.loads(Path(path).read_text())
-        cfg["sweep"] = {"lambda_min": 1.0, "lambda_max": 30000.0, "count": 40}
+        cfg["sweep"] = {"lambda_min": 1.0, "lambda_max": 3000.0, "count": 40}
         write_config(Path(path), cfg)
         with no_solver_budget():
             code = main(["maxmin", "--config", path, "--out", str(tmp_path)])

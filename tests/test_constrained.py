@@ -170,6 +170,9 @@ class TestRetraction:
         u0 = default_seed(hardy_small, 1.0)
         with pytest.raises(ValidationError):
             retract_to_level(hardy_small, u0, -1.0)
+        for lam in (-1.0, 0.0):  # before the seed's width is computed
+            with pytest.raises(ValidationError):
+                default_seed(hardy_small, lam)
 
 
 class TestMinimizeToy:
@@ -208,14 +211,15 @@ class TestMinimizePDE:
 
     def test_hardy_p3_envelope_converges(self):
         # p = 3, q = 5 at m = 800: the gradient descent ran out of 2000 steps
-        # (residual 1.7e-5); Newton needs a few dozen, some of them gradient
-        # steps where the guard refuses the Newton step
+        # (residual 1.7e-5); Newton from the R/15 bump took 47, some of them
+        # gradient steps where the guard refuses the Newton step, and 16 from
+        # the bump at the level's scale
         grid = build_radial_grid(5, 30.0, 800, 50.0 ** (1.0 / 800))
         spec = ProblemSpec(variant="hardy-subcritical", p=3.0, n=5,
                            nonlinearity=NonlinearitySpec(1.0, 5.0), grid=grid)
         r = minimize_on_level(spec, 1.0)
         assert r.converged and r.residual <= 1e-6
-        assert r.iterations <= 100
+        assert r.iterations <= 30
         assert eval_U(spec, r.minimizer) == pytest.approx(1.0, rel=1e-9)
 
     def test_critical_converges(self, critical_small):
@@ -251,6 +255,81 @@ class TestMinimizePDE:
             u = GridFunction(critical_small.grid, r.minimizer.values + dv)
             u = retract_to_level(critical_small, u, 1.0)
             assert eval_T(critical_small, u) >= r.i_value - 1e-10
+
+
+def readme_hardy(mu_fraction=0.0, p=2.0, q=8.0 / 3.0, stretch=1.0049):
+    """The README's whole-space problem (n = 5, R = 30, m = 800) at mu =
+    mu_fraction H."""
+    return ProblemSpec(
+        variant="hardy-subcritical",
+        p=p,
+        n=5,
+        mu=mu_fraction * hardy_constant(p, 5),
+        nonlinearity=NonlinearitySpec(1.0, q),
+        grid=build_radial_grid(5, 30.0, 800, stretch),
+    )
+
+
+class TestLevelSeed:
+    """The default Hardy seed is the bump dilated to the level's own scale
+    (``Hardy.seed_width``), at most R/15 wide."""
+
+    @pytest.mark.parametrize("mu_fraction", [0.0, 0.5, 0.9])
+    def test_width_follows_the_scaling_law_below_the_cap(self, mu_fraction):
+        model = readme_hardy(mu_fraction).model
+        cap, w1 = model.grid.R / 15.0, model.seed_width(1.0)
+        assert w1 < cap
+        for lam in (1e-6, 1e-3, 0.5, 30.0):
+            assert model.seed_width(lam) / w1 == pytest.approx(lam ** (1.0 / 5.0), rel=1e-13)
+        top = (cap / w1) ** 5.0  # the level at which the cap is reached
+        for lam in (1.001 * top, 3.0 * top, 1e7):
+            assert model.seed_width(lam) == cap
+        assert model.seed_width(0.9 * top) < cap
+
+    def test_width_does_not_depend_on_mu(self):
+        widths = {readme_hardy(f).model.seed_width(1.0) for f in (0.0, 0.5, 0.9)}
+        assert len(widths) == 1
+
+    @pytest.mark.parametrize("mu_fraction", [0.0, 0.5, 0.9])
+    def test_same_minimum_as_the_wide_bump(self, mu_fraction):
+        spec = readme_hardy(mu_fraction)
+        r = minimize_on_level(spec, 1.0)
+        wide = minimize_on_level(spec, 1.0, spec.model.seed())
+        assert r.converged and wide.converged
+        assert r.iterations < wide.iterations
+        assert r.i_value == pytest.approx(wide.i_value, rel=1e-10)
+
+    @pytest.mark.parametrize("mu_fraction", [0.0, 0.5])
+    def test_p2_cold_solve_takes_few_steps(self, mu_fraction):
+        # 8 steps from the R/15 bump, 3 from the level's scale
+        r = minimize_on_level(readme_hardy(mu_fraction), 1.0)
+        assert r.converged and r.iterations <= 4
+
+    def test_p3_cold_solve_takes_few_steps(self):
+        # p = 3, q = 5, mu = H/2: 668 steps from the R/15 bump, 657 of them
+        # gradient steps in the p = 2 metric, and 11 from the level's scale
+        spec = readme_hardy(0.5, p=3.0, q=5.0, stretch=50.0 ** (1.0 / 800))
+        r = minimize_on_level(spec, 1.0)
+        assert r.converged and r.iterations <= 30
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-5])
+    def test_small_levels_are_reached(self, lam):
+        # The R/15 bump's two U terms cancel far below these levels, so its
+        # amplitude retraction raised InfeasibleError; the narrow bump at the
+        # level's scale is retracted and converges in 3 steps.
+        spec = readme_hardy()
+        with pytest.raises(InfeasibleError, match="did not reach the level"):
+            default_seed(spec, lam, width=spec.grid.R / 15.0)
+        r = minimize_on_level(spec, lam)
+        assert r.converged and r.iterations <= 4
+        assert eval_U(spec, r.minimizer) == pytest.approx(lam, rel=1e-9)
+
+    def test_critical_and_toy_keep_their_seeds(self, critical_small):
+        for spec in (critical_small, toy_spec()):
+            model = spec.model
+            assert model.seed_width(1.0) is None
+            seed = model.unwrap(default_seed(spec, 7.0))
+            assert np.array_equal(seed, model.retract(model.unwrap(model.seed()), 7.0))
 
 
 class TestCriticalBelowPstarTwo:
@@ -478,12 +557,13 @@ class TestArrayLoopMatchesPointLoop:
         assert_same_minimum(critical_small, new, old)
 
     def test_starved_budget(self, hardy_small, minimize_oracle, monkeypatch):
-        # three steps from the cold seed are too few for either loop: both
-        # spend the budget and report a point on the level, unconverged
-        monkeypatch.setattr(constrained, "MAX_ITERS", 3)
+        # two steps from the cold seed are too few for either loop (it takes
+        # three): both spend the budget and report a point on the level,
+        # unconverged
+        monkeypatch.setattr(constrained, "MAX_ITERS", 2)
         new = minimize_on_level(hardy_small, 1.0)
         old = minimize_oracle(hardy_small, 1.0)
-        assert new.iterations == old.iterations == 3
+        assert new.iterations == old.iterations == 2
         assert not new.converged and not old.converged
         assert new.residual > hardy_small.model.grad_tol
         assert eval_U(hardy_small, new.minimizer) == pytest.approx(1.0, rel=1e-9)
@@ -519,6 +599,7 @@ def test_non_finite_level_rejected(request, variant, bad):
     one, many = "lambda must be positive and finite", "lambdas must be positive, finite"
     calls = [
         (one, lambda: retract_to_level(spec, u, bad)),
+        (one, lambda: default_seed(spec, bad)),
         (one, lambda: minimize_on_level(spec, bad)),
         (one, lambda: minimize_on_level(spec, bad, u)),
         (one, lambda: scaling_path(spec, u, bad)),
