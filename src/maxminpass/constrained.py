@@ -131,7 +131,10 @@ def minimize_on_level(spec: ProblemSpec, lam: float, u0=None) -> MinimizeResult:
 
 
 def _seed(spec: ProblemSpec, lam: float, u0):
-    x = spec.model.unwrap(default_seed(spec, lam) if u0 is None else u0)
+    # The default bump at the level's scale, not yet retracted:
+    # ``seed_record`` retracts it, once.
+    model = spec.model
+    x = model.unwrap(model.seed(model.seed_width(lam)) if u0 is None else u0)
     if not np.all(np.isfinite(x)):
         raise ValidationError("seed values must be finite")
     return x

@@ -24,7 +24,10 @@ level lam to near ratio * lam along the group action; ``hessian(x, theta)``
 gives the bands of the tridiagonal Euclidean Hessian of T - theta U (None
 on the toy); ``fibering(x)`` gives x's fibering map t -> F(t x) in closed
 form (``Fibering``), from one T and one set of U's moments, and
-``ray_sup(x)`` its maximum over t > 0 and where it is attained.
+``ray_sup(x)`` its maximum over t > 0 and where it is attained;
+``orbit_point(x)`` is the critical point of F over the amplitudes and
+dilations t x(./beta) of x, from the same T and moments (Hardy; x itself
+elsewhere).
 
 The constrained descent evaluates each point once.  ``at_level(y, lam)``
 retracts a trial point and returns (x, T(x), the intermediates), and
@@ -324,6 +327,9 @@ class Variant:
 
     def seed_width(self, lam: float):
         return None  # ``seed`` takes no width
+
+    def orbit_point(self, x):
+        return x  # Hardy starts at its orbit's critical point; the others at x
 
     def at_level(self, y, lam: float):
         x = self.retract(y, lam)
@@ -664,18 +670,60 @@ class Hardy(_Radial):
         w = width if width is not None else self.grid.R / 15.0
         return GridFunction(self.grid, np.exp(-((self.grid.nodes / w) ** 2)))
 
+    def _orbit_tq2(self, A, B, q):
+        # Amplitude t and dilation beta of y scale T(t y(./beta)) = t^p
+        # beta^(n-p) T(y) and U(t y(./beta)) = beta^n (B t^q - A t^2)
+        # (``_U_moments``), so both the least T on {U = lam} over t and beta
+        # and the critical point of F(t y(./beta)) sit at this t^(q-2),
+        # whatever T and mu.  Both brackets are positive for 2 < q < p*.
+        n, p = self.grid.n, self.p
+        return A * (p * n - 2.0 * (n - p)) / (B * (p * n - q * (n - p)))
+
     @functools.cached_property
     def _seed_level(self):
-        # Amplitude t and dilation beta of the R/15 bump y scale T(t y(./beta))
-        # = t^p beta^(n-p) T(y) and U(t y(./beta)) = beta^n (B t^q - A t^2)
-        # (``_U_moments``), so the least T on {U = lam} over both is at
-        # t^(q-2) = A (pn - 2(n-p)) / (B (pn - q(n-p))), whatever T and mu,
-        # and beta^n = lam / (B t^q - A t^2).  This is that denominator, the
-        # level of beta = 1.  Both brackets are positive for 2 < q < p*.
+        # The least T on {U = lam} over the orbit of the R/15 bump is at
+        # ``_orbit_tq2`` and beta^n = lam / (B t^q - A t^2); this is that
+        # denominator, the level of beta = 1.
         A, B, q = self._U_moments(self.seed().values)
-        n, p = self.grid.n, self.p
-        tq2 = A * (p * n - 2.0 * (n - p)) / (B * (p * n - q * (n - p)))
+        tq2 = self._orbit_tq2(A, B, q)
         return (B * tq2 - A) * tq2 ** (2.0 / (q - 2.0))
+
+    def _orbit_scales(self, x):
+        """(t, beta) of the critical point of f(t, beta) = F(t x(./beta)) =
+        t^p beta^(n-p) T(x) - beta^n (B t^q - A t^2) over t, beta > 0: t at
+        ``_orbit_tq2``, and beta^p = p t^p T / (q B t^q - 2 A t^2) from
+        df/dt = 0.  None where x is zero or not finite, T <= 0 or B <= 0,
+        where f has no such point."""
+        top = float(np.abs(x).max())
+        if not 0.0 < top < math.inf:
+            return None
+        T = float(self.T(x))
+        A, B, q = self._U_moments(x)
+        # Checked before any power: a negative base would give a complex one.
+        if not (0.0 < T < math.inf and 0.0 < B < math.inf and 0.0 <= A < math.inf):
+            return None
+        tq2 = self._orbit_tq2(A, B, q)
+        if not 0.0 < tq2 < math.inf:
+            return None
+        try:
+            t = tq2 ** (1.0 / (q - 2.0))
+            beta_p = self.p * t**self.p * T / (t * t * (q * B * tq2 - 2.0 * A))
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if not 0.0 < beta_p < math.inf:
+            return None
+        return t, beta_p ** (1.0 / self.p)
+
+    def orbit_point(self, x):
+        """t x(./beta) at ``_orbit_scales``: the critical point of F on x's
+        amplitude-dilation orbit (Jeanjean, Nonlinear Anal. 28, 1997), or x
+        itself where there is none.  Near a saddle x differs from it mostly
+        by that orbit, so the polish starts here."""
+        scales = self._orbit_scales(x)
+        if scales is None:
+            return x
+        t, beta = scales
+        return t * dilate(self.grid, x, beta)
 
     def seed_width(self, lam: float) -> float:
         """The width beta R/15 of the bump whose amplitude and dilation give

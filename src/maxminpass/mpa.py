@@ -12,7 +12,10 @@ on the grid.  On a deformed path (or where f has no such maximum: T(e) <=
 0), the max of F over the images, refined by a local root of F's slope on
 each segment at the argmax image, reaches that sup only when it lies on
 those segments.  Before the first sweep and after every accepted one, the
-sup point is polished (Newton on F' = 0).  A run stops, converged,
+sup point is polished (Newton on F' = 0), from the critical point of F on
+its orbit under the variant's scalings (``orbit_point``: on Hardy, the
+amplitude and dilation t x(./beta) in closed form; elsewhere the point
+itself).  A run stops, converged,
 when the polished point x* is an index-1 critical point at or below the
 path's sup whose ray {t x*} peaks at x* and goes on into {F < 0}: that ray,
 continued inside {F < 0}, is an admissible path with sup F(x*), so the pass
@@ -234,7 +237,10 @@ def _path_sup(path: DiscretePath, spec: ProblemSpec):
 def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
     """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
     or None, the ray's sup or None).  Newton on F' = 0 polishes ``top`` to
-    x*: each step solves H s = W r and takes the first of x - h s, h = 1,
+    x*, starting from its orbit point (``orbit_point``), which on Hardy
+    removes the amplitude and dilation by which ``top`` misses the saddle:
+    from there the reference pipelines take 2 Newton steps, from ``top`` 5
+    and 6.  Each step solves H s = W r and takes the first of x - h s, h = 1,
     1/2, ..., 1/64, whose residual is below x's; the polish stops when none
     is, or within ``POLISH_FLOOR`` ``grad_tol``, where a further step moves
     x* only by rounding.  x* is certified if the argmax image is interior,
@@ -247,9 +253,11 @@ def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
     rule is the residual."""
     model = spec.model
     interior = 0 < path.argmax_index < len(path.images) - 1
-    star = top
-    r, res = weighted_residual(model, star)
+    r, res = weighted_residual(model, top)
     res_top = res
+    star = model.orbit_point(top) if interior else top
+    if star is not top:
+        r, res = weighted_residual(model, star)
     bands = model.hessian(star, 1.0) if interior else None
     factor = None if bands is None else factor_tridiagonal(*bands)
     for _ in range(POLISH_STEPS):

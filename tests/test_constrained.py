@@ -324,6 +324,41 @@ class TestLevelSeed:
         assert r.converged and r.iterations <= 4
         assert eval_U(spec, r.minimizer) == pytest.approx(lam, rel=1e-9)
 
+    @pytest.mark.parametrize("case", ["hardy", "critical"])
+    def test_cold_seed_is_retracted_once(self, critical_small, case, monkeypatch):
+        # the level-scaled bump reaches ``seed_record`` unretracted and is
+        # retracted there, once; every other retraction is a descent trial
+        if case == "hardy":
+            spec = readme_hardy()
+        else:
+            spec = ProblemSpec(variant="critical-bounded", p=2.0, n=5, mu=critical_small.mu,
+                               grid=critical_small.grid)
+        model = spec.model
+        onto, at_level, descend = model._onto_level, model.at_level, constrained.descend
+        calls = {"retractions": 0, "trials": 0}
+        in_descent = [False]
+
+        def onto_spy(x, lam):
+            calls["retractions"] += 1
+            return onto(x, lam)
+
+        def at_level_spy(y, lam):
+            calls["trials"] += in_descent[0]
+            return at_level(y, lam)
+
+        def descend_spy(*args):
+            in_descent[0] = True
+            try:
+                return descend(*args)
+            finally:
+                in_descent[0] = False
+
+        model._onto_level, model.at_level = onto_spy, at_level_spy  # this spec's own model
+        monkeypatch.setattr(constrained, "descend", descend_spy)
+        r = minimize_on_level(spec, 1.0)
+        assert r.converged and calls["trials"] >= r.iterations > 0
+        assert calls["retractions"] == 1 + calls["trials"]
+
     def test_critical_and_toy_keep_their_seeds(self, critical_small):
         for spec in (critical_small, toy_spec()):
             model = spec.model

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from maxminpass import (
     GridMismatchError,
     NonlinearitySpec,
     ProblemSpec,
+    ToyProblem,
     ValidationError,
     build_radial_grid,
     estimate_mu_p,
@@ -42,6 +44,7 @@ from maxminpass.functionals import (
     factor_tridiagonal,
     solve_tridiagonal,
 )
+from maxminpass.grids import dilate
 
 RNG = np.random.default_rng(20240817)
 
@@ -389,6 +392,50 @@ class TestTridiagonalKernel:
     def test_zero_pivot_is_refused(self):
         assert factor_tridiagonal(np.array([0.0, 1.0]), np.array([1.0])) is None
         assert factor_tridiagonal(np.array([1.0, 1.0]), np.array([1.0])) is None
+
+
+class TestOrbitPoint:
+    """``orbit_point``: on Hardy the critical point of f(t, beta) =
+    F(t x(./beta)) = t^p beta^(n-p) T(x) - beta^n (B t^q - A t^2), in closed
+    form; elsewhere the point itself."""
+
+    @pytest.mark.parametrize("p,q,mu_fraction", [(2.0, 8.0 / 3.0, 0.0), (2.0, 8.0 / 3.0, 0.5),
+                                                 (3.0, 5.0, 0.0), (3.0, 5.0, 0.5)])
+    def test_both_partials_vanish(self, p, q, mu_fraction):
+        spec = hardy_spec(mu=mu_fraction * hardy_constant(p, 5), p=p, q=q)
+        model, n = spec.model, 5
+        x = gaussian(spec.grid, width=2.0, amp=3.0).values
+        t, beta = model._orbit_scales(x)
+        assert abs(t - 1.0) > 0.01 and abs(beta - 1.0) > 0.01  # a real move
+        T = float(model.T(x))
+        A, B, _ = model._U_moments(x)
+        kinetic_t = p * t ** (p - 1.0) * beta ** (n - p) * T
+        kinetic_beta = (n - p) * t**p * beta ** (n - p - 1.0) * T
+        df_dt = kinetic_t - beta**n * (q * B * t ** (q - 1.0) - 2.0 * A * t)
+        df_dbeta = kinetic_beta - n * beta ** (n - 1.0) * (B * t**q - A * t * t)
+        assert abs(df_dt) <= 1e-12 * kinetic_t
+        assert abs(df_dbeta) <= 1e-12 * kinetic_beta
+        assert np.array_equal(model.orbit_point(x), t * dilate(spec.grid, x, beta))
+
+    def test_other_variants_return_the_point_itself(self):
+        toy = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0)).model
+        critical = critical_spec().model
+        rayleigh = _Rayleigh(build_radial_grid(5, 1.0, 60, 1.0), 1.8)
+        for model, x in ((toy, np.array([0.3, -1.7])), (critical, critical.seed().values),
+                         (rayleigh, rayleigh.seed().values)):
+            assert model.orbit_point(x) is x
+
+    @pytest.mark.parametrize("bad", ["zero", "nan", "inf", "-inf"])
+    def test_zero_or_non_finite_point_is_returned(self, bad):
+        model = hardy_spec().model
+        x = gaussian(model.grid).values.copy()
+        if bad == "zero":
+            x[:] = 0.0
+        else:
+            x[3] = float(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert model.orbit_point(x) is x
 
 
 class TestPreconditioner:

@@ -298,9 +298,11 @@ class TestCertifiedStop:
         assert not certified and saddle is None and ray is None
 
     def test_end_segment_sup_is_not_convergence(self, hardy_mu_half):
-        # From the wide seed bump the string's sup runs toward its first
-        # segment, where no sweep refines it; on the way the sup point
-        # polishes to the saddle, and the ray through it bounds c.
+        # Deformed from the wide seed bump, the string's sup would run toward
+        # its first segment, where a sup is never certified.  The straight
+        # path's sup point is interior, and the polish from its
+        # amplitude-dilation orbit point reaches the saddle at sweep 0; the
+        # ray through the saddle bounds c.
         spec = hardy_mu_half["spec"]
         u = spec.model.seed(spec.grid.R / 4.0)
         while eval_F(spec, u) >= 0:
@@ -339,14 +341,17 @@ class TestPolishedSaddle:
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_polished_point_is_an_index_one_critical_point(self, pipeline, request, monkeypatch):
-        # Polish the final path's sup point again, recording each residual
-        # and each factor's count of negative pivots.  The run stopped before
-        # any sweep, so its path is the straight one and its sup point is
-        # the endpoint's ray maximum t* e.
+        # Polish the final path's sup point again, recording each factored
+        # point's residual and its count of negative pivots.  The run stopped
+        # before any sweep, so its path is the straight one and its sup point
+        # is the endpoint's ray maximum t* e.  Each factor follows the
+        # residual of the point it factors; on Hardy the residual at t* e
+        # (``sup_residual``) comes first, then the polish starts at its
+        # orbit point.
         pipe = request.getfixturevalue(pipeline)
         spec, result = pipe["spec"], pipe["mpa"]
         assert result.sweeps == 0
-        residuals, pivots = [], []
+        residuals, factored = [], []
 
         def residual_spy(model, x):
             out = weighted_residual(model, x)
@@ -355,7 +360,7 @@ class TestPolishedSaddle:
 
         def factor_spy(d, e):
             out = factor_tridiagonal(d, e)
-            pivots.append(None if out is None else out[2])
+            factored.append((residuals[-1], None if out is None else out[2]))
             return out
 
         monkeypatch.setattr(maxminpass.mpa, "weighted_residual", residual_spy)
@@ -364,11 +369,28 @@ class TestPolishedSaddle:
         c_sup, t = spec.model.ray_sup(endpoint)
         verdict = maxminpass.mpa._certify(result.path, spec, t * endpoint, c_sup)
         assert verdict == (True, result.sup_residual, result.c_mpa, result.ray_sup)
-        polished = int(np.argmin(residuals))
-        assert residuals[polished] <= 1e-10
-        assert pivots[polished] == 1
+        residual, pivots = min(factored, key=lambda rp: rp[0])
+        assert residual <= 1e-10
+        assert pivots == 1
         c = pipe["curve"].c_maxmin
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
+
+    @pytest.mark.parametrize("pipeline", ["hardy_mu0", "hardy_mu_half"])
+    def test_polish_from_the_orbit_point_takes_at_most_three_factors(self, pipeline, request,
+                                                                     monkeypatch):
+        # one factor at the orbit point of t* e and one per Newton step, of
+        # which the polish from there takes 2
+        pipe = request.getfixturevalue(pipeline)
+        factors = []
+
+        def factor_spy(d, e):
+            factors.append(1)
+            return factor_tridiagonal(d, e)
+
+        monkeypatch.setattr(maxminpass.mpa, "factor_tridiagonal", factor_spy)
+        result = estimate_c(pipe["spec"], pipe["endpoint"], MpaOptions(), k=32)
+        assert result.converged and result.sweeps == 0
+        assert len(factors) <= 3
 
     def test_sweep_counts_of_the_reference_pipelines(self, hardy_mu0, hardy_mu_half,
                                                      critical_pipeline):
@@ -392,11 +414,15 @@ class TestPolishedSaddle:
         v = minimize_on_level(spec, 1.0).minimizer
         return eval_F(spec, pick_solution_scale(spec, v)["minimizer_at_unit_multiplier"])
 
-    def test_path_near_the_hardy_constant_certifies_on_verify(self):
+    @pytest.mark.parametrize("fraction", [15.0, 4.0])
+    def test_path_near_the_hardy_constant_certifies_on_verify(self, fraction):
         # the string's sup stays far above the unit-multiplier level 8.71,
-        # but its sup point polishes to the saddle there
+        # but its sup point polishes to the saddle there; from the R/4 bump
+        # only the polish from that point's amplitude-dilation orbit point
+        # gets there (after 15 sweeps)
         spec = hardy_spec(2.0, 0.99, 8.0 / 3.0, 800)
-        result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / 15.0), MpaOptions(), k=32)
+        result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / fraction),
+                            MpaOptions(), k=32)
         assert result.converged
         c = self.F_at_verified_solution(spec)
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
@@ -415,12 +441,13 @@ class TestPolishedSaddle:
 
     @pytest.mark.parametrize("m", [200, 800])
     def test_finer_p_3_grids_certify_on_verify(self, m):
-        # the backtracking polish reaches the saddle from the deformed
-        # string's sup point, where full Newton steps overshoot
+        # the backtracking polish reaches the saddle from the orbit point of
+        # the deformed string's sup point, where full Newton steps overshoot,
+        # after 4 and 6 sweeps
         spec = hardy_spec(3.0, 0.5, 5.0, m)
         endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
         result = estimate_c(spec, endpoint, MpaOptions(), k=32)
-        assert result.converged
+        assert result.converged and result.sweeps <= 8
         c = self.F_at_verified_solution(spec)
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
 
