@@ -2,8 +2,9 @@
 
 Computes constrained minima i(lambda) on level sets of U, builds the level
 curve I(lambda) = i(lambda) - lambda with its thresholds and argmax, and
-cross-checks the max-min value against an independent path-deformation
-estimate, for two radial p-Laplacian model problems and exact toy problems.
+cross-checks the max-min value against an independent direct estimate, a
+descent over rays whose every sup bounds the pass level above, for two
+radial p-Laplacian model problems and exact toy problems.
 """
 
 from .constrained import (

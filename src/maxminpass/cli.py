@@ -310,7 +310,7 @@ def cmd_mpa(cfg: dict, out: Path) -> int:
     mpa_opts, k = _mpa_options(cfg)
     endpoint = find_endpoint(spec, _level1_minimum(spec).minimizer)
     result = estimate_c(spec, endpoint, mpa_opts, k=k)
-    _write_csv(out / "mpa_trace.csv", ["sweep", "max_energy", "argmax_index"], result.trace)
+    _write_csv(out / "mpa_trace.csv", ["sweep", "ray_sup", "step"], result.trace)
     summary = {"c_mpa": result.c_mpa, "path_sup": result.path_sup, "ray_sup": result.ray_sup,
                "sweeps": result.sweeps, "converged": result.converged,
                "sup_residual": result.sup_residual, "config_sha256": _config_sha256(cfg)}

@@ -1,34 +1,30 @@
-"""Direct estimate of the pass level from its path definition.
+"""Direct estimate of the pass level from its path definition, over rays.
 
-A discrete path from 0 to a negative-energy endpoint is deformed by damped
-steepest descent of F on the interior images (elastic-string style), with
-arc-length re-parameterization each sweep.  Each path's sup of F bounds the
-pass level above.  The run starts on the straight path from 0 to the
-endpoint e, which lies on e's ray, so F along it is e's fibering map
-f(t) = F(t e) = a t^p + c t^2 - b t^r (``Variant.fibering``): the images'
-energies are f at their parameters, and the path's sup is f's maximum, at
-t* e, in closed form (by a scalar root at p != 2), with no evaluation of F
-on the grid.  On a deformed path (or where f has no such maximum: T(e) <=
-0), the max of F over the images, refined by a local root of F's slope on
-each segment at the argmax image, reaches that sup only when it lies on
-those segments.  Before the first sweep and after every accepted one, the
-sup point is polished (Newton on F' = 0), from the critical point of F on
-its orbit under the variant's scalings (``orbit_point``: on Hardy, the
-amplitude and dilation t x(./beta) in closed form; elsewhere the point
-itself).  A run stops, converged,
-when the polished point x* is an index-1 critical point at or below the
-path's sup whose ray {t x*} peaks at x* and goes on into {F < 0}: that ray,
-continued inside {F < 0}, is an admissible path with sup F(x*), so the pass
-level is at most F(x*), which the run reports (Nehari; Li & Zhou, SIAM J.
-Sci. Comput. 23, 2001).  ``PATIENCE`` plateau sweeps end an uncertified run,
-which is never converged.
+For a point x with T(x) > 0, F along the ray {t x} is x's fibering map
+f(t) = F(t x) = a t^p + c t^2 - b t^r (``Variant.fibering``), which rises
+from 0 to one maximum and falls to -inf.  The ray, continued into {F < 0},
+is an admissible path, and its sup, f's maximum, is in closed form (by a
+scalar root at p != 2: ``ray_sup``).  So every ray bounds the pass level
+above, and driving that bound down over x is a deformation of paths (the
+Nehari characterization; as an algorithm, Li & Zhou's local minimax method
+with L = {0}, SIAM J. Sci. Comput. 23, 2001).
 
-The path is one stacked array, one image per row: ``(k+2, m)`` on a radial
-grid, ``(k+2, d)`` for the toy.  A sweep moves the whole string at once, as
-in the simplified string method (E, Ren & Vanden-Eijnden, J. Chem. Phys.
-126, 164103, 2007): one stacked gradient through the variant's array
-methods, one preconditioner solve with k right-hand sides, a vectorized
-arc-length interpolation and one stacked evaluation of F.
+The run starts on the endpoint e's ray, at its maximum t* e: the straight
+path from 0 to e, whose images' energies are f at their parameters.  Each
+descent step (``deform``) moves the current ray maximum x along the
+preconditioned gradient of F, takes the maximum of the new ray, and accepts
+it only if its sup is lower, so the reported bound falls monotonically.
+Before the first step and after every one, the ray maximum is polished
+(Newton on F' = 0), from the critical point of F on its orbit under the
+variant's scalings (``orbit_point``: on Hardy, the amplitude and dilation
+t x(./beta) in closed form; elsewhere the point itself).  A run stops,
+converged, when the polished point x* is an index-1 critical point at or
+below the ray's sup whose own ray {t x*} peaks at x* and goes on into
+{F < 0}: then the pass level is at most F(x*), which the run reports.
+``PATIENCE`` plateau steps, or a step that finds no lower sup, end an
+uncertified run, which is never converged.  The final path is the last
+ray's straight path: to e if no step was taken, else to 4 times the last
+ray maximum.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ValidationError
 from .functionals import ProblemSpec, eval_F, eval_T, eval_U  # noqa: F401 (eval_U: traced binding)
-from .functionals import factor_tridiagonal, regula_falsi, solve_tridiagonal
+from .functionals import factor_tridiagonal, solve_tridiagonal
 from .grids import GridFunction, RadialGrid
 from .levelcurve import scaling_exponent, scaling_path
 from .verify import weighted_residual
@@ -49,7 +45,9 @@ __all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
            "crosses_all_levels", "find_endpoint"]
 
 MAX_SWEEPS = 10_000
-PATIENCE = 25  # plateau sweeps in a row that end an uncertified run
+PATIENCE = 25  # steps in a row lowering the sup by < c_tol that end an uncertified run
+HALVINGS = 40  # step halvings before a descent step gives up
+MAX_STEP = 2.0  # largest step a descent step starts from
 POLISH_STEPS = 20  # Newton steps on F' = 0 from a sup point
 POLISH_FLOOR = 1e-3  # residual, in units of grad_tol, at which the polish stops
 
@@ -101,7 +99,7 @@ class DiscretePath:
 
 @dataclass
 class MpaOptions:
-    step: float = 0.2  # initial descent step of a sweep
+    step: float = 0.2  # the first descent step's initial size
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
@@ -149,89 +147,30 @@ def _straight_path(spec: ProblemSpec, endpoint, k: int):
     return DiscretePath(t[:, None] * e, energies, model.grid), f
 
 
-def _arc_length(spec: ProblemSpec, images: np.ndarray) -> np.ndarray:
-    """Cumulative weighted length along the polygonal path, from 0."""
-    d = np.diff(images, axis=0)
-    seg = np.sqrt(np.maximum(spec.model.inner(d, d), 0.0))
-    return np.concatenate(([0.0], np.cumsum(seg)))
-
-
-def _reparameterize(spec: ProblemSpec, images: np.ndarray) -> np.ndarray:
-    """Resample the polygonal path at uniform arc length (weighted norm)."""
-    s = _arc_length(spec, images)
-    n = len(images)
-    if s[-1] == 0.0:
-        return images
-    t = np.linspace(0.0, s[-1], n)[1:-1]
-    j = np.clip(np.searchsorted(s, t) - 1, 0, n - 2)
-    h = s[j + 1] - s[j]
-    w = np.divide(t - s[j], h, out=np.zeros_like(t), where=h > 0)
-    out = images.copy()
-    out[1:-1] = (1.0 - w)[:, None] * images[j] + w[:, None] * images[j + 1]
-    return out
-
-
 def _check_grid(path: DiscretePath, spec: ProblemSpec) -> None:
     grid = spec.model.grid
     if grid is not None and (path.grid is None or not path.grid.same_as(grid)):
         raise GridMismatchError("path does not live on the spec's grid")
 
 
-def deform(path: DiscretePath, spec: ProblemSpec, step: float) -> DiscretePath:
-    """One sweep: descend F on every interior image, then re-parameterize.
-
-    Endpoints are fixed, so membership in the admissible path class is
-    preserved by construction.
-    """
+def deform(x, spec: ProblemSpec, step: float, c_sup: float):
+    """One descent step over rays from x, the maximum of its own ray, whose
+    sup is c_sup.  The direction is the preconditioned gradient g =
+    (K + M)^-1 (grad T - grad U)(x) (``precondition``; the identity on the
+    toy); the step s is halved, at most ``HALVINGS`` times, until
+    y = x - s g has a ray sup (``ray_sup``) below c_sup and its ray reaches
+    F < 0 by 4 t_y.  Returns (x_new, sup, step): x_new = t_y y, the maximum
+    of y's ray, sup, F's maximum on that ray, and the next step
+    min(2 s, ``MAX_STEP``); None when no step lowers the sup."""
     model = spec.model
-    _check_grid(path, spec)
-    x = path.images
-    # Cap each displacement at half the mean image spacing: F is unbounded
-    # below past the barrier, and uncapped descent lets images run away.
-    cap = 0.5 * _arc_length(spec, x)[-1] / (len(x) - 1)
-    mid = x[1:-1]
-    g = model.precondition(model.grad_T(mid) - model.grad_U(mid))
-    gn = np.sqrt(np.maximum(model.inner(g, g), 0.0))
-    capped = ~(step * gn <= cap) & (gn != 0.0)
-    scale = np.divide(cap, gn, out=np.full_like(gn, step), where=capped)
-    moved = x.copy()
-    moved[1:-1] -= scale[:, None] * g
-    images = _reparameterize(spec, moved)
-    energies = np.empty(len(images))
-    energies[[0, -1]] = path.energies[[0, -1]]
-    energies[1:-1] = model.F(images[1:-1])
-    return DiscretePath(images, energies, path.grid)
-
-
-def _path_sup(path: DiscretePath, spec: ProblemSpec):
-    """Sup of F over the polygonal path near its argmax image x_j, and the
-    point attaining it: the image max at x_j, or F at the root that
-    ``regula_falsi`` finds of psi'(s) = <F'(x_j + s d), d> on a segment
-    d = x_k - x_j to a neighbour, where psi' falls from positive at s = 0 to
-    negative at s = 1 (from x_0 = 0, a strict local minimum of F, F rises
-    although F' = 0).  The search is local: it finds a local max on each
-    segment, not a certified global sup.  The value is F at a point of the
-    path, so it is at most the path's sup, which bounds the pass level
-    above; it equals that sup only when the sup lies on the two segments.
-    ``estimate_c`` takes it on deformed paths, and on a straight path whose
-    fibering map has no closed-form maximum."""
-    x, j = path.images, path.argmax_index
-    model = spec.model
-    sup, top = path.max_energy, x[j]
-    rows = [j] + [k for k in (j - 1, j + 1) if 0 <= k < len(x)]
-    g = model.grad_T(x[rows]) - model.grad_U(x[rows])  # F' at x_j and its neighbours
-    for g_k, d in zip(g[1:], x[rows[1:]] - x[j]):
-        def slope(s):
-            y = x[j] + s * d
-            return float(model.inner(model.grad_T(y) - model.grad_U(y), d))
-        end = float(model.inner(g_k, d))
-        start = float(model.inner(g[0], d)) if j > 0 else -end  # a positive stand-in for 0 at x_0
-        if start > 0.0 > end:
-            y = x[j] + regula_falsi(slope, 0.0, 1.0, start, end) * d
-            F = float(model.F(y))
-            if F > sup:
-                sup, top = F, y
-    return sup, top
+    g = model.precondition(model.grad_T(x) - model.grad_U(x))
+    for _ in range(HALVINGS + 1):
+        y = x - step * g
+        sup, t = model.ray_sup(y)
+        if sup < c_sup and model.F(4.0 * t * y) < 0:
+            return t * y, sup, min(2.0 * step, MAX_STEP)
+        step *= 0.5
+    return None
 
 
 def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
@@ -289,14 +228,14 @@ def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
 
 @dataclass
 class MpaResult:
-    c_mpa: float  # F at the certified saddle, else the path's sup
-    sweeps: int
+    c_mpa: float  # F at the certified saddle, else the last ray's sup
+    sweeps: int  # descent steps taken (``deform``)
     converged: bool  # the run stopped on a certified sup point; a patience stop never is
-    sup_residual: float  # weighted residual of F' = 0 at the path's sup point
-    path_sup: float  # the final path's sup of F, an upper bound on the pass level
+    sup_residual: float  # weighted residual of F' = 0 at the last ray's sup point
+    path_sup: float  # the last ray's sup of F, an upper bound on the pass level
     ray_sup: float | None  # sup of F on the ray through the certified saddle, else None
-    path: DiscretePath
-    trace: list = field(default_factory=list)  # (sweep, path sup, argmax index) per sweep
+    path: DiscretePath  # the last ray's straight path
+    trace: list = field(default_factory=list)  # (sweep, ray sup, next step) per descent step
 
 
 def estimate_c(
@@ -305,53 +244,50 @@ def estimate_c(
     opts: MpaOptions | None = None,
     k: int = 32,
 ) -> MpaResult:
-    """Drive the path's sup of F down.  The straight path's sup and sup
-    point come from the endpoint's fibering map (``Fibering.sup``), each
-    deformed path's from ``_path_sup``.  The sup point is polished and
-    certified (``_certify``) before the first sweep and after every accepted
-    one; a rejected sweep keeps the verdict it had.  The run stops on the
-    first certified point, converged, with ``c_mpa`` F at the saddle (the
-    path's sup on the toy).  ``PATIENCE`` plateau sweeps in a row (rejected,
-    or improving by less than the variant's ``c_tol``) end an uncertified
-    run, which is never converged."""
+    """Drive the sup of F over rays down, from the endpoint e's ray.  Its
+    sup and sup point t* e come from e's fibering map (``Fibering.sup``);
+    raises ValidationError where that map has no maximum (T(e) <= 0).  The
+    sup point is certified (``_certify``) before the first descent step
+    (``deform``) and after each one.  The run stops on the first certified
+    point, converged, with ``c_mpa`` F at the saddle (the ray's sup on the
+    toy).  ``PATIENCE`` steps in a row that improve the sup by less than the
+    variant's ``c_tol``, or a step that finds no lower sup, end an
+    uncertified run, which is never converged."""
     opts = opts or MpaOptions()
+    model = spec.model
 
     path, f = _straight_path(spec, endpoint, k)
     c_cur, t = f.sup()  # the straight path's exact sup, at t* e
-    if math.isnan(c_cur):  # T(e) <= 0: f has no closed-form maximum
-        c_cur, top = _path_sup(path, spec)
-    else:
-        top = t * path.images[-1]
-    verdict = _certify(path, spec, top, c_cur)
-    step = opts.step
-    plateau = 0
-    trace = []
-    sweeps = 0
+    if math.isnan(c_cur):
+        raise ValidationError("T(endpoint) <= 0: the endpoint's ray has no maximum")
+    x = t * path.images[-1]
+    verdict = _certify(path, spec, x, c_cur)
+    step, plateau, sweeps, trace = opts.step, 0, 0, []
     while not verdict[0] and plateau < PATIENCE and sweeps < MAX_SWEEPS:
+        moved = deform(x, spec, step, c_cur)
+        if moved is None:
+            break
         sweeps += 1
-        new = deform(path, spec, step)
-        c_new, top_new = _path_sup(new, spec)
-        if math.isfinite(c_new) and c_new <= c_cur + 1e-12 * max(1.0, abs(c_cur)):
-            improvement = c_cur - c_new
-            path, c_cur, top = new, c_new, top_new
-            step = min(step * 1.1, opts.step * 10.0)
-            plateau = plateau + 1 if improvement < spec.model.c_tol * max(abs(c_cur), 1e-12) else 0
-            verdict = _certify(path, spec, top, c_cur)
-        else:
-            step *= 0.5
-            plateau += 1
-            if step < 1e-14:
-                break
-        trace.append((sweeps, c_cur, path.argmax_index))
+        x, c_new, step = moved
+        plateau = plateau + 1 if c_cur - c_new < model.c_tol else 0
+        c_cur = c_new
+        trace.append((sweeps, c_cur, step))
+        # x's ray as the images 0, x, 4x, whose argmax x is interior; deform
+        # checked F(4x) < 0, which -inf stands in for
+        ray = DiscretePath(np.array([np.zeros_like(x), x, 4.0 * x]), [0.0, c_cur, -math.inf],
+                           path.grid)
+        verdict = _certify(ray, spec, x, c_cur)
+    if sweeps:
+        path = _straight_path(spec, model.wrap(4.0 * x), k)[0]
 
-    converged, res, saddle, ray = verdict
+    converged, res, saddle, ray_sup = verdict
     return MpaResult(
         c_mpa=c_cur if saddle is None else saddle,
         sweeps=sweeps,
         converged=converged,
         sup_residual=res,
         path_sup=c_cur,
-        ray_sup=ray,
+        ray_sup=ray_sup,
         path=path,
         trace=trace,
     )

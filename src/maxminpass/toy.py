@@ -2,7 +2,7 @@
 
 Every downstream quantity has a closed form here, which makes this module
 the exact oracle for the constrained minimizer, the level-curve engine and
-the path-deformation estimate.
+the direct estimate over rays.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.optimize import minimize_scalar
 
 from maxminpass import constrained
 from maxminpass import (
@@ -25,7 +24,6 @@ from maxminpass import (
     default_seed,
     el_residual,
     estimate_c,
-    eval_F,
     eval_T,
     grad_T,
     grad_U,
@@ -65,77 +63,6 @@ def _dense_mu_p(grid):
 @pytest.fixture(scope="session")
 def mu_p_dense():
     return _dense_mu_p
-
-
-def _per_image_deform(path, spec, step):
-    """One deformation sweep image by image, through the point-level
-    dispatchers: each interior image takes its own capped descent step, then
-    the polygon is resampled at uniform arc length one target at a time.
-    The reference the stacked ``deform`` is checked against; returns the
-    new points and their energies."""
-    points = list(path.points)
-    k = len(points)
-    total = sum(norm(spec, points[i + 1] - points[i]) for i in range(k - 1))
-    cap = 0.5 * total / (k - 1)
-    for i in range(1, k - 1):
-        g = mask(spec, precondition(spec, grad_T(spec, points[i]) - grad_U(spec, points[i])))
-        gn = norm(spec, g)
-        scale = step if step * gn <= cap or gn == 0.0 else cap / gn
-        points[i] = points[i] - scale * g
-
-    seg = np.array([norm(spec, points[i + 1] - points[i]) for i in range(k - 1)])
-    s = np.concatenate(([0.0], np.cumsum(seg)))
-    if s[-1] > 0.0:
-        out = [points[0]]
-        j = 0
-        for t in np.linspace(0.0, s[-1], k)[1:-1]:
-            while j < k - 2 and s[j + 1] < t:
-                j += 1
-            h = s[j + 1] - s[j]
-            w = (t - s[j]) / h if h > 0 else 0.0
-            out.append((1.0 - w) * points[j] + w * points[j + 1])
-        out.append(points[-1])
-        points = out
-    energies = np.asarray([eval_F(spec, u) for u in points])
-    energies[0] = path.energies[0]
-    energies[-1] = path.energies[-1]
-    return points, energies
-
-
-@pytest.fixture(scope="session")
-def deform_oracle():
-    return _per_image_deform
-
-
-def _two_segment_sup(path, spec):
-    """Sup of F over the polygonal path by two bounded Brent searches, one
-    on each straight segment next to the argmax image, and the point where
-    it is attained: the reference the single broken-line search of
-    ``_path_sup`` is checked against."""
-    x = path.images
-    j = path.argmax_index
-    F = spec.model.F
-
-    def segment_sup(a, b):
-        r = minimize_scalar(
-            lambda t: -F((1.0 - t) * a + t * b),
-            bounds=(0.0, 1.0),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return float(-r.fun), (1.0 - r.x) * a + r.x * b
-
-    best = (path.max_energy, x[j])
-    if j > 0:
-        best = max(best, segment_sup(x[j - 1], x[j]), key=lambda vp: vp[0])
-    if j < len(x) - 1:
-        best = max(best, segment_sup(x[j], x[j + 1]), key=lambda vp: vp[0])
-    return best
-
-
-@pytest.fixture(scope="session")
-def path_sup_oracle():
-    return _two_segment_sup
 
 
 def _point_minimize(spec, lam, u0=None):

@@ -312,14 +312,15 @@ class TestPipelines:
         assert payload["c_mpa"] <= payload["path_sup"]
 
     def test_mpa_trace_csv(self, outputs, tmp_path, monkeypatch):
-        # one row per sweep: the sweep, the path's sup after it, its argmax
-        # image; the straight path certifies before any sweep, so its trace
-        # is the header alone, and a run with certificates refused has rows
+        # one row per descent step: the step's count, the ray's sup after it
+        # and the next step's size; the endpoint's ray certifies before any
+        # step, so its trace is the header alone, and a run with certificates
+        # refused has rows whose sups fall
         with open(outputs / "mpa_trace.csv") as f:
             rows = list(csv.reader(f))
         summary = json.loads((outputs / "mpa_summary.json").read_text())
         assert summary["sweeps"] == 0
-        assert rows == [["sweep", "max_energy", "argmax_index"]]
+        assert rows == [["sweep", "ray_sup", "step"]]
         refuse_certificates(monkeypatch)
         cfg = hardy_config(tmp_path)
         assert main(["mpa", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
@@ -327,10 +328,12 @@ class TestPipelines:
             rows = list(csv.reader(f))
         summary = json.loads((tmp_path / "mpa_summary.json").read_text())
         assert summary["sweeps"] > 0
-        assert rows[0] == ["sweep", "max_energy", "argmax_index"]
+        assert rows[0] == ["sweep", "ray_sup", "step"]
         assert [int(r[0]) for r in rows[1:]] == list(range(1, summary["sweeps"] + 1))
         assert float(rows[-1][1]) == summary["path_sup"]
-        assert all(0 < int(r[2]) < 33 for r in rows[1:])
+        sups = [float(r[1]) for r in rows[1:]]
+        assert all(b < a for a, b in zip(sups, sups[1:]))
+        assert all(0.0 < float(r[2]) <= maxminpass.mpa.MAX_STEP for r in rows[1:])
 
     def test_comparison_schema_and_gap(self, outputs):
         payload = json.loads((outputs / "comparison.json").read_text())
@@ -416,7 +419,8 @@ class TestLevelOneSolve:
 
 def refuse_certificates(monkeypatch):
     """Refuse every certificate of the path deformation, keeping its residual:
-    a run then stops only on MAX_SWEEPS or PATIENCE, never converged."""
+    a run then stops only on MAX_SWEEPS, on PATIENCE or where no descent step
+    lowers the ray's sup, never converged."""
     certify = maxminpass.mpa._certify
     monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, certify(*a)[1], None, None))
 
@@ -564,9 +568,12 @@ class TestUnconvergedRuns:
         assert "the path deformation (0 sweeps" in capsys.readouterr().err
 
     def test_stalled_mpa_exits_3_with_a_message(self, tmp_path, monkeypatch, capsys):
-        # With every certificate refused the run ends on PATIENCE, which is
-        # never convergence.
+        # With every certificate refused the run ends uncertified, which is
+        # never convergence.  Without the polish, the descent at p = 3 creeps
+        # toward the saddle for some 4,500 steps before its plateau; 100 show
+        # the same report.
         refuse_certificates(monkeypatch)
+        monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 100)
         cfg = {
             "problem": {
                 "variant": "hardy-subcritical",

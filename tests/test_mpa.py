@@ -1,4 +1,4 @@
-"""Path deformation estimate of the pass level."""
+"""The direct estimate of the pass level: a descent over rays."""
 
 import dataclasses
 
@@ -18,7 +18,6 @@ from maxminpass import (
     ValidationError,
     build_radial_grid,
     crosses_all_levels,
-    deform,
     estimate_c,
     eval_F,
     eval_T,
@@ -45,7 +44,7 @@ def toy_endpoint(spec, radius=2.0):
 
 
 def refuse(*args):
-    """A ``_certify`` that certifies nothing, so that a run deforms its path."""
+    """A ``_certify`` that certifies nothing, so that a run descends."""
     return False, np.nan, None, None
 
 
@@ -66,9 +65,10 @@ def newton_critical_point(spec, x, steps=30):
 
 
 def saddle_of(spec, result):
-    """The critical point that Newton's method reaches from the sup point of
-    a run's final path."""
-    return newton_critical_point(spec, maxminpass.mpa._path_sup(result.path, spec)[1])
+    """The critical point that Newton's method reaches from the maximum of
+    the ray through a run's final endpoint."""
+    e = result.path.images[-1]
+    return newton_critical_point(spec, spec.model.ray_sup(e)[1] * e)
 
 
 def morse_index(spec, x):
@@ -105,47 +105,50 @@ class TestInitPath:
 
 
 class TestDeform:
-    def test_starts_at_zero_after_sweeps(self):
-        spec = toy_spec()
-        path = init_path(spec, toy_endpoint(spec), k=16)
-        for _ in range(5):
-            path = deform(path, spec, 0.05)
-        assert np.all(path.points[0] == 0.0)
-        assert np.array_equal(path.points[-1], toy_endpoint(spec))
-        assert path.energies[-1] < 0
+    """One descent step over rays (``deform``)."""
 
-    def test_perturbed_path_stays_admissible(self):
-        # bend the straight path sideways; a few sweeps keep the endpoints
-        # pinned, the class membership intact, and the barrier max near the
-        # pass level
-        spec = toy_spec()
-        path = init_path(spec, toy_endpoint(spec), k=16)
-        points = list(path.points)
-        ts = np.linspace(0.0, 1.0, len(points))
-        for i in range(1, len(points) - 1):
-            points[i] = points[i] + np.array([0.0, 0.4 * np.sin(np.pi * ts[i])])
-        energies = np.array([eval_F(spec, u) for u in points])
-        path = DiscretePath(points=points, energies=energies)
+    def test_starts_at_zero_after_sweeps(self, hardy_small, monkeypatch):
+        # with certificates refused the run descends; its final path, the
+        # last ray's straight path, starts at 0 and ends where F < 0
+        monkeypatch.setattr(maxminpass.mpa, "_certify", refuse)
+        endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        result = estimate_c(hardy_small, endpoint, MpaOptions(), k=16)
+        path = result.path
+        assert result.sweeps > 0 and len(path.images) == 18
+        assert np.all(path.images[0] == 0.0)
+        assert path.energies[-1] == eval_F(hardy_small, path.point(-1)) < 0
+        assert path.max_energy <= result.path_sup
+
+    def test_perturbed_path_stays_admissible(self, hardy_small):
+        # from a ray reshaped off the saddle's, each step lands on the maximum
+        # of a ray with a lower sup, whose straight path to 4x is admissible,
+        # crosses every level and stays above the pass level
+        spec = hardy_small
+        endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        c = estimate_c(spec, endpoint, MpaOptions()).c_mpa
+        x = endpoint.values * (1.0 + 0.5 * np.cos(np.pi * spec.grid.nodes / spec.grid.R))
+        sup, t = spec.model.ray_sup(x)
+        x, step = t * x, 0.2
         for _ in range(10):
-            path = deform(path, spec, 0.02)
-        assert np.all(path.points[0] == 0.0)
-        assert np.array_equal(path.points[-1], toy_endpoint(spec))
-        assert path.energies[-1] < 0
-        assert crosses_all_levels(path, spec, np.linspace(0.1, 15.0, 20))
-        assert path.max_energy <= 0.25 + 1e-9
+            x, new_sup, step = maxminpass.mpa.deform(x, spec, step, sup)
+            assert c <= new_sup < sup
+            assert abs(spec.model.F(x) - new_sup) <= 1e-12 * new_sup
+            sup = new_sup
+            path = init_path(spec, GridFunction(spec.grid, 4.0 * x), k=16)
+            end_level = spec.model.U(path.images[-1])
+            assert crosses_all_levels(path, spec, np.linspace(1e-6, 0.999, 50) * end_level)
+            assert path.max_energy <= sup
 
-    def test_near_critical_path_is_stable(self):
-        # a path tracing the radial profile through the saddle moves little
-        spec = toy_spec()
-        r_end = 2.0
-        k = 200
-        rs = np.linspace(0.0, r_end, k + 2)
-        points = [np.array([r, 0.0]) for r in rs]
-        energies = np.array([eval_F(spec, u) for u in points])
-        path = DiscretePath(points=points, energies=energies)
-        before = path.max_energy
-        after = deform(path, spec, 0.02).max_energy
-        assert abs(after - before) < 1e-3
+    def test_near_critical_path_is_stable(self, hardy_small):
+        # from a saddle, on the toy and on Hardy, a step finds no lower sup
+        # beyond rounding
+        endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        x = saddle_of(hardy_small, estimate_c(hardy_small, endpoint, MpaOptions()))
+        for spec, x, step in ((toy_spec(), np.array([0.5**0.5, 0.0]), 0.02),
+                              (hardy_small, x, 0.2)):
+            sup = spec.model.ray_sup(x)[0]
+            out = maxminpass.mpa.deform(x, spec, step, sup)
+            assert out is None or abs(out[1] - sup) <= 1e-12 * sup
 
 
 class TestEstimateC:
@@ -169,24 +172,47 @@ class TestEstimateC:
         # accuracy is limited by the image spacing along the path
         assert np.linalg.norm(top) == pytest.approx(0.25**0.25, abs=0.03)
 
-    def test_upper_bound_is_monotone(self, monkeypatch):
-        # the straight path's top is certified before any sweep: refuse it
+    def test_upper_bound_is_monotone(self, hardy_small, monkeypatch):
+        # The endpoint's ray is certified before any step: refuse it.  Each
+        # step's sup is the maximum of F on its iterate's ray, which is an
+        # admissible path, so it bounds the pass level above, and the sups
+        # strictly fall.  On the toy every ray peaks at a critical point, so
+        # no step lowers the sup and the run stops at once.
+        spec = hardy_small
+        endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        cases = [(toy_spec(), toy_endpoint(toy_spec()), MpaOptions(step=0.05), 0.25),
+                 (spec, endpoint, MpaOptions(), estimate_c(spec, endpoint).c_mpa)]
+        iterates = []
+        deform = maxminpass.mpa.deform
+
+        def spy(x, spec, step, c_sup):
+            out = deform(x, spec, step, c_sup)
+            if out is not None:
+                iterates.append(out[0])
+            return out
+
+        monkeypatch.setattr(maxminpass.mpa, "deform", spy)
         monkeypatch.setattr(maxminpass.mpa, "_certify", refuse)
-        spec = toy_spec()
-        result = estimate_c(spec, toy_endpoint(spec), MpaOptions(step=0.05), k=24)
-        sups = [row[1] for row in result.trace]
-        assert len(sups) == maxminpass.mpa.PATIENCE
-        assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
-        # every running value is a true upper bound on the pass level
-        assert all(s >= 0.25 - 1e-9 for s in sups)
+        for spec, endpoint, opts, c in cases:
+            iterates.clear()
+            result = estimate_c(spec, endpoint, opts, k=24)
+            assert not result.converged
+            sups = [row[1] for row in result.trace]
+            assert len(sups) == result.sweeps == len(iterates)
+            assert (result.sweeps == 0) == (spec.variant == "toy")
+            for sup, x in zip(sups, iterates):
+                assert abs(sup - ray_oracle(spec, x)[0]) <= 1e-12 * abs(sup)
+            assert all(b < a for a, b in zip(sups, sups[1:]))
+            assert all(s >= c * (1.0 - 1e-12) for s in [*sups, result.path_sup])
 
 
 class TestCertifiedStop:
     @pytest.mark.parametrize("case", ["toy", "critical"])
     def test_one_sweep_certifies_the_straight_path(self, case, critical_small, monkeypatch):
-        # the straight path's top is already an index-1 critical point, so
-        # it is certified before the first sweep; the patience run only adds
-        # drift within the acceptance slack
+        # the endpoint's ray maximum is already an index-1 critical point, so
+        # it is certified before the first step; with that refused, the
+        # descent finds at most rounding-level lower sups and stops, each
+        # still an upper bound
         if case == "toy":
             spec, args = toy_spec(), (toy_endpoint(toy_spec()), MpaOptions(step=0.05), 48)
         else:
@@ -198,15 +224,15 @@ class TestCertifiedStop:
         assert result.converged
         assert result.sup_residual <= spec.model.grad_tol
         monkeypatch.setattr(maxminpass.mpa, "_certify", refuse)
-        patience = estimate_c(spec, *args)
-        assert not patience.converged
-        assert patience.sweeps == maxminpass.mpa.PATIENCE
-        assert result.c_mpa <= patience.c_mpa
+        refused = estimate_c(spec, *args)
+        assert not refused.converged
+        assert refused.sweeps < maxminpass.mpa.PATIENCE
+        assert abs(refused.c_mpa - result.c_mpa) <= 1e-12 * result.c_mpa
 
     @pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 6.0])
     def test_toy_sup_point_is_the_saddle(self, q):
-        # the slope root on the straight path's top segment is the saddle to
-        # rounding, so each toy certifies before the first sweep
+        # the endpoint's ray maximum is the saddle to rounding, so each toy
+        # certifies before the first step
         spec = toy_spec(q)
         radius = 2.0
         while radius**2 - radius**q >= 0:
@@ -217,8 +243,9 @@ class TestCertifiedStop:
         assert result.sup_residual <= 1e-12
 
     def test_hardy_straight_path_not_certified(self, hardy_small, monkeypatch):
-        # the straight path's top polishes to the saddle before any sweep;
-        # with that refused, the run takes exactly the one sweep allowed
+        # the endpoint's ray maximum polishes to the saddle before any step;
+        # with that refused, the run takes exactly the one step allowed, whose
+        # ray maximum is not yet a critical point
         endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
         certify = maxminpass.mpa._certify
         monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, certify(*a)[1], None, None))
@@ -298,11 +325,10 @@ class TestCertifiedStop:
         assert not certified and saddle is None and ray is None
 
     def test_end_segment_sup_is_not_convergence(self, hardy_mu_half):
-        # Deformed from the wide seed bump, the string's sup would run toward
-        # its first segment, where a sup is never certified.  The straight
-        # path's sup point is interior, and the polish from its
-        # amplitude-dilation orbit point reaches the saddle at sweep 0; the
-        # ray through the saddle bounds c.
+        # A sup at a path's first image is never certified.  The sup point of
+        # the wide seed bump's ray is interior, and the polish from its
+        # amplitude-dilation orbit point reaches the saddle before any step;
+        # the ray through the saddle bounds c.
         spec = hardy_mu_half["spec"]
         u = spec.model.seed(spec.grid.R / 4.0)
         while eval_F(spec, u) >= 0:
@@ -414,13 +440,19 @@ class TestPolishedSaddle:
         v = minimize_on_level(spec, 1.0).minimizer
         return eval_F(spec, pick_solution_scale(spec, v)["minimizer_at_unit_multiplier"])
 
-    @pytest.mark.parametrize("fraction", [15.0, 4.0])
-    def test_path_near_the_hardy_constant_certifies_on_verify(self, fraction):
-        # the string's sup stays far above the unit-multiplier level 8.71,
-        # but its sup point polishes to the saddle there; from the R/4 bump
-        # only the polish from that point's amplitude-dilation orbit point
-        # gets there (after 15 sweeps)
-        spec = hardy_spec(2.0, 0.99, 8.0 / 3.0, 800)
+    @pytest.mark.parametrize("p, q, m, fraction", [
+        pytest.param(2.0, 8.0 / 3.0, 800, 15.0, id="15.0"),
+        pytest.param(2.0, 8.0 / 3.0, 800, 4.0, id="4.0"),
+        # q midway to p* = 2.8125
+        pytest.param(1.8, (1.8 + 9.0 / 3.2) / 2.0, 200, 15.0, id="p1.8-m200-15.0"),
+    ])
+    def test_path_near_the_hardy_constant_certifies_on_verify(self, p, q, m, fraction):
+        # at mu = 0.99 H the rays' sup stays above the unit-multiplier level
+        # (8.71 at p = 2), but the sup point polishes to the saddle there,
+        # after 5 and 7 descent steps at p = 2 and 136 at p = 1.8.  A deformed
+        # string exited uncertified at p = 1.8: its broken-line sup fell
+        # below c, to 0.19 against 1.24, which no admissible path reaches.
+        spec = hardy_spec(p, 0.99, q, m)
         result = estimate_c(spec, seed_bump_endpoint(spec, spec.grid.R / fraction),
                             MpaOptions(), k=32)
         assert result.converged
@@ -429,8 +461,9 @@ class TestPolishedSaddle:
         assert result.c_mpa < result.path_sup
 
     def test_path_at_p_3_certifies_on_verify(self):
-        # the string's sup stays about 80% above the unit-multiplier level
-        # 74.8, but its sup point polishes to the saddle there
+        # after one descent step the ray's sup is 85% above the
+        # unit-multiplier level 74.8, but its sup point polishes to the saddle
+        # there
         spec = hardy_spec(3.0, 0.5, 5.0, 100)
         endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
         result = estimate_c(spec, endpoint, MpaOptions(), k=32)
@@ -439,15 +472,23 @@ class TestPolishedSaddle:
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
         assert result.c_mpa < result.path_sup
 
-    @pytest.mark.parametrize("m", [200, 800])
-    def test_finer_p_3_grids_certify_on_verify(self, m):
+    @pytest.mark.parametrize("m, fraction, steps", [
+        pytest.param(200, None, 1, id="200"),
+        pytest.param(800, None, 1, id="800"),
+        pytest.param(800, 15.0, 20, id="800-15.0"),
+    ])
+    def test_finer_p_3_grids_certify_on_verify(self, m, fraction, steps):
         # the backtracking polish reaches the saddle from the orbit point of
-        # the deformed string's sup point, where full Newton steps overshoot,
-        # after 4 and 6 sweeps
+        # the ray's sup point, where full Newton steps overshoot, after one
+        # descent step from the coupled endpoint and 20 from the R/15 bump,
+        # where a deformed string exited uncertified after 52 sweeps
         spec = hardy_spec(3.0, 0.5, 5.0, m)
-        endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        if fraction is None:
+            endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        else:
+            endpoint = seed_bump_endpoint(spec, spec.grid.R / fraction)
         result = estimate_c(spec, endpoint, MpaOptions(), k=32)
-        assert result.converged and result.sweeps <= 8
+        assert result.converged and result.sweeps == steps
         c = self.F_at_verified_solution(spec)
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
 
@@ -565,30 +606,18 @@ class TestClosedFormStart:
         value, t = spec.model.ray_sup(e)
         assert c_sup == value == result.path_sup
         assert np.array_equal(top, t * e)
-        local = maxminpass.mpa._path_sup(result.path, spec)[0]
-        assert abs(c_sup - local) <= 1e-12 * abs(local)
         if case == "toy":
             assert c_sup == pytest.approx(toy_closed_form(spec.toy)["c"], rel=1e-14)
 
-    def test_endpoint_without_positive_T_falls_back(self, hardy_small, monkeypatch):
+    def test_endpoint_without_positive_T_is_refused(self, hardy_small):
         # a profile flat near R has T <= 0 (here T = 0: the profile is flat
-        # everywhere), so its fibering map has no closed-form maximum
+        # everywhere), so its fibering map has no maximum and its ray starts
+        # no descent
         endpoint = GridFunction(hardy_small.grid, np.full(hardy_small.grid.m, 3.0))
         assert eval_T(hardy_small, endpoint) <= 0.0 and eval_F(hardy_small, endpoint) < 0.0
         assert all(map(np.isnan, hardy_small.model.ray_sup(endpoint.values)))
-        calls = []
-        path_sup = maxminpass.mpa._path_sup
-
-        def spy(path, spec):
-            calls.append(path)
-            return path_sup(path, spec)
-
-        monkeypatch.setattr(maxminpass.mpa, "_path_sup", spy)
-        (c_sup, top), result = self.sweep_zero(hardy_small, endpoint, monkeypatch)
-        assert calls == [result.path]
-        local, local_top = path_sup(result.path, hardy_small)
-        assert c_sup == local == result.path_sup
-        assert np.array_equal(top, local_top)
+        with pytest.raises(ValidationError, match=r"T\(endpoint\) <= 0"):
+            estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
 
     def test_certified_start_takes_no_stacked_energy(self, hardy_small, monkeypatch):
         endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
@@ -598,11 +627,6 @@ class TestClosedFormStart:
                 ndims.append(np.ndim(x))
                 return method(self, x)
             monkeypatch.setattr(Hardy, name, spy)
-
-        def no_path_sup(*args):
-            raise AssertionError("_path_sup called")
-
-        monkeypatch.setattr(maxminpass.mpa, "_path_sup", no_path_sup)
         result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
         assert result.converged and result.sweeps == 0
         assert ndims and set(ndims) == {1}

@@ -1,7 +1,6 @@
-"""The stacked path deformation against its per-image reference, the
-broken-line path sup against the two-segment reference, the array methods of
-the variants against the point-level dispatchers, and the library endpoint
-search."""
+"""The array methods of the variants against the point-level dispatchers,
+the path checks, the descent step's lookup through the module, and the
+library endpoint search."""
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from maxminpass import (
     ValidationError,
     build_radial_grid,
     crosses_all_levels,
-    deform,
     estimate_c,
     eval_F,
     eval_U,
@@ -34,7 +32,6 @@ from maxminpass import (
     scaling_exponent,
     scaling_path,
 )
-from maxminpass.mpa import _path_sup
 
 REL = 1e-13
 
@@ -53,11 +50,21 @@ def radial_path(spec, k=12):
     return spec, init_path(spec, endpoint, k=k)
 
 
+def bent_radial_path(spec, k=12):
+    """``radial_path`` with its interior images reshaped, each by its own
+    amount, so that they leave the endpoint's ray."""
+    _, path = radial_path(spec, k)
+    ts = np.linspace(0.0, 1.0, k + 2)[:, None]
+    bend = np.sin(np.pi * ts) * np.cos(np.pi * spec.grid.nodes / spec.grid.R)
+    images = path.images * (1.0 + 0.4 * bend)
+    return spec, DiscretePath(images, spec.model.F(images), spec.grid)
+
+
 @pytest.fixture(scope="module", params=["toy", "hardy", "critical"])
 def spec_and_path(request, hardy_small, critical_small):
     if request.param == "toy":
         return toy_path()
-    return radial_path(hardy_small if request.param == "hardy" else critical_small)
+    return bent_radial_path(hardy_small if request.param == "hardy" else critical_small)
 
 
 def values(u):
@@ -70,137 +77,10 @@ def assert_rel_close(actual, expected):
     assert np.max(np.abs(actual - expected)) <= REL * scale
 
 
-class TestStackedSweep:
-    @pytest.mark.parametrize("step", [0.2, 0.002])
-    def test_matches_per_image_reference(self, spec_and_path, deform_oracle, step):
-        spec, path = spec_and_path
-        for _ in range(2):
-            new = deform(path, spec, step)
-            points, energies = deform_oracle(path, spec, step)
-            assert_rel_close(new.images, [values(u) for u in points])
-            assert_rel_close(new.energies, energies)
-            path = DiscretePath(points=points, energies=energies)
-
-    def test_points_keep_their_kind(self, spec_and_path):
-        spec, path = spec_and_path
-        new = deform(path, spec, 0.2)
-        kind = np.ndarray if spec.variant == "toy" else GridFunction
-        assert all(isinstance(u, kind) for u in new.points)
-        assert len(new.points) == new.images.shape[0]
-        assert not new.images.flags.writeable
-
-
-def bent_path(spec, radii, energies=None):
-    """Toy path whose image i sits at radius radii[i] and angle 0.3 i, so
-    that each image is a corner; energies default to F's."""
-    points = [r * np.array([np.cos(0.3 * i), np.sin(0.3 * i)]) for i, r in enumerate(radii)]
-    if energies is None:
-        energies = [eval_F(spec, u) for u in points]
-    return DiscretePath(points=points, energies=energies)
-
-
-class TestPathSup:
-    @pytest.mark.parametrize("case", ["toy2.5", "toy4", "toy6", "hardy", "critical"])
-    def test_estimate_c_matches_two_segment_sup(
-        self, case, hardy_small, critical_small, path_sup_oracle, monkeypatch
-    ):
-        if case.startswith("toy"):
-            q = float(case[3:])
-            spec = ProblemSpec(variant="toy", toy=ToyProblem(2, q))
-            r = 2.0
-            while r**2 - r**q >= 0:
-                r *= 2.0
-            args = (np.array([r, 0.0]), MpaOptions(step=0.05), 48)
-        else:
-            spec = hardy_small if case == "hardy" else critical_small
-            endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
-            args = (endpoint, MpaOptions(), 32)
-        # The certified stop reads the sup point, which the reference's
-        # searches locate only to Brent's tolerance, so both runs stop on
-        # patience.
-        monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None, None))
-        new = estimate_c(spec, *args)
-        monkeypatch.setattr(maxminpass.mpa, "_path_sup", path_sup_oracle)
-        old = estimate_c(spec, *args)
-        assert not new.converged and not old.converged
-        assert new.sweeps == old.sweeps
-        assert [row[2] for row in new.trace] == [row[2] for row in old.trace]
-        assert abs(new.c_mpa - old.c_mpa) <= REL * abs(old.c_mpa)
-
-    @pytest.mark.parametrize(
-        "radii, j",
-        [
-            ([0.0, 0.4, 0.8, 1.5, 2.0], 2),  # sup inside the left segment
-            ([0.0, 0.6, 0.9, 1.5, 2.0], 1),  # sup inside the right segment
-            ([0.0, 0.3, 0.5**0.5, 1.2, 2.0], 2),  # sup at the argmax image
-        ],
-    )
-    def test_hand_built_paths_match_two_segment_sup(self, radii, j, path_sup_oracle):
-        # F(u) = |u|^2 - |u|^4 peaks on the circle |u| = 1/sqrt(2) with value
-        # 1/4, which every segment between the radii 0.4 and 0.8 (left) or
-        # 0.6 and 0.9 (right) crosses
-        spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
-        path = bent_path(spec, radii)
-        assert path.argmax_index == j
-        sup, top = _path_sup(path, spec)
-        assert abs(sup - path_sup_oracle(path, spec)[0]) <= REL
-        assert sup >= path.max_energy
-        assert spec.model.F(top) == sup
-        assert sup == pytest.approx(0.25, abs=1e-15)
-
-    @pytest.mark.parametrize("end", ["first", "last"])
-    def test_argmax_at_an_end_clips_the_bounds(self, end, path_sup_oracle, monkeypatch):
-        # the one segment next to the argmax crosses the circle |u| = 1/sqrt(2);
-        # only that segment is searched, and the sup point lies on it
-        spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
-        if end == "first":
-            path = bent_path(spec, [0.0, 1.5, 1.8, 2.0])
-            j, k = 0, 1
-        else:
-            # F(0) = 0 > F(endpoint), so a path carrying F's energies never
-            # peaks at its endpoint; this one carries made-up energies
-            path = bent_path(spec, [0.0, 0.3, 0.6, 0.9], energies=[-20.0, -15.0, -13.0, -12.0])
-            j, k = 3, 2
-        seen = []
-        root = maxminpass.mpa.regula_falsi
-
-        def spy(f, lo, hi, f_lo, f_hi):
-            seen.append((lo, hi))
-            return root(f, lo, hi, f_lo, f_hi)
-
-        monkeypatch.setattr(maxminpass.mpa, "regula_falsi", spy)
-        sup, top = _path_sup(path, spec)
-        assert seen == [(0.0, 1.0)]
-        x_j, d = path.images[j], path.images[k] - path.images[j]
-        s = np.dot(top - x_j, d) / np.dot(d, d)
-        assert 0.0 < s < 1.0
-        assert np.allclose(top, x_j + s * d, rtol=0.0, atol=1e-15)
-        assert abs(sup - path_sup_oracle(path, spec)[0]) <= REL
-        assert sup == pytest.approx(0.25, abs=1e-15)
-
-    def test_at_most_25_energy_calls_per_sup(self, monkeypatch):
-        spec, path = toy_path()
-        calls = []
-        F = spec.model.F
-
-        def counting(x):
-            calls.append(1)
-            return F(x)
-
-        for _ in range(5):
-            path = deform(path, spec, 0.05)
-            calls.clear()
-            monkeypatch.setattr(spec.model, "F", counting)
-            _path_sup(path, spec)
-            monkeypatch.undo()
-            assert 0 < len(calls) <= 25
-
-
 class TestArrayMethods:
     def test_stacked_calls_equal_row_by_row(self, spec_and_path):
         spec, path = spec_and_path
         model = spec.model
-        path = deform(path, spec, 0.2)
         x, points = path.images, path.points
         assert_rel_close(model.F(x), [eval_F(spec, u) for u in points])
         for method, dispatcher in (
@@ -236,23 +116,26 @@ class TestArrayMethods:
 
 
 class TestPathChecks:
-    def test_deform_is_called_through_the_module(self, monkeypatch):
-        # estimate_c must look deform up on the module at each sweep, so that
-        # a wrapper installed there sees every sweep.  The toy's straight
-        # path is certified before any sweep, so certification is refused.
+    def test_deform_is_called_through_the_module(self, hardy_small, monkeypatch):
+        # estimate_c must look deform up on the module at each descent step,
+        # so that a wrapper installed there sees every step.  The endpoint's
+        # ray is certified before any step, so certification is refused; the
+        # run then stops on PATIENCE, after its last step was accepted.
         calls = []
         orig = maxminpass.mpa.deform
         monkeypatch.setattr(maxminpass.mpa, "_certify", lambda *a: (False, np.nan, None, None))
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
+        def counting(x, spec, step, c_sup):
+            out = orig(x, spec, step, c_sup)
+            calls.append(out)
+            return out
 
         monkeypatch.setattr(maxminpass.mpa, "deform", counting)
-        spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
-        result = estimate_c(spec, np.array([2.0, 0.0]), MpaOptions(step=0.05), k=16)
-        assert result.sweeps > 0
+        endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
+        assert result.sweeps > maxminpass.mpa.PATIENCE
         assert len(calls) == result.sweeps
+        assert [out[1:] for out in calls] == [row[1:] for row in result.trace]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_image_rejected(self, critical_small, bad):
@@ -266,14 +149,6 @@ class TestPathChecks:
         images[2, 5] = bad
         with pytest.raises(ValidationError):
             DiscretePath(images, path.energies, critical_small.grid)
-
-    def test_path_on_another_grid_rejected(self, hardy_small, critical_small):
-        _, path = radial_path(critical_small, k=4)
-        with pytest.raises(GridMismatchError):
-            deform(path, hardy_small, 0.2)
-        _, path = toy_path()
-        with pytest.raises(GridMismatchError):
-            deform(path, critical_small, 0.2)
 
     def test_level_scan_on_another_grid_rejected(self, hardy_small, critical_small):
         _, path = radial_path(critical_small, k=4)
