@@ -22,22 +22,23 @@ exactly as a single-image call does.  On one image: ``retract(x, lam)``
 scales it onto the level set {U = lam}; ``carry(x, ratio)`` moves it from
 level lam to near ratio * lam along the group action; ``hessian(x, theta)``
 gives the bands of the tridiagonal Euclidean Hessian of T - theta U (None
-on the toy); ``fibering(x)`` gives x's fibering map t -> F(t x) in closed
-form (``Fibering``), from one T and one set of U's moments, and
-``ray_sup(x)`` its maximum over t > 0 and where it is attained;
-``orbit_point(x)`` is the critical point of F over the amplitudes and
-dilations t x(./beta) of x, from the same T and moments (Hardy; x itself
-elsewhere).
+on the toy); ``ray_sup(x)`` is the maximum over t > 0 of x's fibering map
+t -> F(t x) (``Fibering``) and where it is attained.
 
-The constrained descent evaluates each point once.  ``at_level(y, lam)``
-retracts a trial point and returns (x, T(x), the intermediates), and
-``iterate(x, T, intermediates)`` turns an accepted one into an ``Iterate``
-record: x, T, the masked gradients of T and U, and U's diagonal curvature;
-``bands(it, theta)`` reads the Hessian from it.  The intermediates are one
+Each point is evaluated once, into an ``Iterate`` record, from one
 difference quotient of x and one power of |x| (Hardy |x|^(q-2), critical
-|x|^(p*-2)), which the retraction's check on the grid sum already took.
-Without them ``iterate(x)`` computes its own.  The record and the array
-methods above share one formula each, so they agree to rounding.
+|x|^(p*-2)); the record and the array methods share one formula each, so
+they agree to rounding.  ``iterate(x)`` gives x, the masked gradients of T
+and U, the gradient of T before the mask, and the intermediates, from
+which ``bands(it, theta)`` reads the Hessian; ``energies(x)`` gives x, T
+and the intermediates only.  From a record, ``T_of`` gives T (evaluated
+where ``iterate`` was not given it), ``fibering_of`` the fibering map in
+closed form from T and U's moments, ``orbit_point`` the critical point of
+F over the amplitudes and dilations t x(./beta) of x (Hardy; x itself
+elsewhere), and ``eval_T``, ``eval_U`` and ``eval_F`` the energies.  The
+descent's trial point is retracted by ``at_level(y, lam)``, which returns
+(x, T(x), the intermediates the retraction's check on the grid sum took);
+``iterate(x, T, intermediates)`` records an accepted one.
 ``carry_record(it, lam0, lam)`` gives the record of the point carried from
 level lam0 to lam: where the group action is exact (critical, toy) each
 field scales by its degree of homogeneity, and Hardy's dilated point is
@@ -53,7 +54,8 @@ Attributes:
 ``scaling_exponent``, ``grad_tol``, ``c_tol``, ``exact_transport``,
 ``amplitude_exponents``.  The module-level functions
 (``eval_T`` ... ``norm``) take points, unwrap them and call the array
-methods; they are the public edge, not the inner loops' path.
+methods, or read records; they are the public edge, not the inner loops'
+path.
 
 Gradients are exact derivatives of the discrete energies (variational
 discretization), returned in the quadrature-weighted pairing: for any
@@ -238,20 +240,20 @@ def _ddphi(du: np.ndarray, p: float):
 
 
 class Iterate(NamedTuple):
-    """One point of the level-set descent with everything its multiplier,
-    residual and Newton-KKT Hessian read, evaluated once (``iterate``)."""
+    """A point with all that the descent and the polish read of it, evaluated once."""
 
     x: np.ndarray
-    T: float
+    T: float | None  # T(x), None where not given to ``iterate`` (``T_of`` evaluates it)
     gT: np.ndarray  # masked weighted gradient of T
     gU: np.ndarray  # masked weighted gradient of U
-    curv: object  # U's diagonal curvature d(grad U)_i / dx_i (None on the toy)
     du: object  # the difference quotient T's stiffness reads (None on the toy)
+    pw: object  # the power of |x| U, its moments and curvature read (None on the toy, Rayleigh)
+    gT_full: np.ndarray  # T's weighted gradient before the mask, the residual's scale
 
 
 class Fibering(NamedTuple):
     """The fibering map of a point x, f(t) = F(t x) = a t^p + c t^2 - b t^r
-    for t > 0 (``Variant.fibering``): T is p-homogeneous, and U(t x) =
+    for t > 0 (``Variant.fibering_of``): T is p-homogeneous, and U(t x) =
     b t^r - c t^2 with c >= 0 and r > max(p, 2)."""
 
     a: float
@@ -295,8 +297,9 @@ def _scaled_record(it: Iterate, s: float, p: float, r: float) -> Iterate:
         it.T * s**p,
         it.gT * s ** (p - 1.0),
         it.gU * s ** (r - 1.0),
-        None if it.curv is None else it.curv * s ** (r - 2.0),
         None if it.du is None else it.du * s,
+        None if it.pw is None else it.pw * s ** (r - 2.0),
+        it.gT_full * s ** (p - 1.0),
     )
 
 
@@ -328,31 +331,65 @@ class Variant:
     def seed_width(self, lam: float):
         return None  # ``seed`` takes no width
 
-    def orbit_point(self, x):
-        return x  # Hardy starts at its orbit's critical point; the others at x
+    def orbit_point(self, it: Iterate):
+        return it.x  # Hardy starts at its orbit's critical point; the others at x
 
     def at_level(self, y, lam: float):
         x = self.retract(y, lam)
         return x, float(self.T(x)), None
 
+    # The array methods and the records share one formula each, from x and
+    # du, x's difference quotient, or pw, its power of |x| (None on the toy).
+
+    def _du(self, x):
+        return None
+
+    def _power(self, x):
+        return None
+
+    def T(self, x):
+        return self._T(x, self._du(x))
+
+    def U(self, x):
+        return self._U(x, self._power(x))
+
+    def grad_T(self, x):
+        return self._grad_T(x, self._du(x))
+
+    def grad_U(self, x):
+        return self._grad_U(x, self._power(x))
+
+    def _U_moments(self, x):
+        return self._moments(x, self._power(x))
+
+    def energies(self, x) -> Iterate:
+        """x's record without its gradients: all that F and its fibering map read."""
+        du, pw = self._du(x), self._power(x)
+        return Iterate(x, float(self._T(x, du)), None, None, du, pw, None)
+
     def iterate(self, x, T=None, aux=None) -> Iterate:
-        T = float(self.T(x)) if T is None else T
-        return Iterate(x, T, self.mask(self.grad_T(x)), self.mask(self.grad_U(x)), None, None)
+        """x's record, with T and the intermediates where ``at_level`` passes them."""
+        du, pw = (self._du(x), self._power(x)) if aux is None else aux
+        gT = self._grad_T(x, du)
+        return Iterate(x, T, self.mask(gT), self.mask(self._grad_U(x, pw)), du, pw, gT)
+
+    def T_of(self, it: Iterate) -> float:
+        """T at the point of the record ``it``: its T, else from its du."""
+        return float(self._T(it.x, it.du)) if it.T is None else it.T
 
     def carry_record(self, it: Iterate, lam0: float, lam: float) -> Iterate:
         """The record of the point ``it`` carried from the level lam0 to the
         level lam: carried (``carry``), retracted and evaluated."""
         return self.iterate(*self.at_level(self.carry(it.x, lam / lam0), lam))
 
-    def fibering(self, x) -> Fibering:
-        """x's fibering map t -> F(t x): a = T(x), and c, b and r from U's
-        moments (``_U_moments``: U(t x) = b t^r - c t^2)."""
-        c, b, r = self._U_moments(x)
-        return Fibering(float(self.T(x)), c, b, r, self.p)
+    def fibering_of(self, it: Iterate) -> Fibering:
+        """The fibering map t -> F(t x) of the record ``it``'s point x: a =
+        T(x), c, b and r from U's moments (U(t x) = b t^r - c t^2)."""
+        return Fibering(self.T_of(it), *self._moments(it.x, it.pw), self.p)
 
     def ray_sup(self, x):
         """(max, argmax) over t > 0 of F(t x) (``Fibering.sup``)."""
-        return self.fibering(x).sup()
+        return self.fibering_of(self.energies(x)).sup()
 
     def transport(self, u, ratio: float):
         return self.wrap(self.carry(self.unwrap(u), ratio))
@@ -379,16 +416,16 @@ class Toy(Variant):
         self.toy = spec.toy
         self.scaling_exponent = 2.0 / spec.toy.q
 
-    def T(self, x):
+    def _T(self, x, du):
         return np.vecdot(x, x)
 
-    def U(self, x):
+    def _U(self, x, pw):
         return np.sqrt(np.vecdot(x, x)) ** self.toy.q
 
-    def grad_T(self, x):
+    def _grad_T(self, x, du):
         return 2.0 * x
 
-    def grad_U(self, x):
+    def _grad_U(self, x, pw):
         # q > 2, so the gradient vanishes at 0 without a special case.
         r = np.sqrt(np.vecdot(x, x))
         return self.toy.q * r[..., None] ** (self.toy.q - 2.0) * x
@@ -396,8 +433,8 @@ class Toy(Variant):
     def inner(self, a, b):
         return np.vecdot(a, b)
 
-    def _U_moments(self, x):
-        return 0.0, float(self.U(x)), self.toy.q  # U(t x) = t^q U(x)
+    def _moments(self, x, pw):
+        return 0.0, float(self._U(x, pw)), self.toy.q  # U(t x) = t^q U(x)
 
     def retract(self, x, lam: float):
         r = np.linalg.norm(x)
@@ -432,9 +469,9 @@ class Toy(Variant):
 class _Radial(Variant):
     """Radial p-Laplacian energies on a RadialGrid.  Subclasses set
     ``potential``, the per-node weight of the mu term in T, and ``_prec``,
-    and define ``U``, ``_U_moments``, the retraction ``_onto_level`` (which
-    also returns the power of |x|), ``_power`` and, from that power,
-    ``_grad_U`` and U's diagonal curvature ``_curv_U``."""
+    and define the retraction ``_onto_level`` (which also returns the power
+    of |x|), ``_power`` and, from that power, ``_U``, U's moments
+    ``_moments``, ``_grad_U`` and U's diagonal curvature ``_curv_U``."""
 
     config_keys = ("variant", "p", "n", "mu", "mu_fraction_of_limit", "grid")
     grad_tol = 1e-6
@@ -460,10 +497,6 @@ class _Radial(Variant):
 
     def wrap(self, x) -> GridFunction:
         return GridFunction(self.grid, x)
-
-    # The array methods and the descent's record share these formulas, each
-    # taking the intermediates it needs: du, the difference quotient of x,
-    # and pw, the variant's power of |x| (``_power``).
 
     def _du(self, x):
         return (x[..., 1:] - x[..., :-1]) / self.grid.dr  # np.diff's arithmetic, not its overhead
@@ -510,15 +543,6 @@ class _Radial(Variant):
         d[1:] += k
         return d, -k
 
-    def T(self, x):
-        return self._T(x, self._du(x))
-
-    def grad_T(self, x):
-        return self._grad_T(x, self._du(x))
-
-    def grad_U(self, x):
-        return self._grad_U(x, self._power(x))
-
     def inner(self, a, b):
         return np.vecdot(a * b, self.grid.weights)
 
@@ -526,7 +550,7 @@ class _Radial(Variant):
         return self._bands(x, self._stiffness(self._du(x)), self._curv_U(x, self._power(x)), theta)
 
     def bands(self, it: Iterate, theta):
-        return self._bands(it.x, self._stiffness(it.du), it.curv, theta)
+        return self._bands(it.x, self._stiffness(it.du), self._curv_U(it.x, it.pw), theta)
 
     def retract(self, x, lam: float):
         return self._onto_level(x, lam)[0]
@@ -537,19 +561,6 @@ class _Radial(Variant):
         x, pw = self._onto_level(y, lam)
         du = self._du(x)
         return x, float(self._T(x, du)), (du, pw)
-
-    def iterate(self, x, T=None, aux=None) -> Iterate:
-        """The record of x; T and the intermediates are computed here unless
-        ``at_level`` passes them."""
-        du, pw = (self._du(x), self._power(x)) if aux is None else aux
-        return Iterate(
-            x,
-            float(self._T(x, du)) if T is None else T,
-            self.mask(self._grad_T(x, du)),
-            self.mask(self._grad_U(x, pw)),
-            self._curv_U(x, pw),
-            du,
-        )
 
     def precondition(self, g):
         return self._prec.apply(g)
@@ -599,9 +610,6 @@ class Hardy(_Radial):
         self.scaling_exponent = 1.0 - spec.p / spec.n
         self._prec = Preconditioner.of(spec.grid, False)
 
-    def U(self, x):
-        return self._U(x, self._power(x))
-
     def _power(self, x):
         return np.abs(x) ** (self.nl.q - 2.0)
 
@@ -615,11 +623,12 @@ class Hardy(_Radial):
         # sum W G(x), G(s) = (|s|^(q-2) / q - m / 2) s^2, from the power g reuses
         return np.vecdot((pw / self.nl.q - 0.5 * self.nl.m) * (x * x), self.grid.weights)
 
-    def _U_moments(self, x):
+    def _moments(self, x, pw):
         # U(t x) = B t^q - A t^2, A = (m/2) sum W x^2, B = sum W |x|^q / q
-        q = self.nl.q
-        A = 0.5 * self.nl.m * float(self.inner(x, x))
-        B = float(np.vecdot(np.abs(x) ** q, self.grid.weights)) / q
+        # with |x|^q = pw x^2 from the power of |x| the gradient reads
+        q, xx = self.nl.q, x * x
+        A = 0.5 * self.nl.m * float(np.vecdot(xx, self.grid.weights))
+        B = float(np.vecdot(pw * xx, self.grid.weights)) / q
         return A, B, q
 
     def _onto_level(self, x, lam: float):
@@ -688,17 +697,18 @@ class Hardy(_Radial):
         tq2 = self._orbit_tq2(A, B, q)
         return (B * tq2 - A) * tq2 ** (2.0 / (q - 2.0))
 
-    def _orbit_scales(self, x):
+    def _orbit_scales(self, it: Iterate):
         """(t, beta) of the critical point of f(t, beta) = F(t x(./beta)) =
-        t^p beta^(n-p) T(x) - beta^n (B t^q - A t^2) over t, beta > 0: t at
-        ``_orbit_tq2``, and beta^p = p t^p T / (q B t^q - 2 A t^2) from
-        df/dt = 0.  None where x is zero or not finite, T <= 0 or B <= 0,
-        where f has no such point."""
+        t^p beta^(n-p) T(x) - beta^n (B t^q - A t^2) over t, beta > 0, x the
+        record ``it``'s point: t at ``_orbit_tq2``, and beta^p = p t^p T /
+        (q B t^q - 2 A t^2) from df/dt = 0.  None where x is zero or not
+        finite, T <= 0 or B <= 0, where f has no such point."""
+        x = it.x
         top = float(np.abs(x).max())
         if not 0.0 < top < math.inf:
             return None
-        T = float(self.T(x))
-        A, B, q = self._U_moments(x)
+        T = self.T_of(it)
+        A, B, q = self._moments(x, it.pw)
         # Checked before any power: a negative base would give a complex one.
         if not (0.0 < T < math.inf and 0.0 < B < math.inf and 0.0 <= A < math.inf):
             return None
@@ -714,16 +724,16 @@ class Hardy(_Radial):
             return None
         return t, beta_p ** (1.0 / self.p)
 
-    def orbit_point(self, x):
-        """t x(./beta) at ``_orbit_scales``: the critical point of F on x's
-        amplitude-dilation orbit (Jeanjean, Nonlinear Anal. 28, 1997), or x
-        itself where there is none.  Near a saddle x differs from it mostly
-        by that orbit, so the polish starts here."""
-        scales = self._orbit_scales(x)
+    def orbit_point(self, it: Iterate):
+        """t x(./beta) at ``_orbit_scales``: the critical point of F on the
+        amplitude-dilation orbit of the record ``it``'s point x (Jeanjean,
+        Nonlinear Anal. 28, 1997), or x itself where there is none.  Near a
+        saddle x misses it mostly by that orbit, so the polish starts here."""
+        scales = self._orbit_scales(it)
         if scales is None:
-            return x
+            return it.x
         t, beta = scales
-        return t * dilate(self.grid, x, beta)
+        return t * dilate(self.grid, it.x, beta)
 
     def seed_width(self, lam: float) -> float:
         """The width beta R/15 of the bump whose amplitude and dilation give
@@ -780,8 +790,8 @@ class Critical(_Radial):
         )
         self._prec = Preconditioner.of(spec.grid, True)
 
-    def U(self, x):
-        return np.vecdot(np.abs(x) ** self.pstar, self.grid.weights) / self.pstar
+    def _U(self, x, pw):  # sum W |x|^p* / p*, |x|^p* = pw x^2
+        return np.vecdot(pw * (x * x), self.grid.weights) / self.pstar
 
     def _power(self, x):
         a = np.abs(x)
@@ -798,8 +808,8 @@ class Critical(_Radial):
     def _curv_U(self, x, pw):
         return (self.pstar - 1.0) * pw
 
-    def _U_moments(self, x):
-        return 0.0, float(self.U(x)), self.pstar  # U(t x) = t^p* U(x)
+    def _moments(self, x, pw):
+        return 0.0, float(self._U(x, pw)), self.pstar  # U(t x) = t^p* U(x)
 
     def mask(self, g):
         g = g.copy()
@@ -836,7 +846,8 @@ class Critical(_Radial):
             # differs from the difference quotient of s x (gT 1.5e-13 apart
             # at p = 1.8, 2.8e-12 at p = 1.5), so du and gT are evaluated.
             du = self._du(it.x)
-            it = it._replace(gT=self.mask(self._grad_T(it.x, du)), du=du)
+            gT = self._grad_T(it.x, du)
+            it = it._replace(gT=self.mask(gT), du=du, gT_full=gT)
         return it
 
     def paper_lambda_bar(self, i_1: float) -> float:
@@ -873,8 +884,10 @@ class _Rayleigh(Critical):
         self.grid, self.p, self.pstar, self.mu = grid, p, p, 0.0
         self._prec = Preconditioner.of(grid, True)
 
-    def _power(self, x):
-        return None
+    _power = Variant._power  # U, its gradient and curvature read no power of |x|
+
+    def _U(self, x, pw):
+        return np.vecdot(np.abs(x) ** self.p, self.grid.weights) / self.p
 
     def _grad_U(self, x, pw):
         return _dphi(x, self.p)  # finite at the Dirichlet node for p < 2
@@ -892,12 +905,16 @@ VARIANTS = {cls.name: cls for cls in (Toy, Hardy, Critical)}
 def eval_T(spec: ProblemSpec, u) -> float:
     """Quadratic-like part of the energy (kinetic minus singular potential)."""
     model = spec.model
+    if isinstance(u, Iterate):
+        return model.T_of(u)
     return float(model.T(model.unwrap(u)))
 
 
 def eval_U(spec: ProblemSpec, u) -> float:
     """Constraint functional: |u|^q (toy), int G(u) (hardy), Sobolev term (critical)."""
     model = spec.model
+    if isinstance(u, Iterate):
+        return float(model._U(u.x, u.pw))
     return float(model.U(model.unwrap(u)))
 
 

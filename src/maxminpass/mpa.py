@@ -1,7 +1,7 @@
 """Direct estimate of the pass level from its path definition, over rays.
 
 For a point x with T(x) > 0, F along the ray {t x} is x's fibering map
-f(t) = F(t x) = a t^p + c t^2 - b t^r (``Variant.fibering``), which rises
+f(t) = F(t x) = a t^p + c t^2 - b t^r (``Variant.fibering_of``), which rises
 from 0 to one maximum and falls to -inf.  The ray, continued into {F < 0},
 is an admissible path, and its sup, f's maximum, is in closed form (by a
 scalar root at p != 2: ``ray_sup``).  So every ray bounds the pass level
@@ -15,9 +15,12 @@ descent step (``deform``) moves the current ray maximum x along the
 preconditioned gradient of F, takes the maximum of the new ray, and accepts
 it only if its sup is lower, so the reported bound falls monotonically.
 Before the first step and after every one, the ray maximum is polished
-(Newton on F' = 0), from the critical point of F on its orbit under the
-variant's scalings (``orbit_point``: on Hardy, the amplitude and dilation
-t x(./beta) in closed form; elsewhere the point itself).  A run stops,
+(``polish``: Newton on F' = 0), from the critical point of F on its orbit
+under the variant's scalings (``orbit_point``: on Hardy, the amplitude and
+dilation t x(./beta) in closed form; elsewhere the point itself).  Each
+point is evaluated once, into a record (``Iterate``: one difference quotient
+and one power of |x|) that gives its residual, Hessian, F and fibering map;
+only the rounding guard F(4 t* x*) < 0 evaluates F apart.  A run stops,
 converged, when the polished point x* is an index-1 critical point at or
 below the ray's sup whose own ray {t x*} peaks at x* and goes on into
 {F < 0}: then the pass level is at most F(x*), which the run reports.
@@ -35,13 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .functionals import ProblemSpec, eval_F, eval_T, eval_U  # noqa: F401 (eval_U: traced binding)
+from .functionals import ProblemSpec, eval_F, eval_T, eval_U
 from .functionals import factor_tridiagonal, solve_tridiagonal
 from .grids import GridFunction, RadialGrid
 from .levelcurve import scaling_exponent, scaling_path
 from .verify import weighted_residual
 
-__all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "estimate_c",
+__all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "polish", "estimate_c",
            "crosses_all_levels", "find_endpoint"]
 
 MAX_SWEEPS = 10_000
@@ -57,8 +60,8 @@ class DiscretePath:
     ``images``, with F at each image in ``energies`` (one value per image).
 
     ``points`` is a list of the variant's points (GridFunctions on a radial
-    grid, arrays for the toy), or their stacked array together with the
-    ``grid`` the rows live on (None for the toy).
+    grid, arrays for the toy), or their stacked array, kept without a copy,
+    with the ``grid`` the rows live on (None for the toy).
     """
 
     def __init__(self, points, energies, grid: RadialGrid | None = None):
@@ -67,7 +70,7 @@ class DiscretePath:
         if not isinstance(points, np.ndarray):
             grid = getattr(points[0], "grid", grid)
             points = [getattr(u, "values", u) for u in points]
-        images = np.array(points, dtype=float)
+        images = np.asarray(points, dtype=float)
         energies = np.asarray(energies, dtype=float)
         if energies.shape != images.shape[:1]:
             raise ValidationError("path needs one energy per image")
@@ -132,15 +135,16 @@ def init_path(spec: ProblemSpec, endpoint, k: int = 32) -> DiscretePath:
 def _straight_path(spec: ProblemSpec, endpoint, k: int):
     """``init_path``'s path and the endpoint e's fibering map f.  The images
     t_j e lie on e's ray, so F at each is f(t_j): 0 at 0, and at e the grid
-    value F(e) that the admissibility check takes."""
+    value F(e) that the admissibility check takes, both from e's record."""
     if k < 1:
         raise ValidationError("need at least one interior image")
-    F_end = eval_F(spec, endpoint)
-    if not F_end < 0:
-        raise ValidationError("endpoint is not admissible: F(endpoint) must be < 0")
     model = spec.model
     e = model.unwrap(endpoint)
-    f = model.fibering(e)
+    it = model.energies(e)
+    F_end = eval_F(spec, it)
+    if not F_end < 0:
+        raise ValidationError("endpoint is not admissible: F(endpoint) must be < 0")
+    f = model.fibering_of(it)
     t = np.linspace(0.0, 1.0, k + 2)
     energies = f(t)
     energies[0], energies[-1] = 0.0, F_end
@@ -173,57 +177,75 @@ def deform(x, spec: ProblemSpec, step: float, c_sup: float):
     return None
 
 
-def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
-    """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
-    or None, the ray's sup or None).  Newton on F' = 0 polishes ``top`` to
-    x*, starting from its orbit point (``orbit_point``), which on Hardy
-    removes the amplitude and dilation by which ``top`` misses the saddle:
-    from there the reference pipelines take 2 Newton steps, from ``top`` 5
-    and 6.  Each step solves H s = W r and takes the first of x - h s, h = 1,
-    1/2, ..., 1/64, whose residual is below x's; the polish stops when none
-    is, or within ``POLISH_FLOOR`` ``grad_tol``, where a further step moves
-    x* only by rounding.  x* is certified if the argmax image is interior,
-    its residual is within ``grad_tol``, its Morse index is 1, F(x*) <= c_sup
-    up to rounding (the path passes above x*), and the ray {t x*} bounds the
-    pass level by F(x*): its sup (``ray_sup``) is F(x*) to 1e-12, and it
-    reaches F < 0 by 4 t*.  Any fibering map a t^p + c t^2 - b t^r
-    (r > max(p, 2)) whose maximum is at t* is negative there, so that last
-    check fails only by rounding.  The toy (no Hessian) is not polished: its
-    rule is the residual."""
-    model = spec.model
-    interior = 0 < path.argmax_index < len(path.images) - 1
-    r, res = weighted_residual(model, top)
-    res_top = res
-    star = model.orbit_point(top) if interior else top
-    if star is not top:
-        r, res = weighted_residual(model, star)
-    bands = model.hessian(star, 1.0) if interior else None
+def polish(model, it):
+    """Newton's method on F' = 0 from the record ``it``'s point: (x*'s record,
+    its residual (``weighted_residual``), the count of negative pivots of
+    F's Hessian at x*, None where ``factor_tridiagonal`` refuses it or there
+    is none).  Each step solves H s = W r and takes the first of x - h s,
+    h = 1, 1/2, ..., 1/64, with a lower residual; it stops when none has
+    one, after ``POLISH_STEPS`` steps, or within ``POLISH_FLOOR`` ``grad_tol``.
+    Each point, a rejected trial too, is evaluated once (``iterate``)."""
+    r, res = weighted_residual(model, it)
+    bands = model.bands(it, 1.0)
     factor = None if bands is None else factor_tridiagonal(*bands)
     for _ in range(POLISH_STEPS):
         if factor is None or res <= POLISH_FLOOR * model.grad_tol:
             break
         s = solve_tridiagonal(factor, model.grid.weights * r)
         for h in 0.5 ** np.arange(7):
-            x = star - h * s
-            r_x, res_x = weighted_residual(model, x)
+            trial = model.iterate(it.x - h * s)
+            r_x, res_x = weighted_residual(model, trial)
             if res_x < res:
                 break
         else:
             break
-        star, r, res = x, r_x, res_x
-        factor = factor_tridiagonal(*model.hessian(star, 1.0))
-    ok = interior and res <= model.grad_tol
-    if not ok or bands is None:
-        return ok, res_top, None, None
-    F_star = float(model.F(star))
-    ray, t = model.ray_sup(star)
-    ok = (factor is not None and factor[2] == 1
-          and F_star <= c_sup + 1e-12 * max(1.0, abs(c_sup))
-          and abs(ray - F_star) <= 1e-12 * abs(F_star)
-          and model.F(4.0 * t * star) < 0)
-    if not ok:
-        return False, res_top, None, None
-    return True, res_top, F_star, ray
+        it, r, res = trial, r_x, res_x
+        factor = factor_tridiagonal(*model.bands(it, 1.0))
+    return it, res, None if factor is None else factor[2]
+
+
+class Verdict(tuple):
+    """``_certify``'s 4-tuple, with the certified point as ``saddle``."""
+
+    def __new__(cls, certified, res, F_star=None, ray=None, saddle=None):
+        verdict = super().__new__(cls, (certified, res, F_star, ray))
+        verdict.saddle = saddle
+        return verdict
+
+
+def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
+    """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
+    or None, the ray's sup or None), a ``Verdict``.  ``polish`` takes ``top``
+    to x*, from its orbit point (``orbit_point``), which on Hardy removes the
+    amplitude and dilation by which ``top`` misses the saddle (2 Newton steps
+    on the reference pipelines, 5 and 6 from ``top``).  Each point is
+    evaluated once: ``top``'s record gives its residual and orbit point, x*'s
+    F(x*) and its fibering map.  x* is certified if the argmax image is
+    interior, its residual is within ``grad_tol``, its Morse index is 1,
+    F(x*) <= c_sup up to rounding (the path passes above x*), and the ray
+    {t x*} bounds the pass level by F(x*): its sup is F(x*) to 1e-12, and it
+    reaches F < 0 by 4 t* on the grid, which any fibering map a t^p + c t^2
+    - b t^r (r > max(p, 2)) peaking at t* does but for rounding.  The toy
+    (no Hessian) is not polished: its rule is the residual."""
+    model = spec.model
+    it = model.iterate(top)
+    res_top = weighted_residual(model, it)[1]
+    interior = 0 < path.argmax_index < len(path.images) - 1
+    if model.grid is None or not interior:
+        ok = interior and res_top <= model.grad_tol
+        return Verdict(ok, res_top, saddle=top if ok else None)
+    star = model.orbit_point(it)
+    it, res, pivots = polish(model, it if star is it.x else model.iterate(star))
+    if not res <= model.grad_tol:
+        return Verdict(False, res_top)
+    f = model.fibering_of(it)  # a = T(x*), evaluated once
+    F_star = f.a - eval_U(spec, it)
+    ray, t = f.sup()
+    if (pivots == 1 and F_star <= c_sup + 1e-12 * max(1.0, abs(c_sup))
+            and abs(ray - F_star) <= 1e-12 * abs(F_star)
+            and model.F(4.0 * t * it.x) < 0):
+        return Verdict(True, res_top, F_star, ray, it.x)
+    return Verdict(False, res_top)
 
 
 @dataclass
@@ -236,6 +258,7 @@ class MpaResult:
     ray_sup: float | None  # sup of F on the ray through the certified saddle, else None
     path: DiscretePath  # the last ray's straight path
     trace: list = field(default_factory=list)  # (sweep, ray sup, next step) per descent step
+    saddle: object = None  # the certified point x*, None when not converged
 
 
 def estimate_c(
@@ -280,9 +303,9 @@ def estimate_c(
     if sweeps:
         path = _straight_path(spec, model.wrap(4.0 * x), k)[0]
 
-    converged, res, saddle, ray_sup = verdict
+    converged, res, F_star, ray_sup = verdict
     return MpaResult(
-        c_mpa=c_cur if saddle is None else saddle,
+        c_mpa=c_cur if F_star is None else F_star,
         sweeps=sweeps,
         converged=converged,
         sup_residual=res,
@@ -290,6 +313,7 @@ def estimate_c(
         ray_sup=ray_sup,
         path=path,
         trace=trace,
+        saddle=model.wrap(verdict.saddle) if converged else None,
     )
 
 

@@ -20,16 +20,15 @@ __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
 
 def el_residual(spec: ProblemSpec, u) -> float:
     """Relative weak residual ||grad T - grad U|| / (1 + ||grad T||) of
-    F'(u) = 0 in the quadrature-weighted pairing."""
-    return weighted_residual(spec.model, spec.model.unwrap(u))[1]
+    F'(u) = 0 in the quadrature-weighted pairing, the numerator masked."""
+    return weighted_residual(spec.model, spec.model.iterate(spec.model.unwrap(u)))[1]
 
 
-def weighted_residual(model, x):
-    """On the array x: the masked weighted gradient of F and ``el_residual``."""
-    gT = model.grad_T(x)
-    r = model.mask(gT - model.grad_U(x))
+def weighted_residual(model, it):
+    """At the record ``it``: the masked weighted gradient of F and ``el_residual``."""
+    r = it.gT - it.gU
     res = math.sqrt(max(model.inner(r, r), 0.0))
-    return r, res / (1.0 + math.sqrt(max(model.inner(gT, gT), 0.0)))
+    return r, res / (1.0 + math.sqrt(max(model.inner(it.gT_full, it.gT_full), 0.0)))
 
 
 def multiplier_of(spec: ProblemSpec, u) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from maxminpass import constrained
+from maxminpass import constrained, mpa
 from maxminpass import (
     InfeasibleError,
     MinimizeResult,
@@ -37,6 +37,7 @@ from maxminpass import (
     scaling_exponent,
     scaling_path,
 )
+from maxminpass.functionals import factor_tridiagonal, solve_tridiagonal
 
 HARDY_P = 2.0
 HARDY_N = 5
@@ -132,6 +133,46 @@ def _point_minimize(spec, lam, u0=None):
 @pytest.fixture(scope="session")
 def minimize_oracle():
     return _point_minimize
+
+
+def _point_polish(spec, x):
+    """Newton's method on F' = 0 from the array x, every point through the
+    point-level gradients and ``el_residual``, every Hessian through
+    ``spec.model.hessian`` and ``factor_tridiagonal``: the reference the
+    record loop of ``mpa.polish`` is checked against.  It reads the same
+    step budget and floor, at call time.  Returns (x*, residual, negative
+    pivots or None, Newton steps)."""
+    model = spec.model
+
+    def residual(x):
+        u = model.wrap(x)
+        r = mask(spec, grad_T(spec, u) - grad_U(spec, u))
+        return model.unwrap(r), el_residual(spec, u)
+
+    def factor(x):
+        return factor_tridiagonal(*model.hessian(x, 1.0))
+
+    r, res = residual(x)
+    fac, steps = factor(x), 0
+    for _ in range(mpa.POLISH_STEPS):
+        if fac is None or res <= mpa.POLISH_FLOOR * model.grad_tol:
+            break
+        s = solve_tridiagonal(fac, model.grid.weights * r)
+        for h in 0.5 ** np.arange(7):
+            y = x - h * s
+            r_y, res_y = residual(y)
+            if res_y < res:
+                break
+        else:
+            break
+        x, r, res, steps = y, r_y, res_y, steps + 1
+        fac = factor(x)
+    return x, res, None if fac is None else fac[2], steps
+
+
+@pytest.fixture(scope="session")
+def polish_oracle():
+    return _point_polish
 
 
 def _bisect_solution_scale(spec, v, bisect_tol=1e-10):

@@ -45,6 +45,7 @@ from maxminpass.functionals import (
     solve_tridiagonal,
 )
 from maxminpass.grids import dilate
+from maxminpass.verify import weighted_residual
 
 RNG = np.random.default_rng(20240817)
 
@@ -329,12 +330,28 @@ class TestIterateRecord:
         grid = model.grid
         y = (1.0 - grid.nodes / grid.R) * np.exp(-((4.0 * grid.nodes / grid.R) ** 2))
         trial = model.at_level(model.mask(y), 2.0)
-        for it in (model.iterate(*trial), model.iterate(trial[0])):
+        assert model.iterate(trial[0]).T is None  # not given, so left to ``T_of``
+        for it in (model.iterate(*trial), model.iterate(trial[0]), model.energies(trial[0])):
             x = it.x
             assert np.array_equal(x, model.retract(model.mask(y), 2.0))
-            assert_close(it.T, model.T(x))
+            assert_close(model.T_of(it), model.T(x))
+            assert_close(model._U(x, it.pw), model.U(x))
+            assert_close(np.array(model.fibering_of(it)), [model.T(x), *model._U_moments(x), model.p])
+            if it.gT is None:  # ``energies``: no gradients
+                assert it.gU is None and it.gT_full is None
+                continue
             assert_close(it.gT, model.mask(model.grad_T(x)))
             assert_close(it.gU, model.mask(model.grad_U(x)))
+            assert_close(it.gT_full, model.grad_T(x))
+            # the residual's scale is T's whole gradient, the Dirichlet node's too
+            gT, r = model.grad_T(x), model.mask(model.grad_T(x) - model.grad_U(x))
+            res = math.sqrt(model.inner(r, r)) / (1.0 + math.sqrt(model.inner(gT, gT)))
+            assert_close(weighted_residual(model, it)[1], res)
+            if isinstance(model, _Rayleigh):
+                assert it.pw is None
+            else:
+                r = model._U_moments(x)[2]  # U's degree: q on Hardy, p* on critical
+                assert_close(it.pw, np.abs(x) ** (r - 2.0))
             for theta in (0.7, -0.3):
                 for a, b in zip(model.bands(it, theta), model.hessian(x, theta)):
                     assert_close(a, b)
@@ -397,7 +414,7 @@ class TestTridiagonalKernel:
 class TestOrbitPoint:
     """``orbit_point``: on Hardy the critical point of f(t, beta) =
     F(t x(./beta)) = t^p beta^(n-p) T(x) - beta^n (B t^q - A t^2), in closed
-    form; elsewhere the point itself."""
+    form from the point's record; elsewhere the point itself."""
 
     @pytest.mark.parametrize("p,q,mu_fraction", [(2.0, 8.0 / 3.0, 0.0), (2.0, 8.0 / 3.0, 0.5),
                                                  (3.0, 5.0, 0.0), (3.0, 5.0, 0.5)])
@@ -405,7 +422,7 @@ class TestOrbitPoint:
         spec = hardy_spec(mu=mu_fraction * hardy_constant(p, 5), p=p, q=q)
         model, n = spec.model, 5
         x = gaussian(spec.grid, width=2.0, amp=3.0).values
-        t, beta = model._orbit_scales(x)
+        t, beta = model._orbit_scales(model.iterate(x))
         assert abs(t - 1.0) > 0.01 and abs(beta - 1.0) > 0.01  # a real move
         T = float(model.T(x))
         A, B, _ = model._U_moments(x)
@@ -415,7 +432,7 @@ class TestOrbitPoint:
         df_dbeta = kinetic_beta - n * beta ** (n - 1.0) * (B * t**q - A * t * t)
         assert abs(df_dt) <= 1e-12 * kinetic_t
         assert abs(df_dbeta) <= 1e-12 * kinetic_beta
-        assert np.array_equal(model.orbit_point(x), t * dilate(spec.grid, x, beta))
+        assert np.array_equal(model.orbit_point(model.iterate(x)), t * dilate(spec.grid, x, beta))
 
     def test_other_variants_return_the_point_itself(self):
         toy = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0)).model
@@ -423,7 +440,7 @@ class TestOrbitPoint:
         rayleigh = _Rayleigh(build_radial_grid(5, 1.0, 60, 1.0), 1.8)
         for model, x in ((toy, np.array([0.3, -1.7])), (critical, critical.seed().values),
                          (rayleigh, rayleigh.seed().values)):
-            assert model.orbit_point(x) is x
+            assert model.orbit_point(model.iterate(x)) is x
 
     @pytest.mark.parametrize("bad", ["zero", "nan", "inf", "-inf"])
     def test_zero_or_non_finite_point_is_returned(self, bad):
@@ -433,9 +450,11 @@ class TestOrbitPoint:
             x[:] = 0.0
         else:
             x[3] = float(bad)
+        with np.errstate(invalid="ignore"):  # inf - inf in the record's gradient of U
+            it = model.iterate(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert model.orbit_point(x) is x
+            assert model.orbit_point(it) is x
 
 
 class TestPreconditioner:

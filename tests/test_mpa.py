@@ -1,6 +1,7 @@
 """The direct estimate of the pass level: a descent over rays."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def newton_critical_point(spec, x, steps=30):
     iterate whose residual is at most 1e-12."""
     model = spec.model
     for _ in range(steps):
-        r, res = weighted_residual(model, x)
+        r, res = weighted_residual(model, model.iterate(x))
         if res <= 1e-12:
             return x
         d, e = model.hessian(x, 1.0)
@@ -73,6 +74,11 @@ def saddle_of(spec, result):
 
 def morse_index(spec, x):
     return int(np.sum(eigvalsh_tridiagonal(*spec.model.hessian(x, 1.0)) < 0.0))
+
+
+def assert_close(a, b, rel):
+    """Agreement to ``rel`` relative to b's largest entry."""
+    assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
 
 class TestInitPath:
@@ -368,19 +374,19 @@ class TestPolishedSaddle:
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_polished_point_is_an_index_one_critical_point(self, pipeline, request, monkeypatch):
         # Polish the final path's sup point again, recording each factored
-        # point's residual and its count of negative pivots.  The run stopped
-        # before any sweep, so its path is the straight one and its sup point
-        # is the endpoint's ray maximum t* e.  Each factor follows the
-        # residual of the point it factors; on Hardy the residual at t* e
-        # (``sup_residual``) comes first, then the polish starts at its
-        # orbit point.
+        # point's residual, read from its record, and its count of negative
+        # pivots.  The run stopped before any sweep, so its path is the
+        # straight one and its sup point is the endpoint's ray maximum t* e.
+        # Each factor follows the residual of the point it factors; on Hardy
+        # the residual at t* e (``sup_residual``) comes first, then the
+        # polish starts at its orbit point.
         pipe = request.getfixturevalue(pipeline)
         spec, result = pipe["spec"], pipe["mpa"]
         assert result.sweeps == 0
         residuals, factored = [], []
 
-        def residual_spy(model, x):
-            out = weighted_residual(model, x)
+        def residual_spy(model, it):
+            out = weighted_residual(model, it)
             residuals.append(out[1])
             return out
 
@@ -417,6 +423,23 @@ class TestPolishedSaddle:
         result = estimate_c(pipe["spec"], pipe["endpoint"], MpaOptions(), k=32)
         assert result.converged and result.sweeps == 0
         assert len(factors) <= 3
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_saddle_is_the_certified_point(self, pipeline, request):
+        # MpaResult.saddle is x*: the critical point that an independent
+        # Newton iteration reaches, at which F is the reported c_mpa
+        pipe = request.getfixturevalue(pipeline)
+        spec, result = pipe["spec"], pipe["mpa"]
+        assert result.converged
+        assert_close(result.saddle.values, saddle_of(spec, result), 1e-10)
+        assert eval_F(spec, result.saddle) == pytest.approx(result.c_mpa, rel=1e-14, abs=0.0)
+
+    def test_uncertified_run_has_no_saddle(self, hardy_small, monkeypatch):
+        endpoint = find_endpoint(hardy_small, minimize_on_level(hardy_small, 1.0).minimizer)
+        monkeypatch.setattr(maxminpass.mpa, "_certify", refuse)
+        monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 1)
+        result = estimate_c(hardy_small, endpoint, MpaOptions(), k=32)
+        assert not result.converged and result.saddle is None
 
     def test_sweep_counts_of_the_reference_pipelines(self, hardy_mu0, hardy_mu_half,
                                                      critical_pipeline):
@@ -491,6 +514,103 @@ class TestPolishedSaddle:
         assert result.converged and result.sweeps == steps
         c = self.F_at_verified_solution(spec)
         assert abs(result.c_mpa - c) <= 1e-9 * abs(c)
+
+
+class TestRecordPolish:
+    """``polish`` runs Newton's method on F' = 0 on records; the point-level
+    loop of ``conftest._point_polish`` is its reference."""
+
+    @pytest.mark.parametrize("case", ["hardy_mu0", "hardy_mu_half", "critical_pipeline", "hardy_p3"])
+    def test_matches_the_point_level_reference(self, case, request, polish_oracle, monkeypatch):
+        if case == "hardy_p3":
+            spec = hardy_spec(3.0, 0.5, 5.0, 100)
+            endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        else:
+            pipe = request.getfixturevalue(case)
+            spec, endpoint = pipe["spec"], pipe["endpoint"]
+        model = spec.model
+        e = model.unwrap(endpoint)
+        c_sup, t = model.ray_sup(e)
+        top = t * e
+        if case == "hardy_p3":
+            # the factor at the endpoint's ray maximum is refused; the run
+            # polishes after one descent step, in 6 Newton steps
+            top = maxminpass.mpa.deform(top, spec, MpaOptions().step, c_sup)[0]
+        start = model.orbit_point(model.iterate(top))
+        factors = []
+
+        def factor_spy(d, e):
+            factors.append(1)
+            return factor_tridiagonal(d, e)
+
+        monkeypatch.setattr(maxminpass.mpa, "factor_tridiagonal", factor_spy)
+        it, res, pivots = maxminpass.mpa.polish(model, model.iterate(start))
+        x_ref, res_ref, pivots_ref, steps = polish_oracle(spec, start)
+        assert len(factors) == steps + 1 and steps > 0  # one factor per point it steps from
+        assert pivots == pivots_ref
+        assert res == pytest.approx(res_ref, rel=1e-12, abs=0.0)
+        assert_close(it.x, x_ref, 1e-12)
+        F_ref = eval_F(spec, model.wrap(x_ref))
+        assert abs(eval_F(spec, it) - F_ref) <= 1e-14 * abs(F_ref)
+
+
+class TestOneEvaluationPerPoint:
+    """The direct route evaluates each point it visits once, into its record:
+    the endpoint (``energies``), the sup point, its orbit point and each
+    polish trial, a rejected one included (``iterate``).  Only the rounding
+    guard F(4 t* x*) < 0 evaluates F on the grid apart."""
+
+    @pytest.mark.parametrize("pipeline", ["hardy_mu_half", "critical_pipeline"])
+    def test_estimate_c_records_each_point_once(self, pipeline, request, monkeypatch):
+        pipe = request.getfixturevalue(pipeline)
+        spec = pipe["spec"]
+        cls = type(spec.model)
+        seen, checked = [], []
+        calls = {"_du": 0, "_power": 0}
+        T, U = cls.T, cls.U
+
+        def record_spy(builder):
+            def call(model, x, *args):
+                seen.append(x.copy())
+                return builder(model, x, *args)
+            return call
+
+        def grid_check(model, x):
+            checked.append(x.copy())
+            return T(model, x) - U(model, x)
+
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError(f"{name} evaluated outside the record")
+            return call
+
+        def counted(name, method):
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        for name in ("energies", "iterate"):
+            monkeypatch.setattr(cls, name, record_spy(getattr(cls, name)))
+        monkeypatch.setattr(cls, "F", grid_check)
+        for name in ("T", "U", "grad_T", "grad_U", "hessian", "ray_sup", "_U_moments"):
+            monkeypatch.setattr(cls, name, forbidden(name))
+        result = estimate_c(spec, pipe["endpoint"], MpaOptions(), k=32)
+        assert result.converged and result.sweeps == 0
+        assert result.c_mpa == pipe["mpa"].c_mpa
+        assert not any(np.array_equal(a, b) for a, b in itertools.combinations(seen, 2))
+        assert np.array_equal(seen[0], pipe["endpoint"].values)
+        assert any(np.array_equal(x, result.saddle.values) for x in seen)
+        assert len(checked) == 1
+        assert_close(checked[0], 4.0 * result.saddle.values, 1e-9)
+        # one difference quotient and one power of |x| per record, and one
+        # each for the grid check
+        assert calls["_du"] == calls["_power"] == len(seen) + 1
+        if pipeline == "hardy_mu_half":
+            # e, t* e, its orbit point and the two Newton steps of the polish
+            assert len(seen) == 5
 
 
 def ray_oracle(spec, x):
