@@ -90,8 +90,9 @@ def multiplier_and_residual(model, it: Iterate):
     projected residual ||grad T - theta grad U|| / (1 + ||grad T||) in the
     weighted norm, and the residual vector."""
     gT, gU = it.gT, it.gU
-    gU2 = model.inner(gU, gU)
-    theta = float(model.inner(gT, gU) / gU2) if gU2 > 0 else 0.0
+    wgU = model.weights * gU
+    gU2 = gU @ wgU
+    theta = float(gT @ wgU / gU2) if gU2 > 0 else 0.0
     res_vec = gT - theta * gU
     res = math.sqrt(max(model.inner(res_vec, res_vec), 0.0))
     res /= 1.0 + math.sqrt(max(model.inner(gT, gT), 0.0))
@@ -106,16 +107,16 @@ def newton_direction(model, it: Iterate, theta, res_vec):
     factor = None if bands is None else factor_tridiagonal(*bands)
     if factor is None:
         return None
-    gU, w = it.gU, model.grid.weights
-    rhs = np.empty((2, len(gU)))
+    w = model.weights
+    rhs = np.empty((2, len(res_vec)))
     np.multiply(w, res_vec, out=rhs[0])
-    np.multiply(w, gU, out=rhs[1])
-    z1, z2 = solve_tridiagonal(factor, rhs)
-    uz2 = model.inner(gU, z2)
+    np.multiply(w, it.gU, out=rhs[1])
+    z = solve_tridiagonal(factor, rhs)
+    uz1, uz2 = z @ rhs[1]  # <gU, z1>, <gU, z2>
     if not (uz2 < 0.0 if factor[2] else uz2 > 0.0):
         return None
-    d = z1 - model.inner(gU, z1) / uz2 * z2
-    slope = float(model.inner(res_vec, d))
+    d = z[0] - uz1 / uz2 * z[1]
+    slope = float(d @ rhs[0])
     return (d, slope) if slope > 0.0 else None
 
 

@@ -312,6 +312,7 @@ class Variant:
     exact_transport = True
     amplitude_exponents: tuple = ()
     grid: RadialGrid | None = None
+    weights = 1.0  # the pairing's quadrature weights W (the grid's; 1 on the toy)
 
     def F(self, x):
         return self.T(x) - self.U(x)
@@ -476,6 +477,7 @@ class _Radial(Variant):
     config_keys = ("variant", "p", "n", "mu", "mu_fraction_of_limit", "grid")
     grad_tol = 1e-6
     c_tol = 1e-3
+    dirichlet = False  # a Dirichlet boundary at R, whose Hessian row is the identity
 
     def __init__(self, spec: ProblemSpec):
         if spec.grid is None:
@@ -486,7 +488,7 @@ class _Radial(Variant):
             raise ValidationError("need 1 < p < n")
         # The spec owns its model; a proxy back to it makes no reference cycle.
         self.spec = weakref.proxy(spec)
-        self.grid, self.p, self.mu = spec.grid, spec.p, spec.mu
+        self.grid, self.weights, self.p, self.mu = spec.grid, spec.grid.weights, spec.p, spec.mu
 
     def unwrap(self, u) -> np.ndarray:
         # Every dispatcher call passes here; the spec's own grid skips the
@@ -502,10 +504,10 @@ class _Radial(Variant):
         return (x[..., 1:] - x[..., :-1]) / self.grid.dr  # np.diff's arithmetic, not its overhead
 
     def _T(self, x, du):
-        grid, p = self.grid, self.p
-        val = np.vecdot(_apow(du, p), grid.we)
+        p = self.p
+        val = np.vecdot(_apow(du, p), self.grid.we)
         if self.mu:
-            val = val - self.mu * np.vecdot(self.potential * _apow(x, p), grid.weights)
+            val = val - np.vecdot(_apow(x, p), self._mu_weights)
         return val / p
 
     @functools.cached_property
@@ -516,41 +518,76 @@ class _Radial(Variant):
         w.flags.writeable = False
         return w
 
+    @functools.cached_property
+    def _we_dr(self):  # we / dr, the edge factor of T's gradient, read-only
+        c = self.grid.we / self.grid.dr
+        c.flags.writeable = False
+        return c
+
     def _grad_T(self, x, du):
-        grid, p = self.grid, self.p
-        s = grid.we * _dphi(du, p) / grid.dr
-        e = np.zeros(x.shape)
-        e[..., :-1] -= s
-        e[..., 1:] += s
+        # e[:-1] -= s; e[1:] += s on zeros, as one difference of s padded
+        # with zeros: (0 - a) + b is b - a exactly
+        sp = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+        np.multiply(self._we_dr, _dphi(du, self.p), out=sp[..., 1:-1])
+        e = sp[..., :-1] - sp[..., 1:]
         if self.mu:
-            e -= self._mu_weights * _dphi(x, p)
-        return e / grid.weights
+            e -= self._mu_weights * _dphi(x, self.p)
+        e /= self.grid.weights
+        return e
 
     def _stiffness(self, du):
         """T's edge curvature we (p-1)|du|^(p-2) / dr^2: at p = 2 the
-        preconditioner's band we / dr^2."""
+        preconditioner's band we / dr^2, which reads no du."""
         if self.p == 2.0:
             return self._prec.band
         return self.grid.we * _ddphi(du, self.p) / self.grid.dr**2
 
-    def _bands(self, x, k, curv, theta):
-        """The tridiagonal Euclidean Hessian of T - theta U from T's edge
-        stiffness k and U's diagonal curvature."""
-        d = -theta * self.grid.weights * curv
-        if self.mu:  # _ddphi is exactly 1.0 at p = 2
-            d -= self._mu_weights if self.p == 2.0 else self._mu_weights * _ddphi(x, self.p)
+    @functools.cached_property
+    def _T_hessian(self):
+        """T's Hessian at p = 2, where T = x^T (K - mu W V) x / 2 is a fixed
+        quadratic form: its (diagonal, off-diagonal) bands, with the
+        variant's Dirichlet row, built once per model, read-only."""
+        k = self._stiffness(None)
+        d = np.zeros(len(self.grid.weights))
         d[:-1] += k
         d[1:] += k
-        return d, -k
+        if self.mu:
+            d -= self._mu_weights
+        e = -k
+        if self.dirichlet:
+            d[-1], e[-1] = 1.0, 0.0
+        d.flags.writeable = e.flags.writeable = False
+        return d, e
+
+    def _bands(self, x, du, curv, theta):
+        """The tridiagonal Euclidean Hessian of T - theta U at x from its
+        difference quotient du and U's diagonal curvature.  At p = 2 T's
+        part is ``_T_hessian``, whose off-diagonal band is returned as is."""
+        if self.p == 2.0:
+            d0, e = self._T_hessian
+            d = d0 - theta * (self.grid.weights * curv)
+        else:
+            k = self._stiffness(du)
+            d = -theta * self.grid.weights * curv
+            if self.mu:
+                d -= self._mu_weights * _ddphi(x, self.p)
+            d[:-1] += k
+            d[1:] += k
+            e = -k
+            if self.dirichlet:
+                e[-1] = 0.0
+        if self.dirichlet:
+            d[-1] = 1.0
+        return d, e
 
     def inner(self, a, b):
         return np.vecdot(a * b, self.grid.weights)
 
     def hessian(self, x, theta):
-        return self._bands(x, self._stiffness(self._du(x)), self._curv_U(x, self._power(x)), theta)
+        return self._bands(x, self._du(x), self._curv_U(x, self._power(x)), theta)
 
     def bands(self, it: Iterate, theta):
-        return self._bands(it.x, self._stiffness(it.du), self._curv_U(it.x, it.pw), theta)
+        return self._bands(it.x, it.du, self._curv_U(it.x, it.pw), theta)
 
     def retract(self, x, lam: float):
         return self._onto_level(x, lam)[0]
@@ -614,7 +651,7 @@ class Hardy(_Radial):
         return np.abs(x) ** (self.nl.q - 2.0)
 
     def _grad_U(self, x, pw):
-        return -self.nl.m * x + pw * x  # g(x)
+        return (pw - self.nl.m) * x  # g(x)
 
     def _curv_U(self, x, pw):
         return (self.nl.q - 1.0) * pw - self.nl.m  # g'(x)
@@ -659,6 +696,7 @@ class Hardy(_Radial):
         except (OverflowError, ZeroDivisionError):
             raise InfeasibleError("the level's amplitude is out of floating-point range") from None
         v = prev * y
+        # v's own power: y's times a^(q-2) puts this cancelling sum 4.5e-12 off U(v)
         pw = self._power(v)
         err = float(self._U(v, pw)) - lam
         if not abs(err) <= RETRACT_TOL * lam:
@@ -772,6 +810,7 @@ class Critical(_Radial):
 
     name = "critical-bounded"
     potential = 1.0
+    dirichlet = True
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec)
@@ -815,11 +854,6 @@ class Critical(_Radial):
         g = g.copy()
         g[..., -1] = 0.0
         return g
-
-    def _bands(self, x, k, curv, theta):
-        d, e = super()._bands(x, k, curv, theta)
-        d[-1], e[-1] = 1.0, 0.0  # the Dirichlet row is the identity
-        return d, e
 
     def _onto_level(self, x, lam: float):
         Uv = float(self.U(x))
@@ -881,7 +915,7 @@ class _Rayleigh(Critical):
     p in place of p*, so T = (1/p) int |grad u|^p and U = (1/p) int |u|^p."""
 
     def __init__(self, grid: RadialGrid, p: float):
-        self.grid, self.p, self.pstar, self.mu = grid, p, p, 0.0
+        self.grid, self.weights, self.p, self.pstar, self.mu = grid, grid.weights, p, p, 0.0
         self._prec = Preconditioner.of(grid, True)
 
     _power = Variant._power  # U, its gradient and curvature read no power of |x|
@@ -999,8 +1033,9 @@ def factor_tridiagonal(d, e):
     if d[k] < 0.0 and k < len(d) - 1:
         d[k + 1] -= e[k] ** 2 / d[k]
         e[k] /= d[k]
-        if k < len(d) - 2:
-            d[k + 1 :], e[k + 1 :], _ = dpttrf(d[k + 1 :], e[k + 1 :])
+        if k < len(d) - 2:  # the trailing block's verdict is its own dpttrf's info
+            d[k + 1 :], e[k + 1 :], info = dpttrf(d[k + 1 :], e[k + 1 :])
+            return (d, e, 1) if info == 0 else None
     return (d, e, 1) if d[k] < 0.0 and np.all(d[k + 1 :] > 0.0) else None
 
 

@@ -482,6 +482,52 @@ class TestCarriedRecord:
         steps = sum(r.iterations for r in results)
         assert calls == {"at_level": 1 + steps, "iterate": 1 + steps}
 
+    def test_hardy_sweep_costs_one_factor_per_step(self, hardy_mu_half, monkeypatch):
+        # the conftest sweep's 40 levels: one factor and one two-column
+        # solve per Newton step, and one retraction per level (its seed or
+        # carried point) plus one per line-search trial
+        spec, r1 = hardy_mu_half["spec"], hardy_mu_half["r1"]
+        calls = {"factor_tridiagonal": 0, "solve_tridiagonal": 0, "retractions": 0, "trials": 0}
+        in_descent = [False]
+
+        def counting(name):
+            kernel = getattr(constrained, name)
+
+            def call(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return call
+
+        onto, at_level, descend = Hardy._onto_level, Hardy.at_level, constrained.descend
+
+        def onto_spy(self, x, lam):
+            calls["retractions"] += 1
+            return onto(self, x, lam)
+
+        def at_level_spy(self, y, lam):
+            calls["trials"] += in_descent[0]
+            return at_level(self, y, lam)
+
+        def descend_spy(*args):
+            in_descent[0] = True
+            try:
+                return descend(*args)
+            finally:
+                in_descent[0] = False
+
+        for name in ("factor_tridiagonal", "solve_tridiagonal"):
+            monkeypatch.setattr(constrained, name, counting(name))
+        monkeypatch.setattr(Hardy, "_onto_level", onto_spy)
+        monkeypatch.setattr(Hardy, "at_level", at_level_spy)
+        monkeypatch.setattr(constrained, "descend", descend_spy)
+        lambdas = np.geomspace(1.0, 30000.0, 40)
+        results = continuation_sweep(spec, lambdas, u0=r1.minimizer)
+        assert all(r.converged for r in results)
+        steps = sum(r.iterations for r in results)
+        assert steps > 0 and calls["trials"] >= steps
+        assert calls["factor_tridiagonal"] == calls["solve_tridiagonal"] == steps
+        assert calls["retractions"] == len(lambdas) + calls["trials"]
+
 
 class TestInertiaGuard:
     @pytest.mark.parametrize("variant", ["hardy", "critical"])

@@ -381,6 +381,48 @@ class TestIterateRecord:
         assert np.array_equal(model._prec.band, general)
 
 
+class TestCachedHessian:
+    """At p = 2 T is a fixed quadratic form: its Hessian bands are built once
+    per model (``_T_hessian``), read-only, and no factor writes into them."""
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: hardy_spec(m=60),
+            lambda: hardy_spec(mu=0.5 * hardy_constant(2.0, 5), m=60),
+            lambda: critical_spec(m=60),
+        ],
+        ids=["hardy-mu0", "hardy-half", "critical"],
+    )
+    def test_cached_bands_survive_the_factor(self, make_spec):
+        model = make_spec().model
+        grid = model.grid
+        y = (1.0 - grid.nodes / grid.R) * np.exp(-((4.0 * grid.nodes / grid.R) ** 2))
+        it = model.iterate(*model.at_level(model.mask(y), 2.0))
+        cached = model._T_hessian
+        assert model._T_hessian is cached
+        assert not any(band.flags.writeable for band in cached)
+        kept = [band.copy() for band in cached]
+        theta = constrained.multiplier_and_residual(model, it)[0]
+        negatives = set()
+        for t in (0.0, theta, 5.0 * theta):  # the multiplier's factor has one negative pivot
+            bands = model.bands(it, t)
+            assert bands[1] is cached[1]
+            for a, b in zip(bands, model.hessian(it.x, t)):
+                assert np.array_equal(a, b)
+            factor = factor_tridiagonal(*bands)
+            negatives.add(None if factor is None else factor[2])
+            for a, b in zip(bands, model.hessian(it.x, t)):
+                assert np.array_equal(a, b)
+            if isinstance(model, Critical):
+                assert (bands[0][-1], bands[1][-1]) == (1.0, 0.0)
+        assert {1, None} <= negatives
+        for band, copy_ in zip(cached, kept):
+            assert np.array_equal(band, copy_)
+        if isinstance(model, Critical):
+            assert (cached[0][-1], cached[1][-1]) == (1.0, 0.0)
+
+
 class TestTridiagonalKernel:
     @pytest.mark.parametrize("where", [0, 17, 38, 39])
     @pytest.mark.parametrize("negatives", [0, 1, 2])
