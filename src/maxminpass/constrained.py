@@ -21,12 +21,16 @@ Armijo test and ``grad_tol``.
 Arrays inside, points at the edges: ``minimize_on_level`` checks and
 unwraps its seed once, runs the descent (``descend``) from the seed's record
 (``seed_record``), and wraps only the result; ``continuation_sweep``
-carries each level's last record to the next level (the variant's
-``carry_record``) and solves there, wrapping each result.  Where the group
-action is exact (critical, toy) the carried record is the old one scaled
-field by field, so the sweep evaluates on the grid only its first level and
-its Newton steps.  ``descend`` also computes the first Dirichlet eigenvalue
-on a Rayleigh model.
+carries the last solved level's last record to the next level (the
+variant's ``carry_record``) and solves there, wrapping each result.  Where
+the group action is exact (critical, toy) T, the multiplier and the
+residual of the carried point follow from the solved level's by
+homogeneity, so a level whose residual is then within ``grad_tol`` is read
+off in closed form (``_scaled_level``), one scaled array and no record; a
+level above it is carried, descended and becomes the solved level.  The
+sweep evaluates on the grid only its first level and its Newton steps.
+``descend`` also computes the first Dirichlet eigenvalue on a Rayleigh
+model.
 """
 
 from __future__ import annotations
@@ -207,10 +211,12 @@ def descend(model, it: Iterate, lam: float):
 
 def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResult]:
     """Solve a whole increasing lambda sweep, warm-starting each level from
-    the previous level's last record carried along the group action
-    (``carry_record``).  Failures are recorded as non-converged entries and
-    the sweep continues.  The solves run on records; only each result is
-    wrapped."""
+    the last solved level's last record carried along the group action
+    (``carry_record``).  Where that action is exact (``exact_transport``), a
+    level the carried point already solves is read off the last solved level
+    in closed form (``_scaled_level``) and builds no record.  Failures are
+    recorded as non-converged entries and the sweep continues.  The solves
+    run on records; only each result is wrapped."""
     lambdas = np.asarray(lambdas, dtype=float)
     ok = lambdas.ndim == 1 and np.all(np.isfinite(lambdas) & (lambdas > 0))
     if not ok or np.any(np.diff(lambdas) <= 0):
@@ -218,7 +224,12 @@ def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResu
     model = spec.model
     results: list[MinimizeResult] = []
     prev = None  # (level, last record) of the last solved level
+    base = None  # and its closed-form scaling data, where the action is exact
     for lam in map(float, lambdas):
+        r = None if base is None else _scaled_level(model, *base, lam)
+        if r is not None:
+            results.append(r)
+            continue
         try:
             if prev is None:
                 it = seed_record(model, _seed(spec, lam, u0), lam)
@@ -237,6 +248,28 @@ def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResu
             )
         else:
             r = _result(model, lam, *out)
-            prev = lam, out[0]
+            it, theta, res = out[:3]
+            prev = lam, it
+            if model.exact_transport:
+                n_g = math.sqrt(max(model.inner(it.gT, it.gT), 0.0))
+                base = lam, it, theta, res * (1.0 + n_g), n_g
         results.append(r)
     return results
+
+
+def _scaled_level(model, lam_b: float, it: Iterate, theta: float, n_r: float, n_g: float, lam: float):
+    """The result at lam of the point carried from the solved level lam_b,
+    from its last record ``it``, its multiplier theta and the weighted norms
+    n_r of its residual vector and n_g of grad T, where U is exactly
+    r-homogeneous (``U_degree``) and T p-homogeneous: the carried point s x,
+    s = (lam / lam_b)^(1/r), has T s^p T(x) and multiplier s^(p-r) theta,
+    and grad T and the residual vector scale by s^(p-1).  So the relative
+    residual that ``descend`` tests at 0 steps is s^(p-1) n_r / (1 + s^(p-1)
+    n_g).  None where it is above ``grad_tol``: the level is then solved."""
+    p, r = model.p, model.U_degree
+    s = (lam / lam_b) ** (1.0 / r)
+    g = s ** (p - 1.0)
+    res = g * n_r / (1.0 + g * n_g)
+    if not res <= model.grad_tol:
+        return None
+    return MinimizeResult(lam, it.T * s**p, model.wrap(it.x * s), theta * s ** (p - r), 0, True, res)

@@ -41,8 +41,8 @@ descent's trial point is retracted by ``at_level(y, lam)``, which returns
 ``iterate(x, T, intermediates)`` records an accepted one.
 ``carry_record(it, lam0, lam)`` gives the record of the point carried from
 level lam0 to lam: where the group action is exact (critical, toy) each
-field scales by its degree of homogeneity, and Hardy's dilated point is
-retracted and evaluated.
+field scales by its degree of homogeneity, T's p and U's ``U_degree``, and
+Hardy's dilated point is retracted and evaluated.
 
 Methods on points (``GridFunction`` for the radial variants, arrays for the
 toy): ``seed(width)``, with ``seed_width(lam)`` the width that starts a
@@ -52,7 +52,7 @@ values; ``unwrap`` (grid check) and ``wrap``.  Also ``paper_lambda_bar``, and th
 classmethod ``from_config``, which builds a spec from a config block.
 Attributes:
 ``scaling_exponent``, ``grad_tol``, ``c_tol``, ``exact_transport``,
-``amplitude_exponents``.  The module-level functions
+``U_degree`` (where it is exact), ``amplitude_exponents``.  The module-level functions
 (``eval_T`` ... ``norm``) take points, unwrap them and call the array
 methods, or read records; they are the public edge, not the inner loops'
 path.
@@ -417,6 +417,10 @@ class Toy(Variant):
         self.toy = spec.toy
         self.scaling_exponent = 2.0 / spec.toy.q
 
+    @property
+    def U_degree(self) -> float:
+        return self.toy.q  # U(s x) = s^q U(x)
+
     def _T(self, x, du):
         return np.vecdot(x, x)
 
@@ -452,8 +456,9 @@ class Toy(Variant):
         return x * ratio ** (1.0 / self.toy.q)
 
     def carry_record(self, it: Iterate, lam0: float, lam: float) -> Iterate:
-        # U(s x) = s^q U(x) exactly: the carried point is on the level.
-        return _scaled_record(it, (lam / lam0) ** (1.0 / self.toy.q), self.p, self.toy.q)
+        # U is exactly homogeneous: the carried point is on the level.
+        r = self.U_degree
+        return _scaled_record(it, (lam / lam0) ** (1.0 / r), self.p, r)
 
     def paper_lambda_bar(self, i_1: float) -> float:
         alpha = self.scaling_exponent  # nothing printed: the calculus argmax
@@ -829,6 +834,10 @@ class Critical(_Radial):
         )
         self._prec = Preconditioner.of(spec.grid, True)
 
+    @property
+    def U_degree(self) -> float:
+        return self.pstar  # U(s x) = s^p* U(x)
+
     def _U(self, x, pw):  # sum W |x|^p* / p*, |x|^p* = pw x^2
         return np.vecdot(pw * (x * x), self.grid.weights) / self.pstar
 
@@ -874,7 +883,8 @@ class Critical(_Radial):
     def carry_record(self, it: Iterate, lam0: float, lam: float) -> Iterate:
         # The amplitude action is exact on the grid: U(s x) = s^p* U(x), T
         # is p-homogeneous, so a minimizer at lam0 carries to one at lam.
-        it = _scaled_record(it, (lam / lam0) ** (1.0 / self.pstar), self.p, self.pstar)
+        r = self.U_degree
+        it = _scaled_record(it, (lam / lam0) ** (1.0 / r), self.p, r)
         if self.p < 2.0:
             # There |du|^(p-2) du amplifies the rounding by which s du
             # differs from the difference quotient of s x (gT 1.5e-13 apart

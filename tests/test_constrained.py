@@ -417,6 +417,19 @@ def assert_close(a, b, rel):
     assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
 
+def exact_case(critical_small, case):
+    """(spec, a seed array) for an exact-transport case named
+    ``critical-p<p>`` (on critical_small's grid, mu = 0.3 mu_p) or
+    ``toy-q<q>``."""
+    if case.startswith("toy"):
+        return toy_spec(q=float(case[-1])), np.array([0.3, -1.7])
+    p = float(case[len("critical-p"):])
+    grid = critical_small.grid
+    mu = 0.3 * Critical.mu_limit_of(p, 5, grid)
+    spec = ProblemSpec(variant="critical-bounded", p=p, n=5, mu=mu, grid=grid)
+    return spec, (1.0 - grid.nodes) * np.exp(-((4.0 * grid.nodes) ** 2))
+
+
 class TestCarriedRecord:
     """``carry_record`` on the exact-transport variants scales each field of
     the record by its degree of homogeneity, in place of evaluating the
@@ -425,15 +438,7 @@ class TestCarriedRecord:
     @pytest.mark.parametrize("case", ["critical-p1.8", "critical-p2", "toy-q3", "toy-q4"])
     @pytest.mark.parametrize("lam0,lam", [(1.0, 7.0), (40.0, 3.0)])
     def test_matches_the_evaluated_record(self, critical_small, case, lam0, lam):
-        if case.startswith("toy"):
-            spec = toy_spec(q=float(case[-1]))
-            y = np.array([0.3, -1.7])
-        else:
-            p = float(case[len("critical-p"):])
-            grid = critical_small.grid
-            mu = 0.3 * Critical.mu_limit_of(p, 5, grid)
-            spec = ProblemSpec(variant="critical-bounded", p=p, n=5, mu=mu, grid=grid)
-            y = (1.0 - grid.nodes) * np.exp(-((4.0 * grid.nodes) ** 2))
+        spec, y = exact_case(critical_small, case)
         model = spec.model
         r = minimize_on_level(spec, lam0, model.wrap(y))
         it = constrained.seed_record(model, model.unwrap(r.minimizer), lam0)
@@ -463,24 +468,100 @@ class TestCarriedRecord:
     def test_critical_sweep_evaluates_the_grid_once(self, critical_pipeline, monkeypatch):
         # 30 levels from the level-1 minimizer: the grid is touched for the
         # first level's record and for each Newton step, never for a level
-        # the carried record already solves
+        # the carried point already solves, and only the one solved level
+        # (the first) is carried or has its multiplier and residual computed
         spec, r1 = critical_pipeline["spec"], critical_pipeline["r1"]
-        calls = {"at_level": 0, "iterate": 0}
+        owners = {"at_level": Critical, "iterate": Critical, "carry_record": Critical,
+                  "multiplier_and_residual": constrained, "descend": constrained}
+        calls = dict.fromkeys(owners, 0)
 
         def counting(name):
-            method = getattr(Critical, name)
+            method = getattr(owners[name], name)
 
             def call(*args):
                 calls[name] += 1
                 return method(*args)
             return call
 
-        for name in calls:
-            monkeypatch.setattr(Critical, name, counting(name))
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name, counting(name))
         results = continuation_sweep(spec, np.geomspace(1.0, 4000.0, 30), u0=r1.minimizer)
         assert all(r.converged for r in results)
         steps = sum(r.iterations for r in results)
-        assert calls == {"at_level": 1 + steps, "iterate": 1 + steps}
+        assert calls == {"at_level": 1 + steps, "iterate": 1 + steps, "carry_record": 0,
+                         "multiplier_and_residual": 1 + steps, "descend": 1}
+
+    @pytest.mark.parametrize("case", ["critical-p1.8", "critical-p2", "toy-q3", "toy-q4"])
+    def test_closed_form_levels_match_carried_solves(self, critical_small, case):
+        # each level solved as before the closed form: the last level's
+        # record carried (``carry_record``) and descended (``descend``).
+        # Critical starts from the default bump's level-1 solve, which stops
+        # at a residual far above its rounding (7.8e-8 at p = 2).
+        spec, y = exact_case(critical_small, case)
+        model = spec.model
+        lambdas = np.geomspace(1.0, 4000.0, 30)
+        seed = model.wrap(y) if case.startswith("toy") else None
+        u0 = minimize_on_level(spec, 1.0, seed).minimizer
+        results = continuation_sweep(spec, lambdas, u0=u0)
+        prev = None
+        for r, lam in zip(results, lambdas):
+            if prev is None:
+                it = constrained.seed_record(model, model.unwrap(u0), lam)
+            else:
+                it = model.carry_record(prev, lam_prev, lam)
+            prev, theta, res, iterations, converged = constrained.descend(model, it, lam)
+            lam_prev = lam
+            assert (r.iterations, r.converged) == (iterations, converged)
+            assert r.i_value == pytest.approx(prev.T, rel=1e-14, abs=0.0)
+            assert r.multiplier == pytest.approx(theta, rel=1e-14, abs=0.0)
+            assert_close(model.unwrap(r.minimizer), prev.x, 1e-14)
+            # The residual vector grad T - theta grad U cancels: it is
+            # rounded to a few eps ||grad T||, and the residual, relative to
+            # 1 + ||grad T||, to a few eps.  At p < 2 the carried grad T is
+            # evaluated afresh, and on the toy the residual is that rounding.
+            assert r.residual == pytest.approx(res, rel=1e-9, abs=4.0 * np.finfo(float).eps)
+
+    def test_level_above_grad_tol_is_solved_and_becomes_the_base(self, critical_small, monkeypatch):
+        # a first level converged just under grad_tol at a small level,
+        # where ||grad T|| is small, so that the scaled residual grows
+        # with the level: the second level exceeds grad_tol and is carried
+        # and descended, and the third is read off the second
+        spec, model, grid = critical_small, critical_small.model, critical_small.grid
+        lam0, tol = 1e-6, critical_small.model.grad_tol
+        x = model.unwrap(minimize_on_level(spec, lam0).minimizer)
+        h = model.mask(np.sin(3.0 * np.pi * grid.nodes) * x)
+
+        def seed_residual(eps):
+            it = constrained.seed_record(model, x + eps * h, lam0)
+            return multiplier_and_residual(model, it)[1]
+
+        eps = 1e-3 * 0.9 * tol / seed_residual(1e-3)
+        assert 0.5 * tol < seed_residual(eps) <= tol
+        calls = []
+        carry, descend = Critical.carry_record, constrained.descend
+
+        def carry_spy(self, it, lam_from, lam):
+            calls.append(("carry_record", lam_from, lam))
+            return carry(self, it, lam_from, lam)
+
+        def descend_spy(model, it, lam):
+            calls.append(("descend", lam))
+            return descend(model, it, lam)
+
+        monkeypatch.setattr(Critical, "carry_record", carry_spy)
+        monkeypatch.setattr(constrained, "descend", descend_spy)
+        lambdas = lam0 * np.array([1.0, 1e4, 1e8])
+        first, solved, scaled = continuation_sweep(spec, lambdas, u0=model.wrap(x + eps * h))
+        assert calls == [("descend", lambdas[0]), ("carry_record", lambdas[0], lambdas[1]),
+                         ("descend", lambdas[1])]
+        assert first.iterations == 0 and first.residual > 0.5 * tol
+        assert solved.iterations > 0 and solved.residual <= tol
+        assert scaled.iterations == 0 and all(r.converged for r in (first, solved, scaled))
+        p, r = model.p, model.U_degree
+        s = (lambdas[2] / lambdas[1]) ** (1.0 / r)
+        assert scaled.i_value == pytest.approx(solved.i_value * s**p, rel=1e-14, abs=0.0)
+        assert scaled.multiplier == pytest.approx(solved.multiplier * s ** (p - r), rel=1e-14, abs=0.0)
+        assert np.array_equal(scaled.minimizer.values, solved.minimizer.values * s)
 
     def test_hardy_sweep_costs_one_factor_per_step(self, hardy_mu_half, monkeypatch):
         # the conftest sweep's 40 levels: one factor and one two-column
@@ -564,10 +645,11 @@ class TestContinuationSweep:
         with pytest.raises(ValidationError):
             continuation_sweep(hardy_small, [2.0, 1.0])
 
-    def test_infeasible_level_is_recorded_and_skipped(self, monkeypatch):
+    def test_infeasible_level_is_recorded_and_skipped(self, hardy_small, monkeypatch):
         # a level whose solve raises InfeasibleError is an unconverged entry,
-        # and the next level starts from the last minimizer before it
-        spec = toy_spec()
+        # and the next level starts from the last minimizer before it.  On
+        # Hardy every level runs the descent (its dilation is not exact).
+        spec, model = hardy_small, hardy_small.model
         solve = constrained.descend
         seeds = {}
 
@@ -582,8 +664,9 @@ class TestContinuationSweep:
         assert failed.lam == 1.0 and not failed.converged and failed.minimizer is None
         assert math.isnan(failed.i_value) and failed.residual == math.inf
         assert first.converged and last.converged
-        assert np.array_equal(seeds[2.0], spec.model.transport(first.minimizer, 4.0))
-        assert last.i_value == pytest.approx(2.0**0.5, abs=1e-8)
+        carried = model.transport(first.minimizer, 4.0)
+        assert np.array_equal(seeds[2.0], model.retract(carried.values, 2.0))
+        assert_same_result(last, minimize_on_level(spec, 2.0, carried))
 
 
 def assert_same_result(new, old):
