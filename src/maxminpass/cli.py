@@ -118,7 +118,7 @@ CONFIG_BLOCKS = {
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         cfg = json.load(f)
     check_keys(cfg, ("problem", "output_dir", *CONFIG_BLOCKS), "config")
     if not isinstance(cfg.get("problem"), dict):
@@ -142,7 +142,10 @@ def _config_sha256(cfg: dict) -> str:
 
 
 def _out_dir(cfg: dict, override: str | None) -> Path:
-    out = Path(override or cfg.get("output_dir", "."))
+    configured = cfg.get("output_dir", ".")
+    if not isinstance(configured, str):
+        raise ValidationError(f"config.output_dir must be a string, got {configured!r}")
+    out = Path(override or configured)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -403,7 +406,8 @@ def main(argv=None) -> int:
         except FileNotFoundError:
             print(f"error: config file not found: {args.config}", file=sys.stderr)
             return EXIT_VALIDATION
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            # JSON is UTF-8; a file that does not decode is not JSON either
             print(f"error: config is not valid JSON: {e}", file=sys.stderr)
             return EXIT_VALIDATION
         out = _out_dir(cfg, args.out)

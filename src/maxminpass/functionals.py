@@ -65,13 +65,16 @@ direction h, d/dt E(u + t h) = <grad, h>_W.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .errors import ConvergenceError, GridMismatchError, InfeasibleError, ValidationError
 from .grids import GridFunction, RadialGrid, build_radial_grid, dilate
@@ -99,6 +102,28 @@ __all__ = [
     "Preconditioner",
     "problem_from_config",
 ]
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without the ``scipy.linalg`` package.
+
+    ``scipy.linalg.lapack`` re-exports this f2py module; importing that
+    package to reach it would run its whole init, about half of
+    ``import maxminpass``'s time.  The plain ``import scipy`` still runs
+    scipy's distributor init, which some wheels need to find their BLAS.
+    """
+    where = os.path.join(scipy.__path__[0], "linalg")
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(where, loader).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's _flapack extension not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 # Regularization of |du|^(p-2) for p < 2, applied inside gradients only.
 GRAD_REG_DELTA = 1e-10

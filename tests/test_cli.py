@@ -63,10 +63,24 @@ class TestExitCodes:
             EXIT_VALIDATION
         )
 
-    def test_invalid_json(self, tmp_path):
+    # JSON is UTF-8: a file that does not decode is not JSON either
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b"\xff\xfe{}"], ids=["syntax", "not-utf8"]
+    )
+    def test_invalid_json(self, tmp_path, capsys, content):
         p = tmp_path / "bad.json"
-        p.write_text("{not json")
+        p.write_bytes(content)
         assert main(["minimize", "--config", str(p)]) == EXIT_VALIDATION
+        assert "config is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output_dir", [5, None])
+    def test_output_dir_not_a_string_exits_2(self, tmp_path, capsys, monkeypatch, output_dir):
+        cfg = {"problem": {"variant": "toy", "q": 4.0, "d": 2}, "output_dir": output_dir}
+        path = write_config(tmp_path / "toy.json", cfg)
+        monkeypatch.chdir(tmp_path)
+        assert main(["minimize", "--config", path]) == EXIT_VALIDATION
+        assert f"config.output_dir must be a string, got {output_dir!r}" in capsys.readouterr().err
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["toy.json"]
 
     def test_invalid_mu_rejected_before_compute(self, tmp_path):
         cfg = {
@@ -651,16 +665,17 @@ def test_only_the_cli_reads_or_writes_files():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # the package's scalar solves are its own; scipy serves LAPACK only
+    # the package's scalar solves are its own; scipy serves two LAPACK
+    # routines, loaded from their extension without the scipy.linalg package
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, maxminpass; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", "import sys, maxminpass; print(*sys.modules)"],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert {"scipy.optimize", "scipy.linalg"} & set(proc.stdout.split()) == set()

@@ -3,11 +3,14 @@
 import copy
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from maxminpass import (
@@ -33,7 +36,7 @@ from maxminpass import (
     problem_from_config,
     retract_to_level,
 )
-from maxminpass import constrained
+from maxminpass import constrained, functionals
 from maxminpass.constrained import descend, seed_record
 from maxminpass.functionals import (
     Critical,
@@ -451,6 +454,35 @@ class TestTridiagonalKernel:
     def test_zero_pivot_is_refused(self):
         assert factor_tridiagonal(np.array([0.0, 1.0]), np.array([1.0])) is None
         assert factor_tridiagonal(np.array([1.0, 1.0]), np.array([1.0])) is None
+
+    @pytest.mark.parametrize("system", ["spd", "negative-pivot", "stacked-rhs"])
+    def test_routines_are_scipys_own(self, monkeypatch, system):
+        # dpttrf and dpttrs, loaded from the extension scipy.linalg.lapack
+        # re-exports, give scipy.linalg.lapack's results bit for bit
+        rng = np.random.default_rng(30)
+        m = 40
+        d = 3.0 + rng.random(m)
+        e = -rng.random(m - 1)
+        if system == "negative-pivot":
+            d[17] -= 8.0
+        b = rng.standard_normal((2, m) if system == "stacked-rhs" else m)
+        ours, scipys = functionals.dpttrf(d, e), lapack.dpttrf(d, e)
+        assert (ours[2] > 0) == (system == "negative-pivot")
+        assert ours[2] == scipys[2]
+        assert np.array_equal(ours[0], scipys[0]) and np.array_equal(ours[1], scipys[1])
+        factor = factor_tridiagonal(d, e)
+        x = solve_tridiagonal(factor, b)
+        monkeypatch.setattr(functionals, "dpttrf", lapack.dpttrf)
+        monkeypatch.setattr(functionals, "dpttrs", lapack.dpttrs)
+        expected = factor_tridiagonal(d, e)
+        assert factor[2] == expected[2] == (system == "negative-pivot")
+        assert np.array_equal(factor[0], expected[0]) and np.array_equal(factor[1], expected[1])
+        assert np.array_equal(x, solve_tridiagonal(expected, b))
+
+    def test_missing_extension_names_the_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            functionals._load_flapack()
 
 
 class TestOrbitPoint:
