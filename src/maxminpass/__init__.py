@@ -49,7 +49,6 @@ from .levelcurve import (
     LevelCurve,
     build_level_curve,
     closed_form_lambda_bar,
-    evaluate_F_along_path,
     scaling_exponent,
     scaling_path,
 )
@@ -60,7 +59,6 @@ from .mpa import (
     deform,
     estimate_c,
     find_endpoint,
-    init_path,
 )
 from .toy import ToyProblem, toy_c_bruteforce, toy_closed_form, toy_i_lambda
 from .verify import el_residual, multiplier_of, pick_solution_scale

@@ -113,7 +113,7 @@ VERIFY_REPORT_SCHEMA = {
 # Known keys of each config block; ``problem`` is checked by its variant.
 CONFIG_BLOCKS = {
     "sweep": ("lambda_min", "lambda_max", "count"),
-    "mpa": ("step", "k"),
+    "mpa": ("step",),
 }
 
 
@@ -128,11 +128,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _mpa_options(cfg: dict) -> tuple[MpaOptions, int]:
-    """The ``mpa`` block: the options and the number of interior images."""
-    block = cfg.get("mpa", {})
-    k = config_number(block, "k", "mpa", 32, integer=True)
-    return MpaOptions(step=config_number(block, "step", "mpa", 0.2)), k
+def _mpa_options(cfg: dict) -> MpaOptions:
+    """The ``mpa`` block's options."""
+    return MpaOptions(step=config_number(cfg.get("mpa", {}), "step", "mpa", 0.2))
 
 
 def _config_sha256(cfg: dict) -> str:
@@ -310,9 +308,9 @@ def cmd_maxmin(cfg: dict, out: Path) -> int:
 
 def cmd_mpa(cfg: dict, out: Path) -> int:
     spec = problem_from_config(cfg["problem"])
-    mpa_opts, k = _mpa_options(cfg)
+    mpa_opts = _mpa_options(cfg)  # checked before the level-1 solve
     endpoint = find_endpoint(spec, _level1_minimum(spec).minimizer)
-    result = estimate_c(spec, endpoint, mpa_opts, k=k)
+    result = estimate_c(spec, endpoint, mpa_opts)
     _write_csv(out / "mpa_trace.csv", ["sweep", "ray_sup", "step"], result.trace)
     summary = {"c_mpa": result.c_mpa, "path_sup": result.path_sup, "ray_sup": result.ray_sup,
                "sweeps": result.sweeps, "converged": result.converged,
@@ -349,7 +347,7 @@ def cmd_toy(q: float, d: int, out: Path) -> int:
         i_fn=lambda lam: toy_i_lambda(prob, lam),
     )
     endpoint = 2.0 * spec.model.seed()  # q > 2, so F(2 e_1) = 4 - 2^q < 0
-    mpa = estimate_c(spec, endpoint, MpaOptions(step=0.05), k=48)
+    mpa = estimate_c(spec, endpoint, MpaOptions(step=0.05))
     payload = {
         "c_closed_form": closed["c"],
         "c_bruteforce": toy_c_bruteforce(prob),

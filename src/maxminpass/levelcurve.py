@@ -2,11 +2,11 @@
 
 Builds the sampled curve, locates the thresholds lambda_star (first
 nonpositive I) and lambda_star_star (first strictly negative I), the argmax
-set, and the max-min value; constructs the scaling path of minimizers and
-evaluates F along it; reports the printed and the derived closed-form
-argmax side by side.  Refinements follow the scaling law i ~ lambda^alpha:
-the thresholds by regula falsi on log i - log lambda, the argmax by steps to
-that of a fitted power law.
+set, and the max-min value; constructs the scaling path of minimizers;
+reports the printed and the derived closed-form argmax side by side.
+Refinements follow the scaling law i ~ lambda^alpha: the thresholds by
+regula falsi on log i - log lambda, the argmax by steps to that of a fitted
+power law.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .functionals import ProblemSpec, eval_F, regula_falsi
+from .functionals import ProblemSpec, regula_falsi
 
 __all__ = [
     "LevelCurve",
     "build_level_curve",
     "scaling_path",
-    "evaluate_F_along_path",
     "closed_form_lambda_bar",
     "scaling_exponent",
 ]
@@ -156,15 +155,6 @@ def scaling_path(spec: ProblemSpec, v, lam: float):
     if not 0 < lam < math.inf:
         raise ValidationError("lambda must be positive and finite")
     return spec.model.transport(v, lam)
-
-
-def evaluate_F_along_path(spec: ProblemSpec, v, lambdas) -> list[tuple[float, float]]:
-    """F along the scaling path of minimizers, as (lambda, F) pairs."""
-    out = []
-    for lam in np.asarray(lambdas, dtype=float):
-        u = scaling_path(spec, v, float(lam))
-        out.append((float(lam), eval_F(spec, u)))
-    return out
 
 
 def closed_form_lambda_bar(spec: ProblemSpec, i_1: float) -> dict:

@@ -9,8 +9,7 @@ above, and driving that bound down over x is a deformation of paths (the
 Nehari characterization; as an algorithm, Li & Zhou's local minimax method
 with L = {0}, SIAM J. Sci. Comput. 23, 2001).
 
-The run starts on the endpoint e's ray, at its maximum t* e: the straight
-path from 0 to e, whose images' energies are f at their parameters.  Each
+The run starts on the endpoint e's ray, at its maximum t* e.  Each
 descent step (``deform``) moves the current ray maximum x along the
 preconditioned gradient of F, takes the maximum of the new ray, and accepts
 it only if its sup is lower, so the reported bound falls monotonically.
@@ -25,13 +24,14 @@ converged, when the polished point x* is an index-1 critical point at or
 below the ray's sup whose own ray {t x*} peaks at x* and goes on into
 {F < 0}: then the pass level is at most F(x*), which the run reports.
 ``PATIENCE`` plateau steps, or a step that finds no lower sup, end an
-uncertified run, which is never converged.  The final path is the last
-ray's straight path: to e if no step was taken, else to 4 times the last
-ray maximum.
+uncertified run, which is never converged.  The run builds no path: the
+final path, the last ray's straight path (to e if no step was taken, else
+to 4 times the last ray maximum), is built when it is first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +44,7 @@ from .grids import GridFunction, RadialGrid
 from .levelcurve import scaling_exponent, scaling_path
 from .verify import weighted_residual
 
-__all__ = ["DiscretePath", "MpaOptions", "init_path", "deform", "polish", "estimate_c",
+__all__ = ["DiscretePath", "MpaOptions", "deform", "polish", "estimate_c",
            "crosses_all_levels", "find_endpoint"]
 
 MAX_SWEEPS = 10_000
@@ -127,28 +127,16 @@ def find_endpoint(spec: ProblemSpec, v):
     )
 
 
-def init_path(spec: ProblemSpec, endpoint, k: int = 32) -> DiscretePath:
-    """Straight segment from 0 to the endpoint with k interior images."""
-    return _straight_path(spec, endpoint, k)[0]
-
-
-def _straight_path(spec: ProblemSpec, endpoint, k: int):
-    """``init_path``'s path and the endpoint e's fibering map f.  The images
-    t_j e lie on e's ray, so F at each is f(t_j): 0 at 0, and at e the grid
-    value F(e) that the admissibility check takes, both from e's record."""
+def _fibering(spec: ProblemSpec, e: np.ndarray, k: int):
+    """The endpoint e's fibering map f and F(e), both from e's record;
+    raises ValidationError for k < 1 interior images or F(e) >= 0."""
     if k < 1:
         raise ValidationError("need at least one interior image")
-    model = spec.model
-    e = model.unwrap(endpoint)
-    it = model.energies(e)
+    it = spec.model.energies(e)
     F_end = eval_F(spec, it)
     if not F_end < 0:
         raise ValidationError("endpoint is not admissible: F(endpoint) must be < 0")
-    f = model.fibering_of(it)
-    t = np.linspace(0.0, 1.0, k + 2)
-    energies = f(t)
-    energies[0], energies[-1] = 0.0, F_end
-    return DiscretePath(t[:, None] * e, energies, model.grid), f
+    return spec.model.fibering_of(it), F_end
 
 
 def _check_grid(path: DiscretePath, spec: ProblemSpec) -> None:
@@ -213,26 +201,26 @@ class Verdict(tuple):
         return verdict
 
 
-def _certify(path: DiscretePath, spec: ProblemSpec, top, c_sup: float):
+def _certify(spec: ProblemSpec, top, c_sup: float):
     """(certified, ``el_residual`` at the sup point ``top``, F at the saddle
     or None, the ray's sup or None), a ``Verdict``.  ``polish`` takes ``top``
     to x*, from its orbit point (``orbit_point``), which on Hardy removes the
     amplitude and dilation by which ``top`` misses the saddle (2 Newton steps
     on the reference pipelines, 5 and 6 from ``top``).  Each point is
     evaluated once: ``top``'s record gives its residual and orbit point, x*'s
-    F(x*) and its fibering map.  x* is certified if the argmax image is
-    interior, its residual is within ``grad_tol``, its Morse index is 1,
-    F(x*) <= c_sup up to rounding (the path passes above x*), and the ray
-    {t x*} bounds the pass level by F(x*): its sup is F(x*) to 1e-12, and it
-    reaches F < 0 by 4 t* on the grid, which any fibering map a t^p + c t^2
-    - b t^r (r > max(p, 2)) peaking at t* does but for rounding.  The toy
-    (no Hessian) is not polished: its rule is the residual."""
+    F(x*) and its fibering map.  ``top`` is interior to its ray's path: t* > 0,
+    and F < 0 past it.  x* is certified if its residual is within
+    ``grad_tol``, its Morse index is 1, F(x*) <= c_sup up to rounding (the ray
+    passes above x*), and the ray {t x*} bounds the pass level by F(x*): its
+    sup is F(x*) to 1e-12, and it reaches F < 0 by 4 t* on the grid, which any
+    fibering map a t^p + c t^2 - b t^r (r > max(p, 2)) peaking at t* does but
+    for rounding.  The toy (no Hessian) is not polished: its rule is the
+    residual."""
     model = spec.model
     it = model.iterate(top)
     res_top = weighted_residual(model, it)[1]
-    interior = 0 < path.argmax_index < len(path.images) - 1
-    if model.grid is None or not interior:
-        ok = interior and res_top <= model.grad_tol
+    if model.grid is None:
+        ok = res_top <= model.grad_tol
         return Verdict(ok, res_top, saddle=top if ok else None)
     star = model.orbit_point(it)
     it, res, pivots = polish(model, it if star is it.x else model.iterate(star))
@@ -256,9 +244,22 @@ class MpaResult:
     sup_residual: float  # weighted residual of F' = 0 at the last ray's sup point
     path_sup: float  # the last ray's sup of F, an upper bound on the pass level
     ray_sup: float | None  # sup of F on the ray through the certified saddle, else None
-    path: DiscretePath  # the last ray's straight path
     trace: list = field(default_factory=list)  # (sweep, ray sup, next step) per descent step
     saddle: object = None  # the certified point x*, None when not converged
+    # (spec, the last ray's endpoint, k): what ``path`` is built from
+    _ray: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def path(self) -> DiscretePath:
+        """The last ray's straight path, built on first read: k interior
+        images t_j end on the ray, so F at each is end's fibering map at t_j,
+        0 at 0 and F(end) at end."""
+        spec, end, k = self._ray
+        f, F_end = _fibering(spec, end, k)
+        t = np.linspace(0.0, 1.0, k + 2)
+        energies = f(t)
+        energies[0], energies[-1] = 0.0, F_end
+        return DiscretePath(t[:, None] * end, energies, spec.model.grid)
 
 
 def estimate_c(
@@ -269,8 +270,9 @@ def estimate_c(
 ) -> MpaResult:
     """Drive the sup of F over rays down, from the endpoint e's ray.  Its
     sup and sup point t* e come from e's fibering map (``Fibering.sup``);
-    raises ValidationError where that map has no maximum (T(e) <= 0).  The
-    sup point is certified (``_certify``) before the first descent step
+    raises ValidationError where F(e) >= 0, where that map has no maximum
+    (T(e) <= 0), or for k < 1 interior images of the final path.  The sup
+    point is certified (``_certify``) before the first descent step
     (``deform``) and after each one.  The run stops on the first certified
     point, converged, with ``c_mpa`` F at the saddle (the ray's sup on the
     toy).  ``PATIENCE`` steps in a row that improve the sup by less than the
@@ -279,12 +281,12 @@ def estimate_c(
     opts = opts or MpaOptions()
     model = spec.model
 
-    path, f = _straight_path(spec, endpoint, k)
-    c_cur, t = f.sup()  # the straight path's exact sup, at t* e
+    e = model.unwrap(endpoint)
+    c_cur, t = _fibering(spec, e, k)[0].sup()  # e's ray's exact sup, at t* e
     if math.isnan(c_cur):
         raise ValidationError("T(endpoint) <= 0: the endpoint's ray has no maximum")
-    x = t * path.images[-1]
-    verdict = _certify(path, spec, x, c_cur)
+    x = t * e
+    verdict = _certify(spec, x, c_cur)
     step, plateau, sweeps, trace = opts.step, 0, 0, []
     while not verdict[0] and plateau < PATIENCE and sweeps < MAX_SWEEPS:
         moved = deform(x, spec, step, c_cur)
@@ -295,13 +297,7 @@ def estimate_c(
         plateau = plateau + 1 if c_cur - c_new < model.c_tol else 0
         c_cur = c_new
         trace.append((sweeps, c_cur, step))
-        # x's ray as the images 0, x, 4x, whose argmax x is interior; deform
-        # checked F(4x) < 0, which -inf stands in for
-        ray = DiscretePath(np.array([np.zeros_like(x), x, 4.0 * x]), [0.0, c_cur, -math.inf],
-                           path.grid)
-        verdict = _certify(ray, spec, x, c_cur)
-    if sweeps:
-        path = _straight_path(spec, model.wrap(4.0 * x), k)[0]
+        verdict = _certify(spec, x, c_cur)
 
     converged, res, F_star, ray_sup = verdict
     return MpaResult(
@@ -311,9 +307,9 @@ def estimate_c(
         sup_residual=res,
         path_sup=c_cur,
         ray_sup=ray_sup,
-        path=path,
         trace=trace,
         saddle=model.wrap(verdict.saddle) if converged else None,
+        _ray=(spec, 4.0 * x if sweeps else e.copy(), k),
     )
 
 

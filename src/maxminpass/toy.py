@@ -24,8 +24,8 @@ class ToyProblem:
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError("dimension d must be >= 1")
-        if self.q <= 2:
-            raise ValidationError("need q > 2 for the level-curve geometry")
+        if not 2 < self.q < np.inf:
+            raise ValidationError(f"toy q must be finite and > 2, got {self.q!r}")
 
 
 def toy_i_lambda(prob: ToyProblem, lam: float) -> float:

@@ -109,6 +109,21 @@ class TestExitCodes:
         assert main(argv) == EXIT_IO
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["inf", "nan", "config-inf"])
+    def test_non_finite_toy_q_exits_2(self, tmp_path, capsys, q):
+        # 2 < q held for neither: q = inf wrote NaN into toy_summary.json
+        # and exited 3, q = nan exited 2 for "i values must be finite"
+        out = tmp_path / "out"
+        if q == "config-inf":  # JSON's Infinity, which json.loads reads
+            cfg = tmp_path / "toy.json"
+            cfg.write_text('{"problem": {"variant": "toy", "q": Infinity}}')
+            argv = ["minimize", "--config", str(cfg), "--out", str(out)]
+        else:
+            argv = ["toy", "--q", q, "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "toy q must be finite and > 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_hardy_p_equal_n_rejected_before_the_default_q(self, tmp_path, capsys):
         # the default q lies midway to p* = n p / (n - p), which has no value at p = n
         cfg = {
@@ -171,6 +186,7 @@ class TestExitCodes:
             ("mpa", "c_tol", 1e-3),  # the variant's c_tol
             ("mpa", "max_sweeps", 100),
             ("mpa", "patience", 25),
+            ("mpa", "k", 32),  # sized the final path only, which no command reads
         ],
     )
     def test_unknown_or_conflicting_key_rejected(self, tmp_path, capsys, block, key, value):
@@ -196,10 +212,9 @@ class TestExitCodes:
             ("minimize", "problem", "mu", [0.0]),
             ("mpa", "mpa", "step", "fast"),
             ("mpa", "mpa", "step", 0),
-            ("mpa", "mpa", "k", None),
             # JSON booleans and strings are not numbers, whatever float() reads them as
             ("minimize", "grid", "m", "200"),
-            ("mpa", "mpa", "k", True),
+            ("sweep", "sweep", "count", True),
             ("mpa", "mpa", "step", "0.2"),
         ],
     )

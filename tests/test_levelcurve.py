@@ -15,7 +15,6 @@ from maxminpass import (
     build_radial_grid,
     closed_form_lambda_bar,
     continuation_sweep,
-    evaluate_F_along_path,
     eval_F,
     eval_T,
     eval_U,
@@ -224,7 +223,8 @@ class TestFAlongPath:
         alpha = scaling_exponent(critical_small)
         lam_ss = r1.i_value ** (1.0 / (1.0 - alpha))
         lambdas = [1e-8, 1e-4, 0.5 * lam_ss, 2.0 * lam_ss]
-        pairs = dict(evaluate_F_along_path(critical_small, r1.minimizer, lambdas))
+        pairs = {lam: eval_F(critical_small, scaling_path(critical_small, r1.minimizer, lam))
+                 for lam in lambdas}
         assert 0 < pairs[1e-8] < pairs[1e-4] < 0.1  # F -> 0 along lambda -> 0
         assert pairs[0.5 * lam_ss] > 0
         assert pairs[2.0 * lam_ss] < 0
@@ -234,7 +234,7 @@ class TestFAlongPath:
         spec = toy_spec()
         v = minimize_on_level(spec, 1.0).minimizer
         lambdas = np.geomspace(1e-3, 2.0, 4000)
-        sup = max(F for _, F in evaluate_F_along_path(spec, v, lambdas))
+        sup = max(eval_F(spec, scaling_path(spec, v, lam)) for lam in lambdas)
         assert sup == pytest.approx(toy_curve().c_maxmin, abs=1e-6)
 
 

@@ -24,7 +24,6 @@ from maxminpass import (
     eval_T,
     find_endpoint,
     hardy_constant,
-    init_path,
     minimize_on_level,
     scaling_exponent,
     scaling_path,
@@ -72,6 +71,18 @@ def saddle_of(spec, result):
     return newton_critical_point(spec, spec.model.ray_sup(e)[1] * e)
 
 
+def straight_path(spec, end, k):
+    """The straight path from 0 to the array ``end`` with k interior images
+    t_j end, with energies from end's fibering map, 0 at 0 and F(end) at
+    end: the reference that ``MpaResult.path`` must equal bit for bit."""
+    model = spec.model
+    it = model.energies(end)
+    t = np.linspace(0.0, 1.0, k + 2)
+    energies = model.fibering_of(it)(t)
+    energies[0], energies[-1] = 0.0, eval_F(spec, it)
+    return DiscretePath(t[:, None] * end, energies, model.grid)
+
+
 def morse_index(spec, x):
     return int(np.sum(eigvalsh_tridiagonal(*spec.model.hessian(x, 1.0)) < 0.0))
 
@@ -82,10 +93,13 @@ def assert_close(a, b, rel):
 
 
 class TestInitPath:
+    """The final path (``MpaResult.path``) and ``estimate_c``'s refusal of an
+    endpoint that does not start one."""
+
     def test_valid_toy_path(self):
         spec = toy_spec()
         # F at radius 2 is 4 - 16 = -12 < 0
-        path = init_path(spec, toy_endpoint(spec), k=16)
+        path = estimate_c(spec, toy_endpoint(spec), MpaOptions(step=0.05), k=16).path
         assert len(path.points) == 18
         # the pass level is a lower bound for the sup along any admissible
         # path, up to the sampling resolution of the discrete max
@@ -93,21 +107,23 @@ class TestInitPath:
 
     def test_rejects_zero_endpoint(self):
         spec = toy_spec()
-        with pytest.raises(ValidationError):
-            init_path(spec, np.zeros(2), k=8)
+        with pytest.raises(ValidationError, match="not admissible"):
+            estimate_c(spec, np.zeros(2), k=8)
 
     def test_rejects_positive_energy_endpoint(self):
         spec = toy_spec()
-        with pytest.raises(ValidationError):
-            init_path(spec, toy_endpoint(spec, radius=0.5), k=8)
+        with pytest.raises(ValidationError, match="not admissible"):
+            estimate_c(spec, toy_endpoint(spec, radius=0.5), k=8)
+        with pytest.raises(ValidationError, match="interior image"):
+            estimate_c(spec, toy_endpoint(spec), k=0)
 
     def test_hardy_scaled_endpoint_admissible(self, hardy_small):
         r1 = minimize_on_level(hardy_small, 1.0)
         alpha = scaling_exponent(hardy_small)
         lam_ss = r1.i_value ** (1.0 / (1.0 - alpha))
         endpoint = scaling_path(hardy_small, r1.minimizer, 2.0 * lam_ss)
-        path = init_path(hardy_small, endpoint, k=8)
-        assert path.energies[-1] < 0
+        path = estimate_c(hardy_small, endpoint, k=8).path
+        assert len(path.images) == 10 and path.energies[-1] < 0
 
 
 class TestDeform:
@@ -140,7 +156,7 @@ class TestDeform:
             assert c <= new_sup < sup
             assert abs(spec.model.F(x) - new_sup) <= 1e-12 * new_sup
             sup = new_sup
-            path = init_path(spec, GridFunction(spec.grid, 4.0 * x), k=16)
+            path = straight_path(spec, 4.0 * x, 16)
             end_level = spec.model.U(path.images[-1])
             assert crosses_all_levels(path, spec, np.linspace(1e-6, 0.999, 50) * end_level)
             assert path.max_energy <= sup
@@ -264,13 +280,8 @@ class TestCertifiedStop:
     def test_index_zero_point_refused(self, hardy_small):
         # near 0, F = T + (m/2) int u^2 + ... is convex: a tiny multiple of the
         # level-1 minimizer has a tiny residual but Morse index 0
-        v = minimize_on_level(hardy_small, 1.0).minimizer
-        x = 1e-9 * v.values
-        images = np.array([np.zeros_like(x), x, find_endpoint(hardy_small, v).values])
-        path = DiscretePath(images, [0.0, 1.0, -1.0], hardy_small.grid)  # made-up energies
-        assert path.argmax_index == 1
-        certified, res, saddle, ray = maxminpass.mpa._certify(
-            path, hardy_small, path.images[1], 1.0)
+        x = 1e-9 * minimize_on_level(hardy_small, 1.0).minimizer.values
+        certified, res, saddle, ray = maxminpass.mpa._certify(hardy_small, x, 1.0)
         assert res <= hardy_small.model.grad_tol
         assert factor_tridiagonal(*hardy_small.model.hessian(x, 1.0))[2] == 0
         assert not certified and saddle is None and ray is None
@@ -284,32 +295,18 @@ class TestCertifiedStop:
         assert morse_index(hardy_small, x) == 1
         return x, result.c_mpa
 
-    @staticmethod
-    def three_point_path(spec, x, energies):
-        """0, x and the negative-energy point 4x, with made-up energies."""
-        return DiscretePath(np.array([np.zeros_like(x), x, 4.0 * x]), energies, spec.grid)
-
     def test_saddle_at_an_interior_image_is_certified(self, hardy_small, small_saddle):
+        # the saddle is the maximum of its own ray, interior to the ray's path
         x, c = small_saddle
-        path = self.three_point_path(hardy_small, x, [0.0, 1.0, -1.0])
-        certified, res, saddle, ray = maxminpass.mpa._certify(path, hardy_small, x, c)
+        certified, res, saddle, ray = maxminpass.mpa._certify(hardy_small, x, c)
         assert certified and res <= 1e-12
         assert abs(saddle - c) <= 1e-12 * c and abs(ray - c) <= 1e-12 * c
-
-    def test_argmax_image_at_an_end_is_refused(self, hardy_small, small_saddle):
-        x, c = small_saddle
-        path = self.three_point_path(hardy_small, x, [2.0, 1.0, -1.0])
-        assert path.argmax_index == 0
-        certified, res, saddle, ray = maxminpass.mpa._certify(path, hardy_small, x, c)
-        assert res <= 1e-12  # x is the saddle: only its place on the path fails
-        assert not certified and saddle is None and ray is None
 
     def test_path_sup_below_the_saddle_is_refused(self, hardy_small, small_saddle):
         # a path whose sup is below F(x*) does not pass over x*
         x, c = small_saddle
-        path = self.three_point_path(hardy_small, x, [0.0, 1.0, -1.0])
         certified, _res, saddle, ray = maxminpass.mpa._certify(
-            path, hardy_small, x, (1.0 - 1e-9) * c)
+            hardy_small, x, (1.0 - 1e-9) * c)
         assert not certified and saddle is None and ray is None
 
     def test_index_two_critical_point_refused(self, hardy_small):
@@ -325,14 +322,13 @@ class TestCertifiedStop:
         assert factor_tridiagonal(*hardy_small.model.hessian(x, 1.0)) is None
         F_x = float(hardy_small.model.F(x))
         assert abs(hardy_small.model.ray_sup(x)[0] - F_x) <= 1e-12 * F_x
-        path = self.three_point_path(hardy_small, x, [0.0, 1.0, -1.0])
-        certified, res, saddle, ray = maxminpass.mpa._certify(path, hardy_small, x, F_x)
+        certified, res, saddle, ray = maxminpass.mpa._certify(hardy_small, x, F_x)
         assert res <= 1e-12
         assert not certified and saddle is None and ray is None
 
     def test_end_segment_sup_is_not_convergence(self, hardy_mu_half):
-        # A sup at a path's first image is never certified.  The sup point of
-        # the wide seed bump's ray is interior, and the polish from its
+        # A ray's sup point is never at its path's first image (t* > 0).  The
+        # wide seed bump's final path peaks inside, and the polish from its
         # amplitude-dilation orbit point reaches the saddle before any step;
         # the ray through the saddle bounds c.
         spec = hardy_mu_half["spec"]
@@ -399,7 +395,7 @@ class TestPolishedSaddle:
         monkeypatch.setattr(maxminpass.mpa, "factor_tridiagonal", factor_spy)
         endpoint = result.path.images[-1]
         c_sup, t = spec.model.ray_sup(endpoint)
-        verdict = maxminpass.mpa._certify(result.path, spec, t * endpoint, c_sup)
+        verdict = maxminpass.mpa._certify(spec, t * endpoint, c_sup)
         assert verdict == (True, result.sup_residual, result.c_mpa, result.ray_sup)
         residual, pivots = min(factored, key=lambda rp: rp[0])
         assert residual <= 1e-10
@@ -699,7 +695,7 @@ class TestClosedFormStart:
         ``_certify``, and the run, which makes no sweep."""
         seen = []
 
-        def spy(path, spec, top, c_sup):
+        def spy(spec, top, c_sup):
             seen.append((c_sup, top))
             return refuse()
 
@@ -710,9 +706,9 @@ class TestClosedFormStart:
         return seen[0], result
 
     @pytest.mark.parametrize("case", CASES)
-    def test_energies_are_F_at_the_images(self, case, start):
+    def test_energies_are_F_at_the_images(self, case, start, monkeypatch):
         spec, endpoint = start[case]
-        path = init_path(spec, endpoint, k=32)
+        path = self.sweep_zero(spec, endpoint, monkeypatch)[1].path
         grid_F = spec.model.F(path.images)
         assert np.max(np.abs(path.energies - grid_F)) <= 1e-13 * np.max(np.abs(grid_F))
         assert path.energies[0] == 0.0
@@ -752,6 +748,52 @@ class TestClosedFormStart:
         assert ndims and set(ndims) == {1}
 
 
+class TestPathOnFirstRead:
+    """The run builds no path: ``MpaResult.path`` is built when it is first
+    read, as the straight path to the last ray's endpoint."""
+
+    @pytest.mark.parametrize("case", ["hardy", "refused", "toy"])
+    def test_run_builds_no_path(self, case, hardy_small, monkeypatch):
+        built, moves = [], []
+        init, deform = DiscretePath.__init__, maxminpass.mpa.deform
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        def spy(*args):
+            out = deform(*args)
+            if out is not None:
+                moves.append(out[0])
+            return out
+
+        if case == "toy":
+            spec, endpoint, opts, k = toy_spec(), toy_endpoint(toy_spec()), MpaOptions(0.05), 48
+        else:
+            spec, opts, k = hardy_small, MpaOptions(), 32
+            endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
+        if case == "refused":
+            monkeypatch.setattr(maxminpass.mpa, "_certify", refuse)
+            monkeypatch.setattr(maxminpass.mpa, "MAX_SWEEPS", 5)
+        monkeypatch.setattr(maxminpass.mpa, "deform", spy)
+        monkeypatch.setattr(DiscretePath, "__init__", counting)
+        result = estimate_c(spec, endpoint, opts, k=k)
+        assert built == []
+        assert result.sweeps == len(moves) == (5 if case == "refused" else 0)
+        assert result.converged == (case != "refused")
+        # the last ray's endpoint: e when no step was taken, else 4x; the
+        # path is the run's, whatever the caller does to e before reading it
+        e = spec.model.unwrap(endpoint)
+        end = 4.0 * moves[-1] if moves else e.copy()
+        e[:] = 0.0
+        path = result.path
+        assert result.path is path and len(built) == 1
+        old = straight_path(spec, end, k)
+        assert np.array_equal(path.images, old.images)
+        assert np.array_equal(path.energies, old.energies)
+        assert path.grid is old.grid
+
+
 class TestOptions:
     def test_only_the_step_is_settable(self):
         assert [f.name for f in dataclasses.fields(MpaOptions)] == ["step"]
@@ -774,5 +816,5 @@ class TestLevelCrossing:
 
     def test_detects_missing_crossing(self):
         spec = toy_spec()
-        path = init_path(spec, toy_endpoint(spec), k=8)
+        path = estimate_c(spec, toy_endpoint(spec), MpaOptions(step=0.05), k=8).path
         assert not crosses_all_levels(path, spec, [1e9])

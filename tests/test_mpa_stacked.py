@@ -24,7 +24,6 @@ from maxminpass import (
     grad_T,
     grad_U,
     hardy_constant,
-    init_path,
     inner,
     mask,
     minimize_on_level,
@@ -38,7 +37,7 @@ REL = 1e-13
 
 def toy_path(k=16):
     spec = ProblemSpec(variant="toy", toy=ToyProblem(2, 4.0))
-    path = init_path(spec, np.array([2.0, 0.0]), k=k)
+    path = estimate_c(spec, np.array([2.0, 0.0]), MpaOptions(step=0.05), k=k).path
     # bend the straight path sideways so that the sweep moves every image
     ts = np.linspace(0.0, 1.0, k + 2)
     points = [u + np.array([0.0, 0.4 * np.sin(np.pi * t)]) for u, t in zip(path.points, ts)]
@@ -47,7 +46,7 @@ def toy_path(k=16):
 
 def radial_path(spec, k=12):
     endpoint = find_endpoint(spec, minimize_on_level(spec, 1.0).minimizer)
-    return spec, init_path(spec, endpoint, k=k)
+    return spec, estimate_c(spec, endpoint, MpaOptions(), k=k).path
 
 
 def bent_radial_path(spec, k=12):
@@ -198,7 +197,7 @@ class TestFindEndpoint:
             lam *= 1.5
         expected = scaling_path(spec, r1.minimizer, lam)
         assert np.array_equal(endpoint.values, expected.values)
-        assert init_path(spec, endpoint, k=4).energies[-1] < 0
+        assert estimate_c(spec, endpoint, MpaOptions(), k=4).path.energies[-1] < 0
 
     def test_raises_when_no_level_is_admissible(self):
         # a tiny point has a tiny T, so the search stays where F > 0

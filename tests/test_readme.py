@@ -5,7 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from maxminpass.cli import EXIT_OK, main
+from maxminpass.cli import CONFIG_BLOCKS, EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,3 +53,16 @@ def test_each_command_writes_the_files_the_readme_lists(tmp_path):
         assert written == expected - files, line
         files |= written
     assert json.loads((out / "comparison.json").read_text())["relative_gap"] <= 1e-9
+
+
+def test_config_paragraph_names_every_config_key():
+    # "A config has the blocks ...": the top-level names outside parentheses,
+    # and each block's keys inside the parentheses after its name
+    section = " ".join(readme_section("## Command line").split())
+    start = section.index("A config has the blocks")
+    sentence = re.split(r"\.\s+(?=[A-Z])", section[start:])[0]
+    top = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence))
+    assert sorted(top) == sorted(["problem", "output_dir", *CONFIG_BLOCKS])
+    for block, keys in CONFIG_BLOCKS.items():
+        [listed] = re.findall(rf"`{block}` \(([^)]*)\)", sentence)
+        assert re.findall(r"`(\w+)`", listed) == list(keys), block

@@ -58,8 +58,10 @@ class TestToyClosedForm:
         assert c_201 < c_21 < 0.05
 
     def test_rejects_subquadratic_growth(self):
-        with pytest.raises(ValidationError):
-            ToyProblem(2, 2.0)
+        # nan and inf slipped past a q <= 2 test
+        for q in (2.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match=r"toy q must be finite and > 2"):
+                ToyProblem(2, q)
         with pytest.raises(ValidationError):
             ToyProblem(0, 4.0)
 
