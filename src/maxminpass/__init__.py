@@ -11,6 +11,7 @@ from .constrained import (
     MinimizeResult,
     continuation_sweep,
     default_seed,
+    level_curve,
     minimize_on_level,
     retract_to_level,
 )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constrained import continuation_sweep, minimize_on_level
+from .constrained import continuation_sweep, level_curve, minimize_on_level
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .functionals import ProblemSpec, check_keys, config_number, problem_from_config
 from .grids import GridFunction
@@ -183,22 +183,6 @@ def _write_gridfunction_csv(path: Path, u: GridFunction) -> None:
                ([repr(float(r)), repr(float(v))] for r, v in zip(u.grid.nodes, u.values)))
 
 
-def _refining_i_fn(spec: ProblemSpec, results, solves: list):
-    """Re-minimize at queried levels, warm-started from the nearest sweep
-    minimizer transported to the level.  Each refinement's MinimizeResult is
-    appended to ``solves``."""
-    mins = {r.lam: r.minimizer for r in results if r.minimizer is not None}
-    keys = np.array(sorted(mins))
-
-    def i_fn(lam: float) -> float:
-        k = float(keys[np.argmin(np.abs(np.log(keys) - np.log(lam)))])
-        r = minimize_on_level(spec, lam, spec.model.transport(mins[k], lam / k))
-        solves.append(r)
-        return r.i_value
-
-    return i_fn
-
-
 def _level1_minimum(spec: ProblemSpec):
     """Solve lambda = 1 from the cold seed, the same deterministic solve as
     ``maxmin``'s; ConvergenceError if it does not converge."""
@@ -210,24 +194,20 @@ def _level1_minimum(spec: ProblemSpec):
 
 def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
     lambdas = _sweep_lambdas(cfg)
-    # The level-1 minimizer seeds the sweep: at lambda_min = 1 the first
-    # point is then already solved.
+    # The level-1 result starts the sweep: at lambda_min = 1 it is the
+    # sweep's first row, otherwise its minimizer seeds the first level.
     r1 = minimize_on_level(spec, 1.0)
-    results = continuation_sweep(spec, lambdas, r1.minimizer)
+    results = continuation_sweep(spec, lambdas, r1)
     _write_sweep_csv(out / "sweep.csv", results)
-    good = [r for r in results if r.minimizer is not None and math.isfinite(r.i_value)]
-    refined: list = []
+    solves = results if r1.lam == lambdas[0] else [*results, r1]
     try:
-        curve = build_level_curve(
-            [(r.lam, r.i_value) for r in good],
-            i_fn=_refining_i_fn(spec, good, refined),
-        )
+        curve, refined = level_curve(spec, results)
     except ValidationError as e:
         # Unconverged solves, not the sweep range, are then the likely cause.
-        unconverged = sum(not r.converged for r in [*results, *refined, r1])
+        unconverged = sum(not r.converged for r in solves)
         if unconverged:
             raise ConvergenceError(
-                f"{unconverged} of {len(results) + len(refined) + 1} solves did not converge,"
+                f"{unconverged} of {len(solves)} solves did not converge,"
                 f" so the level curve could not be built ({e})"
             ) from e
         raise
@@ -242,7 +222,7 @@ def _maxmin_summary(spec: ProblemSpec, cfg: dict, out: Path) -> dict:
         "paper_lambda_bar": forms["paper_formula"],
         "derived_lambda_bar": forms["derived_argmax"],
         "i_1": r1.i_value,
-        "unconverged": sum(not r.converged for r in [*results, *refined, r1]),
+        "unconverged": sum(not r.converged for r in [*solves, *refined]),
         "config_sha256": _config_sha256(cfg),
     }
     _write_json(out / "maxmin_summary.json", summary)

@@ -20,15 +20,17 @@ Armijo test and ``grad_tol``.
 
 Arrays inside, points at the edges: ``minimize_on_level`` checks and
 unwraps its seed once, runs the descent (``descend``) from the seed's record
-(``seed_record``), and wraps only the result; ``continuation_sweep``
-carries the last solved level's last record to the next level (the
-variant's ``carry_record``) and solves there, wrapping each result.  Where
+(``seed_record``), and wraps only the result, with its last record;
+``continuation_sweep`` starts from a seed or a solved result and carries
+the last solved level's last record to the next level (the variant's
+``carry_record``) and solves there, wrapping each result.  Where
 the group action is exact (critical, toy) T, the multiplier and the
 residual of the carried point follow from the solved level's by
 homogeneity, so a level whose residual is then within ``grad_tol`` is read
 off in closed form (``_scaled_level``), one scaled array and no record; a
 level above it is carried, descended and becomes the solved level.  The
-sweep evaluates on the grid only its first level and its Newton steps.
+sweep evaluates on the grid only a seeded first level and its Newton steps.
+``level_curve``'s refinements carry the nearest level's record.
 ``descend`` also computes the first Dirichlet eigenvalue on a Rayleigh
 model.
 """
@@ -36,18 +38,20 @@ model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .functionals import Iterate, ProblemSpec, eval_U  # noqa: F401 (eval_U: traced binding)
 from .functionals import factor_tridiagonal, solve_tridiagonal
+from .levelcurve import LevelCurve, build_level_curve
 
 __all__ = [
     "MinimizeResult",
     "minimize_on_level",
     "continuation_sweep",
+    "level_curve",
     "retract_to_level",
     "default_seed",
 ]
@@ -66,6 +70,9 @@ class MinimizeResult:
     iterations: int
     converged: bool
     residual: float
+    # (level, Iterate) that ``carry_record`` carries the result from, the solved
+    # level's for a level read off in closed form; None for a failed solve.  Never serialized.
+    record: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _check_level(lam: float) -> None:
@@ -154,6 +161,8 @@ def _result(model, lam, it: Iterate, theta, res, iterations, converged) -> Minim
         iterations=iterations,
         converged=converged,
         residual=res,
+        # where the action is not exact ``carry_record`` reads x alone: keep no gradients
+        record=(lam, it if model.exact_transport else Iterate(it.x, it.T, None, None, None, None, None)),
     )
 
 
@@ -216,7 +225,9 @@ def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResu
     level the carried point already solves is read off the last solved level
     in closed form (``_scaled_level``) and builds no record.  Failures are
     recorded as non-converged entries and the sweep continues.  The solves
-    run on records; only each result is wrapped."""
+    run on records; only each result is wrapped.  u0 is a seed point or a
+    solved ``MinimizeResult``: at the first level that result is the first
+    row (0 iterations), elsewhere its minimizer is the seed."""
     lambdas = np.asarray(lambdas, dtype=float)
     ok = lambdas.ndim == 1 and np.all(np.isfinite(lambdas) & (lambdas > 0))
     if not ok or np.any(np.diff(lambdas) <= 0):
@@ -225,17 +236,22 @@ def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResu
     results: list[MinimizeResult] = []
     prev = None  # (level, last record) of the last solved level
     base = None  # and its closed-form scaling data, where the action is exact
+    start = None  # a result solved at the first level
+    if isinstance(u0, MinimizeResult):
+        start, u0 = (u0 if u0.record and u0.record[0] == u0.lam == lambdas[0] else None), u0.minimizer
     for lam in map(float, lambdas):
         r = None if base is None else _scaled_level(model, *base, lam)
         if r is not None:
             results.append(r)
             continue
         try:
-            if prev is None:
-                it = seed_record(model, _seed(spec, lam, u0), lam)
+            if prev is None and start is not None:  # the first level's row, 0 steps
+                model.unwrap(start.minimizer)  # GridMismatchError for another grid's result
+                out = start.record[1], start.multiplier, start.residual, 0, start.converged
+            elif prev is None:
+                out = descend(model, seed_record(model, _seed(spec, lam, u0), lam), lam)
             else:
-                it = model.carry_record(prev[1], prev[0], lam)
-            out = descend(model, it, lam)
+                out = descend(model, model.carry_record(prev[1], prev[0], lam), lam)
         except InfeasibleError:
             r = MinimizeResult(
                 lam=lam,
@@ -272,4 +288,22 @@ def _scaled_level(model, lam_b: float, it: Iterate, theta: float, n_r: float, n_
     res = g * n_r / (1.0 + g * n_g)
     if not res <= model.grad_tol:
         return None
-    return MinimizeResult(lam, it.T * s**p, model.wrap(it.x * s), theta * s ** (p - r), 0, True, res)
+    return MinimizeResult(lam, it.T * s**p, model.wrap(it.x * s), theta * s ** (p - r), 0, True, res,
+                          record=(lam_b, it))
+
+
+def level_curve(spec: ProblemSpec, sweep) -> tuple[LevelCurve, list[MinimizeResult]]:
+    """The level curve of a sweep's solved levels (``build_level_curve``) and
+    its refinement solves, in query order.  Each carries the record of the
+    level nearest in log lambda (``carry_record``) and descends there."""
+    model = spec.model
+    good = [r for r in sweep if r.record is not None and math.isfinite(r.i_value)]
+    keys = np.log([r.lam for r in good])
+    refined: list[MinimizeResult] = []
+
+    def i_fn(lam: float) -> float:
+        lam_r, it = good[int(np.argmin(np.abs(keys - np.log(lam))))].record
+        refined.append(_result(model, lam, *descend(model, model.carry_record(it, lam_r, lam), lam)))
+        return refined[-1].i_value
+
+    return build_level_curve([(r.lam, r.i_value) for r in good], i_fn), refined

@@ -15,9 +15,6 @@ from maxminpass import (
     MpaOptions,
     NonlinearitySpec,
     ProblemSpec,
-    ScalingAction,
-    apply_scaling,
-    build_level_curve,
     build_radial_grid,
     closed_form_lambda_bar,
     continuation_sweep,
@@ -25,16 +22,17 @@ from maxminpass import (
     el_residual,
     estimate_c,
     eval_T,
+    find_endpoint,
     grad_T,
     grad_U,
     inner,
+    level_curve,
     mask,
     minimize_on_level,
     multiplier_of,
     norm,
     precondition,
     retract_to_level,
-    scaling_exponent,
     scaling_path,
 )
 from maxminpass.functionals import factor_tridiagonal, solve_tridiagonal
@@ -263,22 +261,9 @@ def run_hardy_pipeline(mu, m=800, R=30.0, sweep_count=40, lam_max=30000.0):
         grid=grid,
     )
     r1 = minimize_on_level(spec, 1.0)
-    lambdas = np.geomspace(1.0, lam_max, sweep_count)
-    sweep = continuation_sweep(spec, lambdas, u0=r1.minimizer)
-    good = [r for r in sweep if r.minimizer is not None]
-    mins = {r.lam: r.minimizer for r in good}
-    keys = np.array(sorted(mins))
-
-    def i_fn(lam):
-        k = float(keys[np.argmin(np.abs(np.log(keys) - np.log(lam)))])
-        beta = (lam / k) ** (1.0 / HARDY_N)
-        seed = apply_scaling(mins[k], ScalingAction("dilation", beta))
-        return minimize_on_level(spec, lam, seed).i_value
-
-    curve = build_level_curve([(r.lam, r.i_value) for r in good], i_fn=i_fn)
-    alpha = scaling_exponent(spec)
-    lam_end = 2.0 * r1.i_value ** (1.0 / (1.0 - alpha))
-    endpoint = scaling_path(spec, r1.minimizer, lam_end)
+    sweep = continuation_sweep(spec, np.geomspace(1.0, lam_max, sweep_count), r1)
+    curve, _ = level_curve(spec, sweep)
+    endpoint = find_endpoint(spec, r1.minimizer)
     mpa = estimate_c(spec, endpoint, MpaOptions(), k=32)
     return {
         "spec": spec,
@@ -303,23 +288,9 @@ def run_critical_pipeline(mu_fraction=0.3, m=200, sweep_count=30):
         variant="critical-bounded", p=2.0, n=5, mu=mu_fraction * mu_p, grid=grid
     )
     r1 = minimize_on_level(spec, 1.0)
-    lambdas = np.geomspace(1.0, 4000.0, sweep_count)
-    sweep = continuation_sweep(spec, lambdas, u0=r1.minimizer)
-    good = [r for r in sweep if r.minimizer is not None]
-    mins = {r.lam: r.minimizer for r in good}
-    keys = np.array(sorted(mins))
-
-    def i_fn(lam):
-        k = float(keys[np.argmin(np.abs(np.log(keys) - np.log(lam)))])
-        seed = apply_scaling(
-            mins[k], ScalingAction("amplitude", (lam / k) ** (1.0 / spec.pstar))
-        )
-        return minimize_on_level(spec, lam, seed).i_value
-
-    curve = build_level_curve([(r.lam, r.i_value) for r in good], i_fn=i_fn)
-    alpha = scaling_exponent(spec)
-    lam_end = 2.0 * r1.i_value ** (1.0 / (1.0 - alpha))
-    endpoint = scaling_path(spec, r1.minimizer, lam_end)
+    sweep = continuation_sweep(spec, np.geomspace(1.0, 4000.0, sweep_count), r1)
+    curve, _ = level_curve(spec, sweep)
+    endpoint = find_endpoint(spec, r1.minimizer)
     mpa = estimate_c(spec, endpoint, MpaOptions(), k=32)
     return {
         "spec": spec,

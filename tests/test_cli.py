@@ -424,6 +424,19 @@ class TestLevelOneSolve:
             (False, 1.0, True, i_1)
         ] * 2
 
+    def test_maxmin_records_level_one_once(self, tmp_path, monkeypatch):
+        # the level-1 solve is the sweep's first row, not solved again there
+        levels = []
+        seed_record = maxminpass.constrained.seed_record
+
+        def spy(model, x, lam):
+            levels.append(lam)
+            return seed_record(model, x, lam)
+
+        monkeypatch.setattr(maxminpass.constrained, "seed_record", spy)
+        assert main(["maxmin", "--config", hardy_config(tmp_path), "--out", str(tmp_path)]) == EXIT_OK
+        assert levels == [1.0]
+
     def test_reports_do_not_depend_on_an_earlier_maxmin(self, tmp_path):
         # At m = 400 a level-1 start that differs from maxmin's point in the
         # last bits moves both reports (at m in {120, 200, 800} it does not).
@@ -636,7 +649,37 @@ class TestUnconvergedRuns:
             code = main(["maxmin", "--config", path, "--out", str(tmp_path)])
         assert code == EXIT_CONVERGENCE
         err = capsys.readouterr().err
-        assert "41 of 41 solves did not converge" in err and "no sign change" in err
+        # the level-1 solve is the sweep's first row, counted once
+        assert "40 of 40 solves did not converge" in err and "no sign change" in err
+        assert not (tmp_path / "maxmin_summary.json").exists()
+        with open(tmp_path / "sweep.csv") as f:
+            assert len(list(csv.DictReader(f))) == 40
+
+    def test_unconverged_maxmin_counts_a_level_one_solve_off_the_sweep(self, tmp_path, capsys):
+        # lambda_min = 0.5: the level-1 solve only seeds the sweep's first
+        # level, so it is a solve of its own
+        path = readme_config(tmp_path, "hardy.json")
+        cfg = json.loads(Path(path).read_text())
+        cfg["sweep"] = {"lambda_min": 0.5, "lambda_max": 3000.0, "count": 40}
+        write_config(Path(path), cfg)
+        with no_solver_budget():
+            code = main(["maxmin", "--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
+        assert "41 of 41 solves did not converge" in capsys.readouterr().err
+
+    def test_maxmin_without_a_sign_change_exits_2_and_keeps_the_sweep(self, tmp_path, capsys):
+        # the default sweep, 0.1 to 10, ends far below lambda**: every solve
+        # converges, so the failure is the sweep range's, exit 2, and the
+        # sweep is still written
+        path = readme_config(tmp_path, "hardy.json")
+        cfg = json.loads(Path(path).read_text())
+        del cfg["sweep"]
+        write_config(Path(path), cfg)
+        assert main(["maxmin", "--config", path, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "no sign change" in capsys.readouterr().err
+        with open(tmp_path / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 40 and all(r["converged"] == "1" for r in rows)
         assert not (tmp_path / "maxmin_summary.json").exists()
 
 

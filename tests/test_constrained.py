@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.optimize import brentq
 from maxminpass import constrained
 from maxminpass import (
     GridFunction,
+    GridMismatchError,
     InfeasibleError,
     NonlinearitySpec,
     ProblemSpec,
@@ -24,6 +26,7 @@ from maxminpass import (
     eval_U,
     estimate_mu_p,
     hardy_constant,
+    level_curve,
     minimize_on_level,
     norm,
     retract_to_level,
@@ -667,6 +670,114 @@ class TestContinuationSweep:
         carried = model.transport(first.minimizer, 4.0)
         assert np.array_equal(seeds[2.0], model.retract(carried.values, 2.0))
         assert_same_result(last, minimize_on_level(spec, 2.0, carried))
+
+
+def solved_case(request, case):
+    """(spec, its level-1 result) for ``hardy``, ``critical`` or ``toy``."""
+    spec = {"hardy": request.getfixturevalue("hardy_small"),
+            "critical": request.getfixturevalue("critical_small"), "toy": toy_spec()}[case]
+    seed = np.array([0.3, -1.7]) if case == "toy" else None
+    return spec, minimize_on_level(spec, 1.0, seed)
+
+
+class TestSweepFromResult:
+    @pytest.mark.parametrize("case", ["hardy", "critical", "toy"])
+    def test_first_row_is_the_result(self, request, case):
+        spec, r1 = solved_case(request, case)
+        first, *rest = continuation_sweep(spec, np.geomspace(1.0, 300.0, 6), r1)
+        assert first.iterations == 0
+        assert r1.iterations > 0 or case == "toy"  # any toy point on the level is a minimizer
+        assert_same_result(first, replace(r1, iterations=0))
+        assert first.record == r1.record
+        assert all(r.converged for r in rest)
+
+    @pytest.mark.parametrize("case", ["hardy", "critical", "toy"])
+    def test_result_off_the_first_level_seeds_as_its_minimizer(self, request, case):
+        spec, r1 = solved_case(request, case)
+        lambdas = np.geomspace(0.5, 300.0, 6)
+        for new, old in zip(continuation_sweep(spec, lambdas, r1),
+                            continuation_sweep(spec, lambdas, u0=r1.minimizer), strict=True):
+            assert_same_result(new, old)
+
+    def test_critical_sweep_from_the_result_evaluates_no_level(self, critical_pipeline, monkeypatch):
+        # every level of the conftest sweep is read off the level-1 record
+        spec, r1 = critical_pipeline["spec"], critical_pipeline["r1"]
+        for name in ("at_level", "iterate", "carry_record"):
+            monkeypatch.setattr(Critical, name, None)
+        monkeypatch.setattr(constrained, "descend", None)
+        results = continuation_sweep(spec, np.geomspace(1.0, 4000.0, 30), r1)
+        assert all(r.converged and r.record[1] is r1.record[1] for r in results)
+
+    @pytest.mark.parametrize("lam_min", [1.0, 0.5])
+    def test_result_from_another_grid_is_refused(self, hardy_small, lam_min):
+        grid = hardy_small.grid
+        other = ProblemSpec(variant="hardy-subcritical", p=2.0, n=5, mu=0.0,
+                            nonlinearity=hardy_small.nonlinearity,
+                            grid=build_radial_grid(5, 20.0, grid.m, grid.stretch))
+        r1 = minimize_on_level(other, 1.0)
+        with pytest.raises(GridMismatchError):
+            continuation_sweep(hardy_small, [lam_min, 2.0, 3.0], r1)
+
+
+def transport_curve(spec, sweep):
+    """The level curve refined from each nearest sweep minimizer moved to
+    the level by ``transport`` and re-minimized: the reference ``level_curve``
+    is checked against."""
+    good = [r for r in sweep if r.minimizer is not None]
+    keys = np.array([r.lam for r in good])
+
+    def i_fn(lam):
+        r = good[int(np.argmin(np.abs(np.log(keys) - np.log(lam))))]
+        return minimize_on_level(spec, lam, spec.model.transport(r.minimizer, lam / r.lam)).i_value
+
+    return build_level_curve([(r.lam, r.i_value) for r in good], i_fn=i_fn)
+
+
+CURVE_FIELDS = ("lambda_star", "lambda_star_star", "lambda_bar", "c_maxmin")
+
+
+class TestLevelCurve:
+    @pytest.mark.parametrize("pipeline", ["hardy_mu_half", "critical_pipeline"])
+    def test_refines_by_carrying_and_descending_records(self, request, pipeline, monkeypatch):
+        run = request.getfixturevalue(pipeline)
+        spec, sweep = run["spec"], run["sweep"]
+        model = spec.model
+        calls = []
+        carry, descend = type(model).carry_record, constrained.descend
+
+        def carry_spy(self, it, lam_from, lam):
+            calls.append(("carry_record", lam))
+            return carry(self, it, lam_from, lam)
+
+        def descend_spy(model, it, lam):
+            calls.append(("descend", lam))
+            return descend(model, it, lam)
+
+        monkeypatch.setattr(type(model), "carry_record", carry_spy)
+        monkeypatch.setattr(constrained, "descend", descend_spy)
+        monkeypatch.setattr(constrained, "minimize_on_level", None)
+        monkeypatch.setattr(constrained, "seed_record", None)
+        curve, refined = level_curve(spec, sweep)
+        assert refined and calls == [(step, r.lam) for r in refined for step in ("carry_record", "descend")]
+        assert all(r.converged for r in refined)
+        for name in CURVE_FIELDS:
+            assert getattr(curve, name) == getattr(run["curve"], name), name
+
+    def test_hardy_equals_the_transport_refinement(self, hardy_mu_half):
+        spec, sweep = hardy_mu_half["spec"], hardy_mu_half["sweep"]
+        curve, reference = level_curve(spec, sweep)[0], transport_curve(spec, sweep)
+        for name in CURVE_FIELDS:
+            assert getattr(curve, name) == getattr(reference, name), name
+        assert curve.argmax_set == reference.argmax_set
+
+    def test_critical_matches_the_transport_refinement(self, critical_pipeline):
+        # the closed-form levels carry the level-1 record in one scaling, the
+        # reference moves each closed-form point once more
+        spec, sweep = critical_pipeline["spec"], critical_pipeline["sweep"]
+        curve, reference = level_curve(spec, sweep)[0], transport_curve(spec, sweep)
+        for name in CURVE_FIELDS:
+            assert getattr(curve, name) == pytest.approx(getattr(reference, name), rel=1e-14, abs=0.0)
+        assert curve.argmax_set == reference.argmax_set
 
 
 def assert_same_result(new, old):

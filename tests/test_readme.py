@@ -23,22 +23,34 @@ def fenced(section, lang):
     return re.findall(rf"```{lang}\n(.*?)```", section, re.S)
 
 
-def test_library_sketch_routes_agree(capsys):
+def write_readme_config(tmp_path):
+    """The command section's example ``hardy.json``, written to tmp_path."""
+    section = readme_section("## Command line")
+    config = re.search(r"Example config \(`hardy.json`\):\s*```json\n(.*?)```", section, re.S)
+    (tmp_path / "hardy.json").write_text(config.group(1))
+
+
+def test_library_sketch_routes_agree(capsys, tmp_path):
     [sketch] = fenced(readme_section("## Library sketch"), "python")
     scope = {}
     exec(compile(sketch, "README.md", "exec"), scope)
-    c_maxmin, c_mpa = scope["curve"].c_maxmin, scope["mpa"].c_mpa
+    curve = scope["curve"]
+    c_maxmin, c_mpa = curve.c_maxmin, scope["mpa"].c_mpa
     assert abs(c_maxmin - c_mpa) / abs(c_mpa) <= 1e-9
     assert capsys.readouterr().out.split() == [repr(c_maxmin), repr(c_mpa)]
+    # the sketch and the CLI run one max-min pipeline on the example config
+    write_readme_config(tmp_path)
+    assert main(["maxmin", "--config", str(tmp_path / "hardy.json"), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "maxmin_summary.json").read_text())
+    for name in ("c_maxmin", "lambda_star", "lambda_star_star", "lambda_bar"):
+        assert summary[name] == getattr(curve, name), name
 
 
 def test_each_command_writes_the_files_the_readme_lists(tmp_path):
     # Each line of the command block names, after '#', what that command
     # writes; comparison.json follows once both summaries exist.
-    section = readme_section("## Command line")
-    config = re.search(r"Example config \(`hardy.json`\):\s*```json\n(.*?)```", section, re.S)
-    (tmp_path / "hardy.json").write_text(config.group(1))
-    [commands] = fenced(section, "sh")
+    write_readme_config(tmp_path)
+    [commands] = fenced(readme_section("## Command line"), "sh")
     out = tmp_path / "results"
     files = set()
     for line in commands.splitlines():
