@@ -180,7 +180,8 @@ def descend(model, it: Iterate, lam: float):
     residual, iterations, converged).  Each trial point is retracted and its
     T evaluated (``at_level``); each accepted one becomes the record
     (``iterate``) that the multiplier, the residual and the Newton step
-    read, built from the intermediates the trial left."""
+    read, built from the intermediates the trial left.  Converged also needs
+    0 < theta < inf: a flat profile (grad T = 0) has residual 0 at theta 0."""
     theta, res, res_vec = multiplier_and_residual(model, it)
     iterations = 0
     converged = res <= model.grad_tol
@@ -215,7 +216,7 @@ def descend(model, it: Iterate, lam: float):
         it = model.iterate(*trial)
         theta, res, res_vec = multiplier_and_residual(model, it)
         converged = res <= model.grad_tol
-    return it, theta, res, iterations, bool(converged)
+    return it, theta, res, iterations, bool(converged and 0.0 < theta < math.inf)
 
 
 def continuation_sweep(spec: ProblemSpec, lambdas, u0=None) -> list[MinimizeResult]:
@@ -281,12 +282,13 @@ def _scaled_level(model, lam_b: float, it: Iterate, theta: float, n_r: float, n_
     s = (lam / lam_b)^(1/r), has T s^p T(x) and multiplier s^(p-r) theta,
     and grad T and the residual vector scale by s^(p-1).  So the relative
     residual that ``descend`` tests at 0 steps is s^(p-1) n_r / (1 + s^(p-1)
-    n_g).  None where it is above ``grad_tol``: the level is then solved."""
+    n_g).  None where it is above ``grad_tol`` or theta is not positive and
+    finite (``descend``'s verdict): the level is then solved."""
     p, r = model.p, model.U_degree
     s = (lam / lam_b) ** (1.0 / r)
     g = s ** (p - 1.0)
     res = g * n_r / (1.0 + g * n_g)
-    if not res <= model.grad_tol:
+    if not (res <= model.grad_tol and 0.0 < theta < math.inf):
         return None
     return MinimizeResult(lam, it.T * s**p, model.wrap(it.x * s), theta * s ** (p - r), 0, True, res,
                           record=(lam_b, it))

@@ -38,10 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .functionals import ProblemSpec, eval_F, eval_T, eval_U
+from .functionals import ProblemSpec, eval_F, eval_U
 from .functionals import factor_tridiagonal, solve_tridiagonal
 from .grids import GridFunction, RadialGrid
-from .levelcurve import scaling_exponent, scaling_path
 from .verify import weighted_residual
 
 __all__ = ["DiscretePath", "MpaOptions", "deform", "polish", "estimate_c",
@@ -114,13 +113,14 @@ def find_endpoint(spec: ProblemSpec, v):
 
     Starts at twice the first negative level of the scaling law,
     i(1)^(1/(1-alpha)), and grows the level by 1.5 up to 10 times; raises
-    ValidationError if F is still >= 0 there.
+    ValidationError if F is still >= 0 there.  Only the endpoint is wrapped.
     """
-    lam = 2.0 * eval_T(spec, v) ** (1.0 / (1.0 - scaling_exponent(spec)))
+    model, x = spec.model, spec.model.unwrap(v)
+    lam = 2.0 * float(model.T(x)) ** (1.0 / (1.0 - model.scaling_exponent))
     for _ in range(11):
-        endpoint = scaling_path(spec, v, lam)
-        if eval_F(spec, endpoint) < 0:
-            return endpoint
+        y = model.carry(x, lam)
+        if model.F(y) < 0:
+            return model.wrap(y)
         lam *= 1.5
     raise ValidationError(
         f"no admissible endpoint: F >= 0 on the scaling path up to level {lam / 1.5:.6g}"

@@ -4,16 +4,18 @@ unconstrained Euler-Lagrange equation with multiplier one.
 The unit-multiplier level is found by Newton's method on log theta as a
 function of log lambda, with the slope alpha - 1 that the scaling law
 i(lambda) = lambda^alpha i(1) fixes; each level it visits is solved once
-per call."""
+per call.  The level-1 minimizer's array is carried to each level and,
+where the carry is inexact, re-minimized by the library's descent; theta
+and the residual are read from that solve's record."""
 
 from __future__ import annotations
 
 import math
 
 from .errors import ValidationError
-from .constrained import minimize_on_level, multiplier_and_residual
-from .functionals import ProblemSpec, eval_T
-from .levelcurve import closed_form_lambda_bar, scaling_path
+from .constrained import descend, multiplier_and_residual, seed_record
+from .functionals import ProblemSpec
+from .levelcurve import closed_form_lambda_bar
 
 __all__ = ["el_residual", "multiplier_of", "pick_solution_scale"]
 
@@ -41,18 +43,18 @@ def multiplier_of(spec: ProblemSpec, u) -> float:
     return theta
 
 
-def _theta_at_level(spec: ProblemSpec, v, lam: float):
-    """Multiplier along the scaling path; where the transport is inexact
-    (the dilation, which interpolates) its error would swamp the residual,
-    so the transported point is re-minimized at the target level first.
-    Returns theta, the point and whether that re-minimization converged
-    (True when nothing was re-minimized)."""
-    u = scaling_path(spec, v, lam)
-    converged = True
-    if not spec.model.exact_transport:
-        res = minimize_on_level(spec, lam, u)
-        u, converged = res.minimizer, res.converged
-    return multiplier_of(spec, u), u, converged
+def _theta_at_level(model, x, lam: float):
+    """(theta, the record, converged) at lam of the level-1 minimizer's array
+    x carried there.  Where the transport is inexact (the dilation, which
+    interpolates) its error would swamp the residual, so the carried point
+    is re-minimized first (``descend``, as in ``minimize_on_level``);
+    elsewhere it is evaluated once, and converged is True."""
+    y = model.carry(x, lam)
+    if model.exact_transport:
+        it = model.iterate(y)
+        return multiplier_and_residual(model, it)[0], it, True
+    it, theta, _res, _steps, converged = descend(model, seed_record(model, y, lam), lam)
+    return theta, it, converged
 
 
 def pick_solution_scale(spec: ProblemSpec, v) -> dict:
@@ -76,16 +78,16 @@ def pick_solution_scale(spec: ProblemSpec, v) -> dict:
     0 where the transport is exact) and those whose re-minimization did not
     converge (``unconverged``).
     """
-    i_1 = eval_T(spec, v)
-    forms = closed_form_lambda_bar(spec, i_1)
+    model, x = spec.model, spec.model.unwrap(v)
+    forms = closed_form_lambda_bar(spec, float(model.T(x)))
     solved = {}
 
     def level(lam):
         if lam not in solved:
-            solved[lam] = _theta_at_level(spec, v, lam)
+            solved[lam] = _theta_at_level(model, x, lam)
         return solved[lam]
 
-    slope = 1.0 - spec.model.scaling_exponent
+    slope = 1.0 - model.scaling_exponent
     lam, lam_unit, dist = forms["derived_argmax"], None, math.inf
     for _ in range(16):
         theta = level(lam)[0]
@@ -98,33 +100,34 @@ def pick_solution_scale(spec: ProblemSpec, v) -> dict:
         if dist <= 1e-10:
             break
         lam *= math.exp(step)
-    if dist > spec.model.grad_tol:
+    if dist > model.grad_tol:
         raise ValidationError(f"unit-multiplier level not resolved: {dist:.3g} in log lambda")
-    theta_unit, u_unit, _ = level(lam_unit)
-    res_unit = el_residual(spec, u_unit)
+    theta_unit, it_unit, _ = level(lam_unit)
+    res_unit = weighted_residual(model, it_unit)[1]
 
     # The variant's candidate solution-scale exponents, as amplitude factors
     # lam^expo at the derived level, then the points at the three levels.
     lam = forms["derived_argmax"]
     candidates = []
-    for label, expo in spec.model.amplitude_exponents:
-        u = lam**expo * v
-        candidates.append((label, lam, multiplier_of(spec, u), el_residual(spec, u)))
+    for label, expo in model.amplitude_exponents:
+        it = model.iterate(lam**expo * x)
+        theta = multiplier_and_residual(model, it)[0]
+        candidates.append((label, lam, theta, weighted_residual(model, it)[1]))
     for label in ("paper_formula", "derived_argmax"):
-        theta, u, _ = level(forms[label])
-        candidates.append((label, forms[label], theta, el_residual(spec, u)))
+        theta, it, _ = level(forms[label])
+        candidates.append((label, forms[label], theta, weighted_residual(model, it)[1]))
     candidates.append(("unit_multiplier", lam_unit, theta_unit, res_unit))
 
     return {
         "lambda_at_unit_multiplier": float(lam_unit),
         "theta": float(theta_unit),
         "residual": float(res_unit),
-        "minimizer_at_unit_multiplier": u_unit,
+        "minimizer_at_unit_multiplier": model.wrap(it_unit.x),
         "candidates_compared": [
             {"label": label, "lam": float(lam), "theta": float(theta),
              "residual": float(res)}
             for label, lam, theta, res in candidates
         ],
-        "solves": 0 if spec.model.exact_transport else len(solved),
-        "unconverged": sum(not ok for _theta, _u, ok in solved.values()),
+        "solves": 0 if model.exact_transport else len(solved),
+        "unconverged": sum(not ok for _theta, _it, ok in solved.values()),
     }

@@ -535,13 +535,13 @@ class TestUnconvergedRuns:
 
     def test_verify_exits_nonzero_and_counts(self, tmp_path, monkeypatch):
         # the level-1 solve keeps its budget; verify's re-solves get none
-        inner = maxminpass.verify.minimize_on_level
+        inner = maxminpass.verify.descend
 
         def starved(*args):
             with no_solver_budget():
                 return inner(*args)
 
-        monkeypatch.setattr(maxminpass.verify, "minimize_on_level", starved)
+        monkeypatch.setattr(maxminpass.verify, "descend", starved)
         cfg = hardy_config(tmp_path)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         payload = json.loads((tmp_path / "verify_report.json").read_text())
@@ -591,14 +591,32 @@ class TestUnconvergedRuns:
         assert message in capsys.readouterr().err
         assert (tmp_path / artifact).exists()
 
+    @pytest.mark.parametrize("command, message", [
+        ("sweep", "22 of 40 sweep levels did not converge"),
+        ("maxmin", "22 of the level curve's solves did not converge"),
+    ], ids=["sweep", "maxmin"])
+    def test_flat_levels_past_the_truncation_exit_3(self, command, message, tmp_path, capsys):
+        # The README hardy.json on m = 200 swept to 1e30: past about 1e13 the
+        # carried profile is flat on the truncated grid, where grad T = 0 and
+        # the residual is 0 at theta = 0.  Those levels are not converged.
+        cfg = readme_config(tmp_path, "flat.json", grid={"n": 5, "R": 30.0, "m": 200, "stretch": 1.0049})
+        config = json.loads(Path(cfg).read_text())
+        config["sweep"] = {"lambda_min": 1.0, "lambda_max": 1e30, "count": 40}
+        write_config(Path(cfg), config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+        assert message in capsys.readouterr().err
+        with open(tmp_path / "sweep.csv") as f:
+            flat = [r for r in csv.DictReader(f) if float(r["multiplier"]) == 0.0]
+        assert len(flat) == 22 and all(r["converged"] == "0" for r in flat)
+
     def test_starved_verify_names_what_did_not_converge(self, tmp_path, monkeypatch, capsys):
-        inner = maxminpass.verify.minimize_on_level
+        inner = maxminpass.verify.descend
 
         def starved(*args):
             with no_solver_budget():
                 return inner(*args)
 
-        monkeypatch.setattr(maxminpass.verify, "minimize_on_level", starved)
+        monkeypatch.setattr(maxminpass.verify, "descend", starved)
         cfg = hardy_config(tmp_path)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
         assert "re-minimizations did not converge" in capsys.readouterr().err

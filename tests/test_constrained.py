@@ -671,6 +671,33 @@ class TestContinuationSweep:
         assert np.array_equal(seeds[2.0], model.retract(carried.values, 2.0))
         assert_same_result(last, minimize_on_level(spec, 2.0, carried))
 
+    def test_flat_levels_are_not_converged(self):
+        # The README problem on m = 200 swept to 1e30: past about 1e13 the
+        # carried profile is flat on the truncated grid, where T = 0 and
+        # grad T = 0 at mu = 0, so the residual is 0 at theta = 0.  The
+        # descent stops there at once, and reports no convergence.
+        spec = ProblemSpec(
+            variant="hardy-subcritical", p=2.0, n=5, mu=0.0,
+            nonlinearity=NonlinearitySpec(1.0, 8.0 / 3.0),
+            grid=build_radial_grid(5, 30.0, 200, 1.0049),
+        )
+        sweep = continuation_sweep(spec, np.geomspace(1.0, 1e30, 40))
+        flat = [r for r in sweep if not r.multiplier > 0.0]
+        assert len(flat) == 22
+        for r in flat:
+            assert (r.i_value, r.multiplier, r.residual, r.iterations) == (0.0, 0.0, 0.0, 0)
+            assert not r.converged
+        assert all(r.converged for r in sweep if r.multiplier > 0.0)
+
+    @pytest.mark.parametrize("case", ["critical", "toy"])
+    def test_no_closed_form_level_without_a_positive_multiplier(self, critical_small, case):
+        # a solved level whose residual is 0 at theta = 0 reads off no level
+        spec = critical_small if case == "critical" else toy_spec()
+        model = spec.model
+        it = constrained.seed_record(model, model.unwrap(default_seed(spec, 1.0)), 1.0)
+        assert constrained._scaled_level(model, 1.0, it, 0.0, 0.0, 0.0, 2.0) is None
+        assert constrained._scaled_level(model, 1.0, it, 1.0, 0.0, 0.0, 2.0).converged
+
 
 def solved_case(request, case):
     """(spec, its level-1 result) for ``hardy``, ``critical`` or ``toy``."""

@@ -15,6 +15,8 @@ from maxminpass import (
     ValidationError,
     build_radial_grid,
     el_residual,
+    eval_F,
+    find_endpoint,
     hardy_constant,
     minimize_on_level,
     multiplier_of,
@@ -110,8 +112,8 @@ class TestPickSolutionScale:
 @pytest.fixture(scope="module", params=["toy", "hardy", "critical"])
 def searched(request, bisect_oracle):
     """One problem per variant: its level-1 minimizer, the report of
-    ``pick_solution_scale`` with every re-minimization it made, and the
-    log-bisection oracle's report."""
+    ``pick_solution_scale`` with the level of every re-minimization it made
+    (each a ``descend``), and the log-bisection oracle's report."""
     spec = {
         "toy": toy_spec,
         "hardy": lambda: request.getfixturevalue("hardy_small"),
@@ -119,14 +121,14 @@ def searched(request, bisect_oracle):
     }[request.param]()
     v = minimize_on_level(spec, 1.0).minimizer
     calls = []
-    inner = maxminpass.verify.minimize_on_level
+    inner = maxminpass.verify.descend
 
-    def counting(spec, lam, *args):
+    def counting(model, it, lam):
         calls.append(lam)
-        return inner(spec, lam, *args)
+        return inner(model, it, lam)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maxminpass.verify, "minimize_on_level", counting)
+        mp.setattr(maxminpass.verify, "descend", counting)
         report = pick_solution_scale(spec, v)
     return request.param, report, calls, bisect_oracle(spec, v)
 
@@ -201,6 +203,18 @@ class TestFarStart:
         assert abs(report["theta"] - 1.0) <= 1e-9
 
 
+def warp_theta(monkeypatch, f):
+    """Pass the multiplier of every level ``pick_solution_scale`` visits
+    (``_theta_at_level``'s theta) through f, keeping its record."""
+    real = maxminpass.verify._theta_at_level
+
+    def warped(*args):
+        theta, *rest = real(*args)
+        return (f(theta), *rest)
+
+    monkeypatch.setattr(maxminpass.verify, "_theta_at_level", warped)
+
+
 class TestBracket:
     """Multipliers off the scaling law, where the Newton search cannot
     resolve the unit-multiplier level, are rejected."""
@@ -210,10 +224,7 @@ class TestBracket:
         # scaling law: the Newton steps move away from the root
         spec = toy_spec()
         v = minimize_on_level(spec, 1.0).minimizer
-        real = maxminpass.verify.multiplier_of
-        monkeypatch.setattr(
-            maxminpass.verify, "multiplier_of", lambda spec, u: 2.0 * real(spec, u) - 1.5
-        )
+        warp_theta(monkeypatch, lambda theta: 2.0 * theta - 1.5)
         with pytest.raises(ValidationError, match="unit-multiplier level"):
             pick_solution_scale(spec, v)
 
@@ -222,8 +233,7 @@ class TestBracket:
         # log lambda: each Newton step doubles the distance to the root, so
         # the search stops at its first level, which is not resolved
         v = minimize_on_level(hardy_small, 1.0).minimizer
-        real = maxminpass.verify.multiplier_of
-        monkeypatch.setattr(maxminpass.verify, "multiplier_of", lambda spec, u: real(spec, u) ** 3)
+        warp_theta(monkeypatch, lambda theta: theta**3)
         with pytest.raises(ValidationError, match="unit-multiplier level"):
             pick_solution_scale(hardy_small, v)
 
@@ -233,10 +243,7 @@ class TestBracket:
     def test_undefined_log_multiplier_rejected(self, monkeypatch, bad):
         spec = toy_spec()
         v = minimize_on_level(spec, 1.0).minimizer
-        real = maxminpass.verify.multiplier_of
-        monkeypatch.setattr(
-            maxminpass.verify, "multiplier_of", lambda spec, u: bad(real(spec, u))
-        )
+        warp_theta(monkeypatch, bad)
         with pytest.raises(ValidationError, match="unit-multiplier level"):
             pick_solution_scale(spec, v)
 
@@ -247,26 +254,78 @@ def test_stops_at_the_noise_floor(monkeypatch, hardy_small):
     # and must stop there, on the level closest to theta = 1, rather than
     # wander among levels that cannot sharpen the answer.
     v = minimize_on_level(hardy_small, 1.0).minimizer
-    real = maxminpass.verify.multiplier_of
-
-    def noisy(spec, u):
-        x = spec.model.unwrap(u)
-        return real(spec, u) * (1.0 + 1e-7 * (zlib.crc32(x.tobytes()) / 2.0**32 - 0.5))
-
     seen = []
     level = maxminpass.verify._theta_at_level
 
-    def recording(*args):
-        out = level(*args)
-        seen.append(out[0])
-        return out
+    def noisy(*args):
+        theta, it, converged = level(*args)
+        theta *= 1.0 + 1e-7 * (zlib.crc32(it.x.tobytes()) / 2.0**32 - 0.5)
+        seen.append(theta)
+        return theta, it, converged
 
-    monkeypatch.setattr(maxminpass.verify, "multiplier_of", noisy)
-    monkeypatch.setattr(maxminpass.verify, "_theta_at_level", recording)
+    monkeypatch.setattr(maxminpass.verify, "_theta_at_level", noisy)
     report = pick_solution_scale(hardy_small, v)
     assert report["solves"] == len(seen) <= 8
     assert report["theta"] == min(seen, key=lambda theta: abs(np.log(theta)))
     assert abs(report["theta"] - 1.0) <= 1e-6
+
+
+class TestOneEvaluationPerPoint:
+    """``pick_solution_scale`` and ``find_endpoint`` run on arrays: each
+    builds one ``GridFunction``, the point it returns (none on the toy), and
+    evaluates each point it visits once."""
+
+    @pytest.fixture(params=["hardy", "critical", "toy"])
+    def counted(self, request, monkeypatch):
+        """(spec, its level-1 minimizer, counts), the counts of GridFunction
+        constructions, records built (``iterate``), carried points, F
+        evaluations, levels visited and descent steps, from here on."""
+        case = request.param
+        spec = toy_spec() if case == "toy" else request.getfixturevalue(f"{case}_small")
+        v = minimize_on_level(spec, 1.0).minimizer
+        cls, verify = type(spec.model), maxminpass.verify
+        counts = {"wrap": 0, "iterate": 0, "carry": 0, "F": 0, "level": 0, "steps": 0}
+
+        def counting(name, method):
+            def call(*args):
+                counts[name] += 1
+                return method(*args)
+            return call
+
+        descend = verify.descend
+
+        def stepping(*args):
+            out = descend(*args)
+            counts["steps"] += out[3]
+            return out
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counting("wrap", GridFunction.__post_init__))
+        for name in ("iterate", "carry", "F"):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+        monkeypatch.setattr(verify, "_theta_at_level", counting("level", verify._theta_at_level))
+        monkeypatch.setattr(verify, "descend", stepping, raising=False)
+        return spec, v, counts
+
+    def test_verify(self, counted):
+        # a level's record is its carried point's (exact transport) or its
+        # descent's seed and accepted steps'; each amplitude candidate is one
+        spec, v, counts = counted
+        report = pick_solution_scale(spec, v)
+        assert counts["wrap"] == (spec.variant != "toy")
+        assert counts["level"] == counts["carry"] >= 1
+        assert report["solves"] == (0 if spec.model.exact_transport else counts["level"])
+        expected = counts["level"] + counts["steps"] + len(spec.model.amplitude_exponents)
+        assert counts["iterate"] == expected
+        assert counts["F"] == 0
+
+    def test_find_endpoint(self, counted):
+        # one F per trial level, no record
+        spec, v, counts = counted
+        endpoint = find_endpoint(spec, v)
+        assert counts["wrap"] == (spec.variant != "toy")
+        assert counts["F"] == counts["carry"] >= 1
+        assert counts["iterate"] == 0
+        assert eval_F(spec, endpoint) < 0
 
 
 @pytest.mark.parametrize("n,fraction", [(5, 0.99), (3, 0.5), (3, 0.9)])
